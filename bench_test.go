@@ -88,7 +88,6 @@ func BenchmarkFig6TimeSplit(b *testing.B) {
 				res, err := core.Run(sctx, ds, core.Config{
 					Params:     benchParams,
 					Partitions: cores,
-					SeedMode:   core.SeedSingle,
 					Merge:      core.MergeOptions{Algo: core.MergePaper},
 				})
 				if err != nil {
@@ -167,9 +166,9 @@ func BenchmarkAblationIndex(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSeedMode compares the three SEED-placement rules
-// (§IV-A): the paper's single-seed rule, all-boundary seeds, and exact
-// core-only seeds.
+// BenchmarkAblationSeedMode compares the two SEED-placement rules
+// (§IV-A): the paper's one-seed-per-partition rule and the exact rule
+// that records every foreign point reached.
 func BenchmarkAblationSeedMode(b *testing.B) {
 	ds := benchDataset(b, "r10k", 4000)
 	tree := kdtree.Build(ds)
@@ -177,7 +176,7 @@ func BenchmarkAblationSeedMode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []core.SeedMode{core.SeedSingle, core.SeedAll, core.SeedCore} {
+	for _, mode := range []core.SeedMode{core.SeedSingle, core.SeedExact} {
 		b.Run(mode.String(), func(b *testing.B) {
 			var seeds int
 			for i := 0; i < b.N; i++ {
@@ -198,8 +197,9 @@ func BenchmarkAblationSeedMode(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMerge compares Algorithm 4 as printed against the
-// union-find fixpoint merge.
+// BenchmarkAblationMerge compares the two seed/merge pairs: Algorithm 4
+// as printed over SeedSingle partials against the canonical union-find
+// merge over SeedExact partials.
 func BenchmarkAblationMerge(b *testing.B) {
 	ds := benchDataset(b, "r10k", 5000)
 	tree := kdtree.Build(ds)
@@ -207,20 +207,23 @@ func BenchmarkAblationMerge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var partials []core.PartialCluster
-	for s := 0; s < part.Parts(); s++ {
-		lr, err := core.LocalDBSCAN(ds, tree, part, s,
-			core.LocalOptions{Params: benchParams, SeedMode: core.SeedAll})
-		if err != nil {
-			b.Fatal(err)
+	for _, pair := range []struct {
+		seed core.SeedMode
+		algo core.MergeAlgo
+	}{{core.SeedSingle, core.MergePaper}, {core.SeedExact, core.MergeParallel}} {
+		var partials []core.PartialCluster
+		for s := 0; s < part.Parts(); s++ {
+			lr, err := core.LocalDBSCAN(ds, tree, part, s,
+				core.LocalOptions{Params: benchParams, SeedMode: pair.seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			partials = append(partials, lr.Clusters...)
 		}
-		partials = append(partials, lr.Clusters...)
-	}
-	for _, algo := range []core.MergeAlgo{core.MergePaper, core.MergeUnionFind} {
-		b.Run(algo.String(), func(b *testing.B) {
+		b.Run(pair.algo.String(), func(b *testing.B) {
 			var clusters int
 			for i := 0; i < b.N; i++ {
-				g := core.Merge(partials, ds.Len(), core.MergeOptions{Algo: algo})
+				g := core.Merge(partials, ds.Len(), core.MergeOptions{Algo: pair.algo})
 				clusters = g.NumClusters
 			}
 			b.ReportMetric(float64(clusters), "clusters")

@@ -2,7 +2,7 @@
 // the virtual cluster and print the speedup decomposition — a miniature
 // of the paper's Figures 6 and 8, runnable in seconds. Also contrasts
 // the paper's exact algorithm variant (one SEED per foreign partition,
-// single-pass merge) with the robust default.
+// single-pass merge) with the exact default.
 //
 //	go run ./examples/scaling
 package main
@@ -54,12 +54,12 @@ func main() {
 			res.NumClusters)
 	}
 
-	// The paper's exact variant on the same data: same clusters on
-	// clean inputs, cheaper seeds, weaker merge guarantees.
+	// The paper's variant on the same data: same clusters on clean
+	// inputs, fewer seeds, weaker merge guarantees.
 	fmt.Println("\npaper-fidelity variant at 8 cores:")
 	exact := run(8, false)
 	paper := run(8, true)
-	fmt.Printf("  robust:  %d clusters, %d noise, merge %.2fs\n",
+	fmt.Printf("  exact:   %d clusters, %d noise, merge %.2fs\n",
 		exact.NumClusters, exact.NumNoise, exact.Timing.Merge)
 	fmt.Printf("  paper:   %d clusters, %d noise, merge %.2fs\n",
 		paper.NumClusters, paper.NumNoise, paper.Timing.Merge)

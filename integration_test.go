@@ -2,6 +2,7 @@ package sparkdbscan
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -93,16 +94,12 @@ func TestPipelineHDFSSparkDBSCAN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(ctx, rebuilt, core.Config{Params: params, Partitions: 4, SeedMode: core.SeedCore})
+	res, err := core.Run(ctx, rebuilt, core.Config{Params: params, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eval.EquivCheck(ds, ref, res.Global.Labels, params, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Exact() {
-		t.Fatalf("pipeline output != sequential: %v", rep)
+	if !slices.Equal(res.Global.Labels, ref.Labels) {
+		t.Fatal("pipeline labels != sequential")
 	}
 }
 
@@ -130,9 +127,12 @@ func TestFourWayAgreement(t *testing.T) {
 	}
 
 	sctx := spark.NewContext(spark.Config{Cores: 4, Seed: 2})
-	sparkRes, err := core.Run(sctx, ds, core.Config{Params: params, Partitions: 4, SeedMode: core.SeedCore})
+	sparkRes, err := core.Run(sctx, ds, core.Config{Params: params, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(sparkRes.Global.Labels, seq.Labels) {
+		t.Fatal("spark labels != sequential")
 	}
 
 	mrRes, err := mrdbscan.Run(ds, mrdbscan.Config{
@@ -195,7 +195,7 @@ func TestMergeIdempotent(t *testing.T) {
 		for sp := 0; sp < parts; sp++ {
 			lr, err := core.LocalDBSCAN(ds, tree, part, sp, core.LocalOptions{
 				Params:   dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts},
-				SeedMode: core.SeedAll,
+				SeedMode: core.SeedExact,
 			})
 			if err != nil {
 				return false
@@ -220,8 +220,8 @@ func TestMergeIdempotent(t *testing.T) {
 }
 
 // TestEquivalenceAcrossSeeds: property test — for random small
-// workloads, partition counts and seeds, SeedCore + union-find always
-// reproduces sequential DBSCAN.
+// workloads, partition counts and seeds, the default exact pair always
+// reproduces sequential DBSCAN's labels byte for byte.
 func TestEquivalenceAcrossSeeds(t *testing.T) {
 	check := func(seed uint64, partsRaw, coresRaw uint8) bool {
 		parts := int(partsRaw%8) + 1
@@ -243,19 +243,11 @@ func TestEquivalenceAcrossSeeds(t *testing.T) {
 			return false
 		}
 		sctx := spark.NewContext(spark.Config{Cores: cores, Seed: seed})
-		res, err := core.Run(sctx, ds, core.Config{
-			Params:     params,
-			Partitions: parts,
-			SeedMode:   core.SeedCore,
-		})
+		res, err := core.Run(sctx, ds, core.Config{Params: params, Partitions: parts})
 		if err != nil {
 			return false
 		}
-		rep, err := eval.EquivCheck(ds, ref, res.Global.Labels, params, tree)
-		if err != nil {
-			return false
-		}
-		return rep.Exact()
+		return slices.Equal(res.Global.Labels, ref.Labels)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

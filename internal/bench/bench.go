@@ -212,7 +212,6 @@ func sparkRun(opts Options, ds *geom.Dataset, p int, bigData bool) (*core.Result
 	cfg := core.Config{
 		Params:     tableParams,
 		Partitions: p,
-		SeedMode:   core.SeedSingle,
 		Merge:      core.MergeOptions{Algo: core.MergePaper},
 	}
 	if bigData {

@@ -26,19 +26,19 @@ import (
 //
 // Section A replays exactly that configuration: 9279 synthesized
 // partial clusters (SeedExact contract — disjoint members, chain seeds,
-// shared borders) merged by the sequential canonical algorithm and by
-// MergeParallel at 1/2/4/8 driver cores. Labels, the metered Work
-// ledger and NumMerges must be byte-identical across every arm — the
-// parallel merge is a pricing/scheduling change, never a semantic one —
-// and the simulated phase time at 8 workers must beat sequential by the
-// >= 2x the acceptance gate demands (the Amdahl residue is only the
-// component sort, so the observed ratio is near-linear).
+// shared borders) merged by MergeParallel at 1/2/4/8 driver cores.
+// Labels, the metered Work ledger and NumMerges must be byte-identical
+// across every arm — the worker count is a pricing/scheduling change,
+// never a semantic one — and the simulated phase time at 8 workers must
+// beat one worker by the >= 2x the acceptance gate demands (the Amdahl
+// residue is only the component sort, so the observed ratio is
+// near-linear).
 //
 // Section B runs the full traced pipeline at a high core count twice —
-// sequential canonical merge versus MergeParallel at 8 workers — and
-// reports the merge's share of the critical path. With the sequential
-// merge the driver phase dominates the makespan; the parallel merge
-// must shrink that share below the sequential run's and below 90%.
+// the merge on one driver core versus 8 — and reports the merge's share
+// of the critical path. On one core the driver phase dominates the
+// makespan; 8 workers must shrink that share below the one-core run's
+// and below 90%.
 
 // MergeBenchArm is one merge strategy at one worker count in Section A.
 type MergeBenchArm struct {
@@ -52,7 +52,7 @@ type MergeBenchArm struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	NumClusters int     `json:"clusters"`
 	NumMerges   int     `json:"merges"`
-	// Speedup is the sequential arm's SimSeconds over this arm's.
+	// Speedup is the one-worker arm's SimSeconds over this arm's.
 	Speedup float64 `json:"speedup_vs_sequential"`
 }
 
@@ -137,21 +137,10 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 	partials, n := synthPartials(m, chainLen, membersPer)
 	model := simtime.DefaultModel()
 
-	type armRun struct {
-		algo    coredbscan.MergeAlgo
-		workers int
-	}
-	runs := []armRun{
-		{coredbscan.MergeCanonical, 1},
-		{coredbscan.MergeParallel, 1},
-		{coredbscan.MergeParallel, 2},
-		{coredbscan.MergeParallel, 4},
-		{coredbscan.MergeParallel, 8},
-	}
 	report := MergeBenchReport{
 		Method: "Section A merges 9279 synthesized SeedExact partial clusters (paper Fig. 6c, " +
-			"32 cores c100k: chains linked by seeds, shared borders) with the sequential " +
-			"canonical merge and MergeParallel at 1/2/4/8 driver cores; labels, Work and " +
+			"32 cores c100k: chains linked by seeds, shared borders) with " +
+			"MergeParallel at 1/2/4/8 driver cores; labels, Work and " +
 			"NumMerges are asserted identical, sim_seconds prices the serial sort residue " +
 			"at full cost plus the rest divided by workers. Section B runs the traced " +
 			"pipeline end to end and reports the merge's critical-path share.",
@@ -165,11 +154,11 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 	var baselineSec float64
 	tw := newTabWriter(w)
 	fmt.Fprintln(tw, "algo\tworkers\tsim\twall\tclusters\tmerges\tspeedup")
-	for _, r := range runs {
+	for _, workers := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		res := coredbscan.Merge(partials, n, coredbscan.MergeOptions{Algo: r.algo, Workers: r.workers})
+		res := coredbscan.Merge(partials, n, coredbscan.MergeOptions{Workers: workers})
 		wall := time.Since(start).Seconds()
-		sec := model.ParallelSeconds(res.Work, res.SerialWork, r.workers)
+		sec := model.ParallelSeconds(res.Work, res.SerialWork, workers)
 		if baseline == nil {
 			baseline = res
 			baselineSec = sec
@@ -183,7 +172,7 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 			}
 		}
 		arm := MergeBenchArm{
-			Algo: r.algo.String(), Workers: r.workers,
+			Algo: coredbscan.MergeParallel.String(), Workers: workers,
 			SimSeconds: sec, WallSeconds: wall,
 			NumClusters: res.NumClusters, NumMerges: res.NumMerges,
 			Speedup: baselineSec / sec,
@@ -228,7 +217,7 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 	report.PipelineCores = cores
 	report.PipelineParts = partitions
 
-	pipeline := func(algo coredbscan.MergeAlgo, workers int) (MergePipelineRun, error) {
+	pipeline := func(workers int) (MergePipelineRun, error) {
 		rec := trace.NewRecorder()
 		sctx := spark.NewContext(spark.Config{
 			Cores: cores, CoresPerExecutor: cpe, Seed: 42, Tracer: rec,
@@ -236,24 +225,23 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 		res, err := coredbscan.Run(sctx, ds, coredbscan.Config{
 			Params:     dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts},
 			Partitions: partitions,
-			SeedMode:   coredbscan.SeedExact,
-			Merge:      coredbscan.MergeOptions{Algo: algo, Workers: workers},
+			Merge:      coredbscan.MergeOptions{Workers: workers},
 		})
 		if err != nil {
 			return MergePipelineRun{}, err
 		}
 		return MergePipelineRun{
-			Algo: algo.String(), Workers: workers,
+			Algo: coredbscan.MergeParallel.String(), Workers: workers,
 			MergeSeconds: res.Phases.Merge,
 			TotalSeconds: res.Phases.Total(),
 			MergeShare:   trace.ShareByName(rec.CriticalPath(), "merge"),
 		}, nil
 	}
-	seq, err := pipeline(coredbscan.MergeCanonical, 1)
+	seq, err := pipeline(1)
 	if err != nil {
 		return err
 	}
-	par, err := pipeline(coredbscan.MergeParallel, 8)
+	par, err := pipeline(8)
 	if err != nil {
 		return err
 	}

@@ -214,14 +214,14 @@ func RunPartBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 			sctx := spark.NewContext(spark.Config{
 				Cores: cores, CoresPerExecutor: cpe, Seed: 42,
 			})
-			// Both arms use the exact-seed / canonical-merge pair, so the
-			// comparison isolates the partitioning: labels are a pure
-			// function of the point set and must match byte for byte.
+			// Both arms use the exact pair with the merge on one driver
+			// core, so the comparison isolates the partitioning: labels
+			// are a pure function of the point set and must match byte
+			// for byte.
 			return coredbscan.Run(sctx, ds, coredbscan.Config{
 				Params:       params,
 				Partitions:   partitions,
-				SeedMode:     coredbscan.SeedExact,
-				Merge:        coredbscan.MergeOptions{Algo: coredbscan.MergeCanonical},
+				Merge:        coredbscan.MergeOptions{Workers: 1},
 				Partitioning: mode,
 				Cell:         coredbscan.CellOptions{TargetPointsPerCell: targetPerCell},
 			})

@@ -112,7 +112,7 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 		minPts  = fs.Int("minpts", 5, "density threshold")
 		cores   = fs.Int("cores", 0, "virtual cores for distributed run; 0 = sequential")
 		parts   = fs.Int("partitions", 0, "partitions (default = cores)")
-		paper   = fs.Bool("paper", false, "use the paper's exact SEED/merge variants")
+		paper   = fs.Bool("paper", false, "use the paper's SEED rule and Algorithm 4 merge (default: exact seeds and the canonical parallel merge)")
 		prune   = fs.Int("prune", 0, "cap neighbour lists at this size (0 = exact search)")
 		real    = fs.Bool("realtime", false, "wall-clock timing instead of the virtual cluster")
 		spatial = fs.Bool("spatial", false, "Z-order (neighbourhood-aware) partitioning")
@@ -120,8 +120,7 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 		partition = fs.String("partition", "range", "spatial partitioning: range (broadcast the dataset) or cell (eps-halo shuffle)")
 		cellPts   = fs.Int("cellpoints", 0, "cell mode: target home points per cell (0 = default)")
 
-		mergeAlgoFlag = fs.String("mergealgo", "", "driver merge: unionfind, paper, canonical, or parallel (default unionfind; canonical/parallel imply exact seeds)")
-		mergeWorkers  = fs.Int("mergeworkers", 0, "driver cores for -mergealgo parallel (0 = default 4)")
+		mergeWorkers = fs.Int("mergeworkers", 0, "driver cores for the parallel merge (0 = default 4)")
 
 		traceOut   = fs.String("trace", "", "write a Chrome/Perfetto trace of the simulated run to this JSON file")
 		metricsOut = fs.String("metrics", "", "write the metrics snapshot (incl. critical path) to this JSON file")
@@ -180,11 +179,11 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 	if partMode != coredbscan.PartRange && *cores <= 0 {
 		return fmt.Errorf("dbscan: -partition=%s needs a distributed run (-cores > 0)", partMode)
 	}
-	if *mergeAlgoFlag != "" && *cores <= 0 {
-		return fmt.Errorf("dbscan: -mergealgo selects the distributed driver merge; needs -cores > 0")
-	}
 	if *mergeWorkers != 0 && *cores <= 0 {
 		return fmt.Errorf("dbscan: -mergeworkers needs a distributed run (-cores > 0)")
+	}
+	if *mergeWorkers != 0 && *paper {
+		return fmt.Errorf("dbscan: -paper runs Algorithm 4 on one driver core; drop -mergeworkers")
 	}
 	if *mergeWorkers < 0 {
 		return fmt.Errorf("dbscan: -mergeworkers must be >= 0, got %d", *mergeWorkers)
@@ -248,31 +247,13 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 			rec = trace.NewRecorder()
 		}
 		sctx := spark.NewContext(spark.Config{Cores: *cores, Mode: mode, Tracer: rec})
-		seedMode := coredbscan.SeedAll
-		mergeAlgo := coredbscan.MergeUnionFind
+		mergeAlgo := coredbscan.MergeParallel
 		if *paper {
-			seedMode = coredbscan.SeedSingle
 			mergeAlgo = coredbscan.MergePaper
-		}
-		if *mergeAlgoFlag != "" {
-			if *paper {
-				return fmt.Errorf("dbscan: -paper fixes the merge to the paper's Algorithm 4; drop -mergealgo")
-			}
-			mergeAlgo, err = coredbscan.ParseMergeAlgo(*mergeAlgoFlag)
-			if err != nil {
-				return fmt.Errorf("dbscan: %w", err)
-			}
-			if mergeAlgo == coredbscan.MergeCanonical || mergeAlgo == coredbscan.MergeParallel {
-				// Canonical labeling needs the exact-seed partial-cluster
-				// contract (the runner forces this too; set it here so the
-				// summary reflects what actually ran).
-				seedMode = coredbscan.SeedExact
-			}
 		}
 		res, err := coredbscan.Run(sctx, ds, coredbscan.Config{
 			Params:              params,
 			Partitions:          *parts,
-			SeedMode:            seedMode,
 			Merge:               coredbscan.MergeOptions{Algo: mergeAlgo, Workers: *mergeWorkers},
 			MaxNeighbors:        *prune,
 			SpatialPartitioning: *spatial,

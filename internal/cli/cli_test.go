@@ -351,7 +351,7 @@ func TestDBSCANPartitionFlag(t *testing.T) {
 	}
 }
 
-func TestDBSCANMergeAlgoFlag(t *testing.T) {
+func TestDBSCANMergeWorkersFlag(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	if err := RunDatagen([]string{"-dataset", "c10k", "-scale", "0.2", "-out", dir}, &out); err != nil {
@@ -359,47 +359,41 @@ func TestDBSCANMergeAlgoFlag(t *testing.T) {
 	}
 	in := filepath.Join(dir, "c10k.txt")
 
-	// The sequential algorithms and the parallel merge must agree on the
-	// clustering; the parallel run reports its driver cores.
-	var canonicalOut, parallelOut string
+	// The merge's driver-core count must not move the clustering, and
+	// the summary reports it; the sequential run is the reference.
+	var outs []string
 	for _, args := range [][]string{
-		{"-in", in, "-eps", "25", "-minpts", "5", "-cores", "4", "-mergealgo", "canonical"},
-		{"-in", in, "-eps", "25", "-minpts", "5", "-cores", "4", "-mergealgo", "parallel", "-mergeworkers", "8"},
+		{"-in", in, "-eps", "25", "-minpts", "5"},
+		{"-in", in, "-eps", "25", "-minpts", "5", "-cores", "4"},
+		{"-in", in, "-eps", "25", "-minpts", "5", "-cores", "4", "-mergeworkers", "8"},
 	} {
 		out.Reset()
 		if err := RunDBSCAN(args, &out); err != nil {
 			t.Fatal(err)
 		}
-		s := out.String()
-		if !strings.Contains(s, "merge: ") {
-			t.Fatalf("summary lacks the merge line:\n%s", s)
-		}
-		if canonicalOut == "" {
-			canonicalOut = s
-		} else {
-			parallelOut = s
+		outs = append(outs, out.String())
+	}
+	for i, want := range []string{"", "merge: parallel on 4 driver cores", "merge: parallel on 8 driver cores"} {
+		if !strings.Contains(outs[i], want) {
+			t.Fatalf("summary %d lacks %q:\n%s", i, want, outs[i])
 		}
 	}
-	if !strings.Contains(parallelOut, "merge: parallel on 8 driver cores") {
-		t.Fatalf("parallel summary lacks worker count:\n%s", parallelOut)
+	lineOf := func(s, prefix string) string {
+		rest := s[strings.Index(s, "\n"+prefix)+1:]
+		return rest[:strings.IndexByte(rest, '\n')]
 	}
-	for _, line := range []string{"clusters:", "noise:", "partial clusters:"} {
-		c := canonicalOut[strings.Index(canonicalOut, line):][:24]
-		p := parallelOut[strings.Index(parallelOut, line):][:24]
-		if c != p {
-			t.Fatalf("merge algorithms disagree: %q vs %q", c, p)
+	for _, line := range []string{"clusters:", "noise:"} {
+		ref := lineOf(outs[0], line)
+		for _, s := range outs[1:] {
+			if got := lineOf(s, line); got != ref {
+				t.Fatalf("distributed run disagrees with sequential: %q vs %q", got, ref)
+			}
 		}
 	}
 
 	// Validation.
-	if err := RunDBSCAN([]string{"-in", in, "-cores", "4", "-mergealgo", "quantum"}, &out); err == nil {
-		t.Fatal("unknown -mergealgo accepted")
-	}
-	if err := RunDBSCAN([]string{"-in", in, "-cores", "4", "-paper", "-mergealgo", "parallel"}, &out); err == nil {
-		t.Fatal("-paper with -mergealgo accepted")
-	}
-	if err := RunDBSCAN([]string{"-in", in, "-mergealgo", "parallel"}, &out); err == nil {
-		t.Fatal("-mergealgo without -cores accepted")
+	if err := RunDBSCAN([]string{"-in", in, "-cores", "4", "-paper", "-mergeworkers", "8"}, &out); err == nil {
+		t.Fatal("-paper with -mergeworkers accepted")
 	}
 	if err := RunDBSCAN([]string{"-in", in, "-mergeworkers", "4"}, &out); err == nil {
 		t.Fatal("-mergeworkers without -cores accepted")
@@ -419,7 +413,7 @@ func TestBenchMergeBench(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("report missing: %v", err)
 	}
-	for _, want := range []string{"speedup", "canonical", "parallel", "critical-path share"} {
+	for _, want := range []string{"speedup", "workers", "parallel", "critical-path share"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output lacks %q:\n%s", want, out.String())
 		}

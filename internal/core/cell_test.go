@@ -187,12 +187,7 @@ func runMode(t *testing.T, ds *geom.Dataset, params dbscan.Params, mode Partitio
 	parts int, cell CellOptions) *Result {
 	t.Helper()
 	sctx := spark.NewContext(spark.Config{Cores: 8, Seed: 42})
-	cfg := Config{Params: params, Partitions: parts, Partitioning: mode, Cell: cell}
-	if mode == PartRange {
-		cfg.SeedMode = SeedExact
-		cfg.Merge.Algo = MergeCanonical
-	}
-	res, err := Run(sctx, ds, cfg)
+	res, err := Run(sctx, ds, Config{Params: params, Partitions: parts, Partitioning: mode, Cell: cell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +198,7 @@ func runMode(t *testing.T, ds *geom.Dataset, params dbscan.Params, mode Partitio
 // across datasets, eps values, partition counts and cell sizes —
 // including sides smaller than eps (multi-ring halos), grids with empty
 // cells, and one giant cell holding every point — cell mode, range mode
-// under SeedExact/MergeCanonical, and sequential DBSCAN produce
+// under the default exact pair, and sequential DBSCAN produce
 // byte-identical label arrays.
 func TestCellLabelsByteIdentical(t *testing.T) {
 	eps0 := tableParams.Eps
@@ -343,8 +338,8 @@ func TestCellDistStats(t *testing.T) {
 	}
 }
 
-// TestCanonicalMergeOrderIndependent: MergeCanonical must assign the
-// same labels no matter what order partial clusters arrive in — the
+// TestCanonicalMergeOrderIndependent: the canonical merge must assign
+// the same labels no matter what order partial clusters arrive in — the
 // property that frees cell mode from accumulator commit order.
 func TestCanonicalMergeOrderIndependent(t *testing.T) {
 	ds := testDataset(t, "c10k", 1500)
@@ -361,14 +356,14 @@ func TestCanonicalMergeOrderIndependent(t *testing.T) {
 		}
 		partials = append(partials, lr.Clusters...)
 	}
-	base := Merge(partials, ds.Len(), MergeOptions{Algo: MergeCanonical})
+	base := Merge(partials, ds.Len(), MergeOptions{Workers: 1})
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 5; trial++ {
 		shuffled := append([]PartialCluster(nil), partials...)
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		got := Merge(shuffled, ds.Len(), MergeOptions{Algo: MergeCanonical})
+		got := Merge(shuffled, ds.Len(), MergeOptions{Workers: 1 + trial})
 		compareLabels(t, fmt.Sprintf("shuffle %d", trial), base.Labels, got.Labels)
 		if got.NumClusters != base.NumClusters || got.NumNoise != base.NumNoise {
 			t.Fatalf("shuffle %d: clusters/noise %d/%d, want %d/%d",

@@ -39,12 +39,9 @@ func sequential(t *testing.T, ds *geom.Dataset) (*dbscan.Result, *kdtree.Tree) {
 }
 
 // TestLocalPlusMergeEquivalence is the central correctness test: across
-// datasets, partition counts and seed modes, the distributed pipeline
-// (local clustering + driver merge) must reproduce sequential DBSCAN up
-// to DBSCAN's inherent border ambiguity. SeedCore guarantees exact core
-// co-clustering; SeedAll must at minimum keep every sequential cluster
-// whole (it may merge clusters that share a border point, which
-// sequential DBSCAN splits arbitrarily).
+// datasets and partition counts, the exact pair (SeedExact local
+// clustering + the default canonical merge) must reproduce sequential
+// DBSCAN's labels byte for byte.
 func TestLocalPlusMergeEquivalence(t *testing.T) {
 	for _, dsName := range []string{"c10k", "r10k"} {
 		ds := testDataset(t, dsName, 3000)
@@ -54,68 +51,29 @@ func TestLocalPlusMergeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []SeedMode{SeedAll, SeedCore} {
-				var partials []PartialCluster
-				for s := 0; s < parts; s++ {
-					lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: mode})
-					if err != nil {
-						t.Fatal(err)
-					}
-					partials = append(partials, lr.Clusters...)
-				}
-				global := Merge(partials, ds.Len(), MergeOptions{Algo: MergeUnionFind})
-				rep, err := eval.EquivCheck(ds, ref, global.Labels, tableParams, tree)
+			var partials []PartialCluster
+			for s := 0; s < parts; s++ {
+				lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: SeedExact})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mode == SeedCore {
-					if !rep.Exact() {
-						t.Fatalf("%s parts=%d mode=%v: not equivalent: %v", dsName, parts, mode, rep)
-					}
-					if global.NumClusters != ref.NumClusters {
-						t.Fatalf("%s parts=%d mode=%v: %d clusters, sequential found %d",
-							dsName, parts, mode, global.NumClusters, ref.NumClusters)
-					}
-				} else {
-					// SeedAll: noise must agree and no sequential
-					// cluster may be split (merging through shared
-					// borders is allowed, splitting is not).
-					if !rep.NoiseExact {
-						t.Fatalf("%s parts=%d mode=%v: noise differs: %v", dsName, parts, mode, rep)
-					}
-					if split := clustersSplit(ref, global.Labels); split > 0 {
-						t.Fatalf("%s parts=%d mode=%v: %d sequential clusters split", dsName, parts, mode, split)
-					}
-				}
+				partials = append(partials, lr.Clusters...)
+			}
+			global := Merge(partials, ds.Len(), MergeOptions{})
+			compareLabels(t, fmt.Sprintf("%s parts=%d", dsName, parts), ref.Labels, global.Labels)
+			if global.NumClusters != ref.NumClusters || global.NumNoise != ref.NumNoise {
+				t.Fatalf("%s parts=%d: %d clusters / %d noise, sequential %d / %d",
+					dsName, parts, global.NumClusters, global.NumNoise, ref.NumClusters, ref.NumNoise)
 			}
 		}
 	}
-}
-
-// clustersSplit counts sequential clusters whose core points carry more
-// than one parallel label.
-func clustersSplit(ref *dbscan.Result, labels []int32) int {
-	first := make(map[int32]int32)
-	split := make(map[int32]bool)
-	for i, rl := range ref.Labels {
-		if !ref.Core[i] {
-			continue
-		}
-		pl := labels[i]
-		if prev, ok := first[rl]; !ok {
-			first[rl] = pl
-		} else if prev != pl {
-			split[rl] = true
-		}
-	}
-	return len(split)
 }
 
 func TestSinglePartitionMatchesSequentialExactly(t *testing.T) {
 	ds := testDataset(t, "c10k", 2000)
 	ref, tree := sequential(t, ds)
 	part, _ := NewPartitioner(ds.Len(), 1)
-	lr, err := LocalDBSCAN(ds, tree, part, 0, LocalOptions{Params: tableParams, SeedMode: SeedSingle})
+	lr, err := LocalDBSCAN(ds, tree, part, 0, LocalOptions{Params: tableParams, SeedMode: SeedExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +102,7 @@ func TestSeedsAreForeignAndMembersAreLocal(t *testing.T) {
 	part, _ := NewPartitioner(ds.Len(), parts)
 	for s := 0; s < parts; s++ {
 		lo, hi := part.Range(s)
-		for _, mode := range []SeedMode{SeedSingle, SeedAll, SeedCore} {
+		for _, mode := range []SeedMode{SeedSingle, SeedExact} {
 			lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: mode})
 			if err != nil {
 				t.Fatal(err)
@@ -160,12 +118,14 @@ func TestSeedsAreForeignAndMembersAreLocal(t *testing.T) {
 						t.Fatalf("mode=%v: seed %d inside own partition", mode, sd)
 					}
 				}
+				// SeedExact records reached owned non-cores as Borders;
+				// SeedSingle makes them Members.
 				for _, b := range pc.Borders {
-					if b >= lo && b < hi {
-						t.Fatalf("mode=%v: border %d inside own partition", mode, b)
+					if b < lo || b >= hi {
+						t.Fatalf("mode=%v: border %d outside [%d,%d)", mode, b, lo, hi)
 					}
 				}
-				if mode != SeedCore && len(pc.Borders) != 0 {
+				if mode == SeedSingle && len(pc.Borders) != 0 {
 					t.Fatalf("mode=%v produced Borders", mode)
 				}
 			}
@@ -201,8 +161,8 @@ func TestSeedSingleOnePerPartition(t *testing.T) {
 }
 
 func TestMembersPartitionWholePartition(t *testing.T) {
-	// Every owned point appears in exactly one partial cluster's
-	// Members, or in none (local noise).
+	// Under the paper's seed rule every owned point appears in exactly
+	// one partial cluster's Members, or in none (local noise).
 	ds := testDataset(t, "c10k", 1500)
 	_, tree := sequential(t, ds)
 	parts := 3
@@ -210,7 +170,7 @@ func TestMembersPartitionWholePartition(t *testing.T) {
 	seen := make(map[int32]int)
 	totalNoise := 0
 	for s := 0; s < parts; s++ {
-		lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: SeedAll})
+		lr, err := LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: SeedSingle})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,31 +214,28 @@ func TestPartialClusterCountGrowsWithPartitions(t *testing.T) {
 	}
 }
 
-func TestMergePaperVsUnionFindOnTransitiveChain(t *testing.T) {
-	// Hand-built scenario with a transitive merge chain A->B->C where
-	// Algorithm 4's single pass needs its status bookkeeping to work:
-	// cluster 0 seeds into 1, cluster 1 seeds into 2.
+func TestMergePaperVsParallelOnTransitiveChain(t *testing.T) {
+	// Hand-built SeedExact-shaped scenario (core Members, lowest first;
+	// foreign Seeds) with a transitive merge chain A->B->C: cluster 0
+	// seeds into 1, cluster 1 seeds into 2.
 	partials := []PartialCluster{
 		{Partition: 0, Seq: 0, Members: []int32{0, 1}, Seeds: []int32{4}},
 		{Partition: 1, Seq: 0, Members: []int32{4, 5}, Seeds: []int32{8}},
 		{Partition: 2, Seq: 0, Members: []int32{8, 9}, Seeds: nil},
 	}
-	uf := Merge(partials, 12, MergeOptions{Algo: MergeUnionFind})
-	if uf.NumClusters != 1 {
-		t.Fatalf("union-find: %d clusters, want 1", uf.NumClusters)
+	par := Merge(partials, 12, MergeOptions{})
+	if par.NumClusters != 1 || par.NumMerges != 2 {
+		t.Fatalf("parallel: %d clusters / %d merges, want 1 / 2", par.NumClusters, par.NumMerges)
 	}
+	// Algorithm 4's single pass: cluster 0 absorbs 1 and marks it
+	// finished, so 1's own seed into 2 is never chased and the chain
+	// breaks — the transitive merge the paper's pass misses.
 	paper := Merge(partials, 12, MergeOptions{Algo: MergePaper})
-	// The paper's pass visits cluster 0 (absorbs 1), then cluster 1 is
-	// finished, then cluster 2 was never pulled in by the chased seed
-	// of 1 — unless the component pointers saved it. Whatever the
-	// outcome, members of one sequential cluster must never end up
-	// relabeled inconsistently with the unioned chain in the
-	// union-find result; here we simply document the difference.
-	if paper.NumClusters < 1 || paper.NumClusters > 2 {
-		t.Fatalf("paper merge produced %d clusters", paper.NumClusters)
+	if paper.NumClusters != 2 || paper.NumMerges != 1 {
+		t.Fatalf("paper: %d clusters / %d merges, want 2 / 1", paper.NumClusters, paper.NumMerges)
 	}
-	if paper.NumClusters == 1 {
-		t.Log("paper merge happened to complete the chain on this ordering")
+	if paper.Labels[0] != paper.Labels[4] || paper.Labels[4] == paper.Labels[8] {
+		t.Fatalf("paper labels %v: want {0,1,4,5} together and {8,9} apart", paper.Labels)
 	}
 }
 
@@ -327,23 +284,14 @@ func TestMergeEmpty(t *testing.T) {
 
 func TestRunEndToEnd(t *testing.T) {
 	ds := testDataset(t, "c10k", 3000)
-	ref, tree := sequential(t, ds)
+	ref, _ := sequential(t, ds)
 	for _, cores := range []int{1, 4, 8} {
 		sctx := spark.NewContext(spark.Config{Cores: cores, Seed: 42})
-		res, err := Run(sctx, ds, Config{
-			Params:   tableParams,
-			SeedMode: SeedCore,
-		})
+		res, err := Run(sctx, ds, Config{Params: tableParams})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eval.EquivCheck(ds, ref, res.Global.Labels, tableParams, tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Exact() {
-			t.Fatalf("cores=%d: parallel != sequential: %v", cores, rep)
-		}
+		compareLabels(t, fmt.Sprintf("cores=%d", cores), ref.Labels, res.Global.Labels)
 		ph := res.Phases
 		if ph.Executors <= 0 || ph.TreeBuild <= 0 || ph.ReadTransform <= 0 || ph.Merge <= 0 {
 			t.Fatalf("cores=%d: missing phases: %+v", cores, ph)
@@ -381,9 +329,8 @@ func TestRunPaperDefaultsMatchOnCleanData(t *testing.T) {
 	ref, tree := sequential(t, ds)
 	sctx := spark.NewContext(spark.Config{Cores: 4, Seed: 5})
 	res, err := Run(sctx, ds, Config{
-		Params:   tableParams,
-		SeedMode: SeedSingle,
-		Merge:    MergeOptions{Algo: MergePaper},
+		Params: tableParams,
+		Merge:  MergeOptions{Algo: MergePaper},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +349,6 @@ func TestRunWithPruning(t *testing.T) {
 	sctx := spark.NewContext(spark.Config{Cores: 4})
 	res, err := Run(sctx, ds, Config{
 		Params:       tableParams,
-		SeedMode:     SeedAll,
 		MaxNeighbors: 16,
 	})
 	if err != nil {

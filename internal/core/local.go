@@ -89,27 +89,19 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 	// array per mode is allocated up front and "cleared" by bumping the
 	// epoch (the cluster's Seq+1, never zero). A slot whose stamp
 	// differs from the current epoch is unseen for this cluster.
+	exact := opts.SeedMode == SeedExact
 	var seedPlaced []int32  // SeedSingle: one stamp per partition
-	var foreignSeen []int32 // SeedAll/SeedCore: one stamp per point
-	switch opts.SeedMode {
-	case SeedSingle:
-		seedPlaced = make([]int32, part.Parts())
-	default:
-		foreignSeen = make([]int32, ds.Len())
-	}
-	// SeedCore memoisation is partition-lifetime, not per-cluster:
-	// 0 = unknown, 1 = core, 2 = non-core.
-	var coreSeen []uint8
-	if opts.SeedMode == SeedCore {
-		coreSeen = make([]uint8, ds.Len())
-	}
-	// SeedExact tracks which owned points proved core, because only
+	var foreignSeen []int32 // SeedExact: one stamp per point
+	// SeedExact also tracks which owned points proved core, because only
 	// cores become Members; reached non-cores go to Borders of every
 	// reaching cluster (foreignSeen doubles as the per-cluster dedup
 	// stamp for owned borders — it is indexed by global point index).
 	var coreLocal []bool
-	if opts.SeedMode == SeedExact {
+	if exact {
+		foreignSeen = make([]int32, ds.Len())
 		coreLocal = make([]bool, local)
+	} else {
+		seedPlaced = make([]int32, part.Parts())
 	}
 
 	var queue dbscan.Queue
@@ -169,37 +161,14 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 				// Foreign point: place a SEED (Algorithm 3), never
 				// expand.
 				w.HashOps++
-				switch opts.SeedMode {
-				case SeedSingle:
-					owner := part.Owner(p)
-					if seedPlaced[owner] != epoch {
-						seedPlaced[owner] = epoch
-						pc.Seeds = append(pc.Seeds, p)
-					}
-				case SeedAll, SeedExact:
+				if exact {
 					if foreignSeen[p] != epoch {
 						foreignSeen[p] = epoch
 						pc.Seeds = append(pc.Seeds, p)
 					}
-				case SeedCore:
-					if foreignSeen[p] != epoch {
-						foreignSeen[p] = epoch
-						st := coreSeen[p]
-						if st == 0 {
-							cnt := idx.RadiusCount(ds.At(p), eps, &res.Stats)
-							if cnt >= minPts {
-								st = 1
-							} else {
-								st = 2
-							}
-							coreSeen[p] = st
-						}
-						if st == 1 {
-							pc.Seeds = append(pc.Seeds, p)
-						} else {
-							pc.Borders = append(pc.Borders, p)
-						}
-					}
+				} else if owner := part.Owner(p); seedPlaced[owner] != epoch {
+					seedPlaced[owner] = epoch
+					pc.Seeds = append(pc.Seeds, p)
 				}
 				continue
 			}
@@ -218,7 +187,7 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 					w.QueueOps += int64(len(neighbors))
 				}
 			}
-			if opts.SeedMode == SeedExact {
+			if exact {
 				// Cores join exactly one cluster as Members; non-cores
 				// are recorded as Borders by every cluster that reaches
 				// them, so the driver can award them canonically.
@@ -241,7 +210,7 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 			w.HashOps++
 		}
 		res.Clusters = append(res.Clusters, pc)
-		if opts.SeedMode != SeedExact {
+		if !exact {
 			w.KDNodes += int64(part.Parts()) * seedPlaceNodeVisits
 			w.DistComps += int64(part.Parts()) * seedPlaceDistComps
 		}

@@ -2,81 +2,54 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"sparkdbscan/internal/dbscan"
-	"sparkdbscan/internal/dsu"
 	"sparkdbscan/internal/simtime"
 )
 
-// MergeAlgo selects the driver-side merge strategy.
+// MergeAlgo selects the driver-side merge strategy. Run derives the
+// seed mode from it: MergePaper consumes SeedSingle partials,
+// MergeParallel SeedExact partials.
 type MergeAlgo int
 
 const (
-	// MergeUnionFind resolves every SEED to its master partial cluster
-	// and unions the two in a disjoint-set forest, then emits the
-	// connected components. It converges for arbitrary transitive
-	// chains and is the default.
-	MergeUnionFind MergeAlgo = iota
+	// MergeParallel is the default, exact merge. It unions the partial
+	// clusters linked by seeds in a concurrent union-find and labels
+	// canonically: components are numbered by their globally
+	// lowest-index core point (each SeedExact partial's Members[0])
+	// ascending, and border points take the *minimum* label among all
+	// clusters claiming them. Over SeedExact partials this reproduces
+	// sequential DBSCAN's labels byte for byte — sequential numbers
+	// clusters by lowest core index too, and expands whole clusters in
+	// label order, so a shared border always keeps the lowest claiming
+	// label — and it is independent of the order partials arrive in.
+	// Canonical labeling is a pure function of the partial-cluster set
+	// (min/sort over commutative reductions), which is what lets it
+	// shard the accumulator receive, the masterOf index build, the
+	// seed-graph edge scan and the label-painting passes across
+	// MergeOptions.Workers real goroutines; the phase is priced in
+	// simtime under that many driver cores. Labels, NumMerges and the
+	// metered Work are identical at every worker count. See DESIGN.md
+	// §13–§14.
+	MergeParallel MergeAlgo = iota
 	// MergePaper is Algorithm 4 exactly as printed: a single pass over
 	// partial clusters with unfinished/finished statuses, each seed
-	// pulling its master cluster into the current one. It can miss
-	// transitive merges (see the merge ablation and its tests).
+	// pulling its master cluster into the current one, and labels
+	// painted in order of first appearance. It can miss transitive
+	// merges (see the merge ablation and its tests) and its numbering
+	// depends on accumulator commit order; it is kept as the paper's
+	// ablation arm.
 	MergePaper
-	// MergeCanonical resolves the cluster graph with union-find like
-	// MergeUnionFind, then labels canonically: components are numbered
-	// by their globally lowest-index core point (each SeedExact
-	// partial's Members[0]) ascending, and border points take the
-	// *minimum* label among all clusters claiming them. With partials
-	// produced under SeedExact this reproduces sequential DBSCAN's
-	// labels byte for byte — sequential numbers clusters by lowest core
-	// index too, and expands whole clusters in label order, so a shared
-	// border always keeps the lowest claiming label — and it is
-	// independent of the order partials arrive in, unlike the
-	// first-appearance painting of the other two algorithms. See
-	// DESIGN.md §13.
-	MergeCanonical
-	// MergeParallel computes exactly MergeCanonical's output — labels,
-	// NumMerges and the metered Work are pinned byte-identical across
-	// worker counts — but shards the accumulator receive, the masterOf
-	// index build, the seed-graph edge scan (over a concurrent
-	// union-find) and the label-painting passes across
-	// MergeOptions.Workers real goroutines, and prices the phase in
-	// simtime under that many driver cores. Canonical labeling is a pure
-	// function of the partial-cluster set (min/sort over commutative
-	// reductions), which is exactly what makes it parallelizable. See
-	// DESIGN.md §14.
-	MergeParallel
 )
 
 func (m MergeAlgo) String() string {
 	switch m {
-	case MergeUnionFind:
-		return "unionfind"
-	case MergePaper:
-		return "paper"
-	case MergeCanonical:
-		return "canonical"
 	case MergeParallel:
 		return "parallel"
+	case MergePaper:
+		return "paper"
 	default:
 		return fmt.Sprintf("MergeAlgo(%d)", int(m))
-	}
-}
-
-// ParseMergeAlgo parses the CLI spelling of a merge algorithm.
-func ParseMergeAlgo(s string) (MergeAlgo, error) {
-	switch s {
-	case "unionfind":
-		return MergeUnionFind, nil
-	case "paper":
-		return MergePaper, nil
-	case "canonical":
-		return MergeCanonical, nil
-	case "parallel":
-		return MergeParallel, nil
-	default:
-		return 0, fmt.Errorf("core: unknown merge algorithm %q (want unionfind, paper, canonical or parallel)", s)
 	}
 }
 
@@ -100,14 +73,14 @@ type MergeOptions struct {
 	// Workers is the driver-core count MergeParallel shards across:
 	// both the real goroutines that execute the merge and the core
 	// count the phase is priced under in simtime. 0 selects
-	// DefaultMergeWorkers. Ignored by the sequential algorithms.
+	// DefaultMergeWorkers. Ignored by MergePaper.
 	Workers int
 }
 
 // effectiveWorkers returns the driver-core count the merge phase runs
-// (and is priced) under: 1 for the sequential algorithms.
+// (and is priced) under: 1 for MergePaper.
 func (o MergeOptions) effectiveWorkers() int {
-	if o.Algo != MergeParallel {
+	if o.Algo == MergePaper {
 		return 1
 	}
 	if o.Workers > 0 {
@@ -135,17 +108,18 @@ type GlobalResult struct {
 	// term).
 	Work simtime.Work
 	// SerialWork is the sub-ledger of Work that cannot leave one driver
-	// core — the input to simtime's ParallelSeconds pricing. For the
-	// sequential algorithms it equals Work (everything is serial); for
+	// core — the input to simtime's ParallelSeconds pricing. For
+	// MergePaper it equals Work (everything is serial); for
 	// MergeParallel it is the single-threaded residue between the
 	// sharded passes (the canonical component sort).
 	SerialWork simtime.Work
 }
 
 // Merge combines the executors' partial clusters into global clusters
-// over n points.
+// over n points. The body below is MergePaper's; MergeParallel lives in
+// merge_parallel.go.
 func Merge(partials []PartialCluster, n int, opts MergeOptions) *GlobalResult {
-	if opts.Algo == MergeParallel {
+	if opts.Algo != MergePaper {
 		return mergeParallel(partials, n, opts)
 	}
 	res := &GlobalResult{
@@ -199,26 +173,7 @@ func Merge(partials []PartialCluster, n int, opts MergeOptions) *GlobalResult {
 		}
 	}
 
-	var componentOf []int32
-	switch opts.Algo {
-	case MergePaper:
-		componentOf = mergePaper(partials, masterOf, res)
-	default:
-		componentOf = mergeUnionFind(partials, masterOf, res)
-	}
-
-	if opts.Algo == MergeCanonical {
-		canonicalLabels(partials, componentOf, masterOf, res)
-		res.NumNoise = 0
-		for _, l := range res.Labels {
-			if l == dbscan.Noise {
-				res.NumNoise++
-			}
-		}
-		w.MergeOps += int64(n) // final label scan
-		res.SerialWork = res.Work
-		return res
-	}
+	componentOf := mergePaper(partials, masterOf, res)
 
 	// Assemble labels: relabel components densely in order of first
 	// appearance, then paint members, seeds and borders (seeds are
@@ -266,111 +221,6 @@ func Merge(partials []PartialCluster, n int, opts MergeOptions) *GlobalResult {
 	return res
 }
 
-// mergeUnionFind builds the seed graph and returns each partial
-// cluster's component representative.
-func mergeUnionFind(partials []PartialCluster, masterOf []int32, res *GlobalResult) []int32 {
-	d := dsu.New(len(partials))
-	for ci := range partials {
-		for _, s := range partials[ci].Seeds {
-			res.Work.MergeOps++
-			master := masterOf[s]
-			if master >= 0 && master != int32(ci) {
-				if d.Union(int32(ci), master) {
-					res.NumMerges++
-				}
-			}
-		}
-	}
-	comp := make([]int32, len(partials))
-	for i := range comp {
-		comp[i] = d.Find(int32(i))
-	}
-	return comp
-}
-
-// canonicalLabels implements MergeCanonical's label assembly. It
-// assumes the SeedExact contract: Members hold only core points with
-// Members[0] the partial's lowest-index core, Seeds hold reached
-// foreign points (core iff a member somewhere), Borders hold reached
-// non-core points. Every step is a pure function of the partial-cluster
-// *set* — min/sort over commutative reductions — so the result cannot
-// depend on accumulator commit order.
-func canonicalLabels(partials []PartialCluster, componentOf, masterOf []int32, res *GlobalResult) {
-	w := &res.Work
-
-	// Each component's canonical id is the minimum Members[0] across its
-	// partials: the globally lowest-index core point of the merged
-	// cluster — exactly the point at which sequential DBSCAN opens that
-	// cluster.
-	minCore := make(map[int32]int32, len(partials))
-	for ci := range partials {
-		if len(partials[ci].Members) == 0 {
-			continue // defensive: SeedExact never emits memberless partials
-		}
-		comp := componentOf[ci]
-		start := partials[ci].Members[0]
-		if cur, ok := minCore[comp]; !ok || start < cur {
-			minCore[comp] = start
-		}
-		w.MergeOps++
-	}
-
-	// Number components by ascending canonical core index — sequential
-	// DBSCAN's cluster numbering.
-	type compStart struct{ comp, start int32 }
-	order := make([]compStart, 0, len(minCore))
-	for comp, start := range minCore {
-		order = append(order, compStart{comp, start})
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].start < order[j].start })
-	w.SortComps += sortCost(len(order))
-	compLabel := make(map[int32]int32, len(order))
-	for i, cs := range order {
-		compLabel[cs.comp] = int32(i)
-	}
-	res.NumClusters = len(order)
-
-	// Cores first: every member belongs to exactly one partial, so this
-	// is a plain assignment.
-	for ci := range partials {
-		lbl, ok := compLabel[componentOf[ci]]
-		if !ok {
-			continue
-		}
-		for _, pt := range partials[ci].Members {
-			res.Labels[pt] = lbl
-			w.MergeOps++
-		}
-	}
-	// Borders second: a non-core point reached by several clusters takes
-	// the minimum claiming label — sequential DBSCAN expands clusters
-	// fully in label order, so the first (lowest-label) cluster to reach
-	// a border adopts it. Seeds that are members somewhere are cores,
-	// already painted above.
-	claim := func(pt, lbl int32) {
-		w.MergeOps++
-		if res.Labels[pt] == dbscan.Noise || lbl < res.Labels[pt] {
-			res.Labels[pt] = lbl
-		}
-	}
-	for ci := range partials {
-		lbl, ok := compLabel[componentOf[ci]]
-		if !ok {
-			continue
-		}
-		for _, pt := range partials[ci].Seeds {
-			if masterOf[pt] < 0 {
-				claim(pt, lbl)
-			} else {
-				w.MergeOps++
-			}
-		}
-		for _, pt := range partials[ci].Borders {
-			claim(pt, lbl)
-		}
-	}
-}
-
 // mergePaper is Algorithm 4 verbatim: one pass, current cluster absorbs
 // each seed's master cluster, statuses flip from unfinished to
 // finished. Seeds discovered through absorption are not re-chased in
@@ -402,7 +252,7 @@ func mergePaper(partials []PartialCluster, masterOf []int32, res *GlobalResult) 
 			// master was already absorbed into another cluster, its
 			// elements live at its representative, so the union targets
 			// that representative. What stays single-pass — and what
-			// makes this weaker than the union-find variant — is that a
+			// makes this weaker than MergeParallel's union-find — is that a
 			// finished cluster's *own seeds* are never chased (the
 			// outer status check at line 2 skips it).
 			root := find(int32(ci))

@@ -9,8 +9,8 @@ import (
 	"sparkdbscan/internal/dsu"
 )
 
-// mergeParallel is MergeCanonical executed on opts.effectiveWorkers()
-// real goroutines. Every pass shards the partial-cluster slice (or the
+// mergeParallel is the canonical merge executed on
+// opts.effectiveWorkers() real goroutines. Every pass shards the partial-cluster slice (or the
 // point range) into contiguous chunks with a barrier between passes:
 //
 //	receive ─ masterOf build ─ edge scan (concurrent DSU) ─ Find all
@@ -24,8 +24,8 @@ import (
 // NumMerges = m − Sets() counts exactly the pairs united regardless of
 // which goroutine's Union won each race; border/seed claims take the
 // minimum claiming label via CAS, and min is commutative; all metered
-// counts are per-item sums, so the Work ledger is byte-identical to
-// MergeCanonical's no matter how the shards interleave. The only
+// counts are per-item sums, so the Work ledger is byte-identical at
+// every worker count no matter how the shards interleave. The only
 // genuinely sequential step — sorting the merged components by their
 // canonical core index — is metered into SerialWork so the pricing
 // model charges it at full cost.

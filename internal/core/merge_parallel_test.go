@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/hdfs"
 	"sparkdbscan/internal/simtime"
 	"sparkdbscan/internal/spark"
@@ -13,7 +14,7 @@ import (
 
 // exactPartials runs the SeedExact local clustering over each split of
 // a range partitioner and concatenates the partial clusters — the exact
-// input contract MergeCanonical/MergeParallel consume.
+// input contract MergeParallel consumes.
 func exactPartials(t *testing.T, parts int, local func(s int) (*LocalResult, error)) []PartialCluster {
 	t.Helper()
 	var partials []PartialCluster
@@ -27,15 +28,16 @@ func exactPartials(t *testing.T, parts int, local func(s int) (*LocalResult, err
 	return partials
 }
 
-// TestMergeParallelMatchesCanonicalProperty is the tentpole property
+// TestMergeParallelMatchesCanonicalProperty is the merge's property
 // test: across datasets × partition counts × 1/2/4/8 workers (± the
-// size filter), MergeParallel's labels, NumMerges, cluster/noise counts
-// and the full metered Work ledger are byte-identical to the sequential
-// MergeCanonical — the worker count may only move derived time.
+// size filter), MergeParallel's labels are byte-identical to sequential
+// DBSCAN's (unfiltered) and to the one-worker run's (filtered), and its
+// NumMerges, cluster/noise counts and full metered Work ledger equal
+// the one-worker run's — the worker count may only move derived time.
 func TestMergeParallelMatchesCanonicalProperty(t *testing.T) {
 	for _, dsName := range []string{"c10k", "r10k"} {
 		ds := testDataset(t, dsName, 2500)
-		_, tree := sequential(t, ds)
+		ref, tree := sequential(t, ds)
 		for _, parts := range []int{1, 3, 8, 16} {
 			part, err := NewPartitioner(ds.Len(), parts)
 			if err != nil {
@@ -45,31 +47,31 @@ func TestMergeParallelMatchesCanonicalProperty(t *testing.T) {
 				return LocalDBSCAN(ds, tree, part, s, LocalOptions{Params: tableParams, SeedMode: SeedExact})
 			})
 			for _, minSize := range []int{0, 3} {
-				seq := Merge(partials, ds.Len(), MergeOptions{Algo: MergeCanonical, MinPartialClusterSize: minSize})
-				if seq.SerialWork != seq.Work {
-					t.Fatalf("%s parts=%d: sequential SerialWork != Work", dsName, parts)
+				one := Merge(partials, ds.Len(), MergeOptions{MinPartialClusterSize: minSize, Workers: 1})
+				if minSize == 0 && !bytes.Equal(int32Bytes(ref.Labels), int32Bytes(one.Labels)) {
+					t.Fatalf("%s parts=%d: labels differ from sequential DBSCAN", dsName, parts)
 				}
-				for _, workers := range []int{1, 2, 4, 8} {
+				for _, workers := range []int{2, 4, 8} {
 					par := Merge(partials, ds.Len(), MergeOptions{
-						Algo: MergeParallel, MinPartialClusterSize: minSize, Workers: workers,
+						MinPartialClusterSize: minSize, Workers: workers,
 					})
-					if !bytes.Equal(int32Bytes(seq.Labels), int32Bytes(par.Labels)) {
-						t.Fatalf("%s parts=%d min=%d workers=%d: labels differ from canonical",
+					if !bytes.Equal(int32Bytes(one.Labels), int32Bytes(par.Labels)) {
+						t.Fatalf("%s parts=%d min=%d workers=%d: labels differ from one worker",
 							dsName, parts, minSize, workers)
 					}
-					if par.NumMerges != seq.NumMerges ||
-						par.NumClusters != seq.NumClusters ||
-						par.NumNoise != seq.NumNoise ||
-						par.NumPartialClusters != seq.NumPartialClusters ||
-						par.DroppedPartials != seq.DroppedPartials {
-						t.Fatalf("%s parts=%d min=%d workers=%d: counts differ:\nseq %+v\npar %+v",
-							dsName, parts, minSize, workers, seq, par)
+					if par.NumMerges != one.NumMerges ||
+						par.NumClusters != one.NumClusters ||
+						par.NumNoise != one.NumNoise ||
+						par.NumPartialClusters != one.NumPartialClusters ||
+						par.DroppedPartials != one.DroppedPartials {
+						t.Fatalf("%s parts=%d min=%d workers=%d: counts differ:\none %+v\npar %+v",
+							dsName, parts, minSize, workers, one, par)
 					}
-					if par.Work != seq.Work {
-						t.Fatalf("%s parts=%d min=%d workers=%d: Work differs:\nseq %+v\npar %+v",
-							dsName, parts, minSize, workers, seq.Work, par.Work)
+					if par.Work != one.Work || par.SerialWork != one.SerialWork {
+						t.Fatalf("%s parts=%d min=%d workers=%d: Work differs:\none %+v / %+v\npar %+v / %+v",
+							dsName, parts, minSize, workers, one.Work, one.SerialWork, par.Work, par.SerialWork)
 					}
-					if want := (simtime.Work{SortComps: seq.Work.SortComps}); par.SerialWork != want {
+					if want := (simtime.Work{SortComps: one.Work.SortComps}); par.SerialWork != want {
 						t.Fatalf("%s parts=%d min=%d workers=%d: SerialWork = %+v, want sort residue %+v",
 							dsName, parts, minSize, workers, par.SerialWork, want)
 					}
@@ -89,44 +91,50 @@ func int32Bytes(xs []int32) []byte {
 
 // TestMergeParallelEdgeCases: inputs the property test's generated
 // partials can't produce — no partials at all, seeds dangling into
-// noise, memberless partials — behave exactly like MergeCanonical.
+// noise, memberless partials — get the canonical labels at every
+// worker count, with the one-worker run's counts and Work.
 func TestMergeParallelEdgeCases(t *testing.T) {
-	check := func(name string, partials []PartialCluster, n int) {
+	const N = dbscan.Noise
+	check := func(name string, partials []PartialCluster, want []int32) {
 		t.Helper()
-		seq := Merge(partials, n, MergeOptions{Algo: MergeCanonical})
+		one := Merge(partials, len(want), MergeOptions{Workers: 1})
 		for _, workers := range []int{1, 3, 8} {
-			par := Merge(partials, n, MergeOptions{Algo: MergeParallel, Workers: workers})
-			if !bytes.Equal(int32Bytes(seq.Labels), int32Bytes(par.Labels)) {
-				t.Fatalf("%s workers=%d: labels differ", name, workers)
+			par := Merge(partials, len(want), MergeOptions{Workers: workers})
+			if !bytes.Equal(int32Bytes(want), int32Bytes(par.Labels)) {
+				t.Fatalf("%s workers=%d: labels %v, want %v", name, workers, par.Labels, want)
 			}
-			if par.Work != seq.Work || par.NumMerges != seq.NumMerges ||
-				par.NumClusters != seq.NumClusters || par.NumNoise != seq.NumNoise {
-				t.Fatalf("%s workers=%d: results differ:\nseq %+v\npar %+v", name, workers, seq, par)
+			if par.Work != one.Work || par.NumMerges != one.NumMerges ||
+				par.NumClusters != one.NumClusters || par.NumNoise != one.NumNoise {
+				t.Fatalf("%s workers=%d: results differ:\none %+v\npar %+v", name, workers, one, par)
 			}
 		}
 	}
 
-	check("empty", nil, 10)
+	check("empty", nil, []int32{N, N, N, N, N, N, N, N, N, N})
+	// Partition 1's seed 1 links it to partition 0; the dangling seed 7
+	// and the border 8 join the merged cluster.
 	check("dangling seed", []PartialCluster{
 		{Partition: 0, Seq: 0, Members: []int32{0, 1}, Seeds: []int32{7}},
 		{Partition: 1, Seq: 0, Members: []int32{4, 5}, Seeds: []int32{1}, Borders: []int32{8}},
-	}, 10)
+	}, []int32{0, 0, N, N, 0, 0, N, 0, 0, N})
 	check("memberless partial", []PartialCluster{
 		{Partition: 0, Seq: 0, Members: []int32{2, 3}, Seeds: []int32{6}},
 		{Partition: 1, Seq: 0, Seeds: []int32{2}, Borders: []int32{9}},
-	}, 10)
+	}, []int32{N, N, 0, 0, N, N, 0, N, N, 0})
+	// Clusters are numbered by lowest core (1, 3, 5); the shared border
+	// 9 takes the lowest claiming label.
 	check("shared border min-claim", []PartialCluster{
 		{Partition: 0, Seq: 0, Members: []int32{5}, Borders: []int32{9}},
 		{Partition: 1, Seq: 0, Members: []int32{1}, Borders: []int32{9}},
 		{Partition: 2, Seq: 0, Members: []int32{3}, Borders: []int32{9}},
-	}, 10)
+	}, []int32{N, 0, N, 1, N, 2, N, N, N, 0})
 }
 
 // TestMergeParallelFaultRecoveryByteIdentical: the journal-replay
 // recovery path reuses the parallel merge, and under seeded compute +
 // storage fault schedules with a driver crash mid-merge, labels stay
-// byte-identical to the clean sequential-canonical run — across worker
-// counts and in both partitioning modes.
+// byte-identical to the clean one-worker run — across worker counts and
+// in both partitioning modes.
 func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 	ds := testDataset(t, "c10k", 1500)
 	for _, mode := range []PartitionMode{PartRange, PartCell} {
@@ -137,7 +145,7 @@ func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 				})
 				res, err := Run(sctx, ds, Config{
 					Params: tableParams, Partitions: 8, Storage: storage,
-					Merge: merge, SeedMode: SeedExact,
+					Merge:        merge,
 					Partitioning: mode, Cell: CellOptions{TargetPointsPerCell: 250},
 				})
 				if err != nil {
@@ -145,7 +153,7 @@ func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 				}
 				return res
 			}
-			clean := run(nil, nil, MergeOptions{Algo: MergeCanonical})
+			clean := run(nil, nil, MergeOptions{Workers: 1})
 			for i, seed := range faultSeeds(t) {
 				workers := []int{2, 8}[i%2]
 				fs := hdfs.NewCluster(1<<14, 3, 6)
@@ -160,7 +168,7 @@ func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 					ExecutorCrashRate: 0.5, MaxExecutorFailures: 6,
 				}, &StorageOptions{
 					FS: fs, InputFile: "input", SimulateDriverCrash: true,
-				}, MergeOptions{Algo: MergeParallel, Workers: workers})
+				}, MergeOptions{Workers: workers})
 				if !bytes.Equal(int32Bytes(clean.Global.Labels), int32Bytes(res.Global.Labels)) {
 					t.Fatalf("seed %d workers %d: recovered parallel merge changed labels", seed, workers)
 				}
@@ -179,44 +187,39 @@ func TestMergeParallelFaultRecoveryByteIdentical(t *testing.T) {
 // TestMergeParallelWorkersMovePhaseTimeOnly: on a full clean run, the
 // worker count changes the merge phase's simulated duration (more cores
 // → shorter) while the driver Work ledger and labels stay identical;
-// and the parallel merge at 8 workers beats the sequential canonical
-// merge by at least 2x on the phase clock.
+// and the merge at 8 workers beats one worker by at least 2x on the
+// phase clock.
 func TestMergeParallelWorkersMovePhaseTimeOnly(t *testing.T) {
 	ds := testDataset(t, "c10k", 2500)
-	run := func(merge MergeOptions) (*Result, spark.Report) {
+	run := func(workers int) (*Result, spark.Report) {
 		sctx := spark.NewContext(spark.Config{Cores: 16, CoresPerExecutor: 4, Seed: 42})
 		res, err := Run(sctx, ds, Config{
-			Params: tableParams, Partitions: 16, SeedMode: SeedExact, Merge: merge,
+			Params: tableParams, Partitions: 16, Merge: MergeOptions{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, sctx.Report()
 	}
-	seqRes, seqRep := run(MergeOptions{Algo: MergeCanonical})
-	par1, rep1 := run(MergeOptions{Algo: MergeParallel, Workers: 1})
-	par8, rep8 := run(MergeOptions{Algo: MergeParallel, Workers: 8})
+	par1, rep1 := run(1)
+	par8, rep8 := run(8)
 
-	if !bytes.Equal(int32Bytes(seqRes.Global.Labels), int32Bytes(par8.Global.Labels)) {
-		t.Fatal("labels differ between canonical and parallel runs")
+	if !bytes.Equal(int32Bytes(par1.Global.Labels), int32Bytes(par8.Global.Labels)) {
+		t.Fatal("labels differ between 1 and 8 workers")
 	}
-	if rep1.DriverWork != rep8.DriverWork || seqRep.DriverWork != rep8.DriverWork {
-		t.Fatalf("DriverWork depends on merge workers:\nseq  %+v\npar1 %+v\npar8 %+v",
-			seqRep.DriverWork, rep1.DriverWork, rep8.DriverWork)
+	if rep1.DriverWork != rep8.DriverWork {
+		t.Fatalf("DriverWork depends on merge workers:\npar1 %+v\npar8 %+v", rep1.DriverWork, rep8.DriverWork)
 	}
-	if par8.Phases.Merge >= par1.Phases.Merge {
-		t.Fatalf("8 workers no faster than 1: %g vs %g", par8.Phases.Merge, par1.Phases.Merge)
-	}
-	if speedup := seqRes.Phases.Merge / par8.Phases.Merge; speedup < 2 {
-		t.Fatalf("merge speedup at 8 workers = %.2fx, want >= 2x (seq %g s, par %g s)",
-			speedup, seqRes.Phases.Merge, par8.Phases.Merge)
+	if speedup := par1.Phases.Merge / par8.Phases.Merge; speedup < 2 {
+		t.Fatalf("merge speedup at 8 workers = %.2fx, want >= 2x (1 worker %g s, 8 workers %g s)",
+			speedup, par1.Phases.Merge, par8.Phases.Merge)
 	}
 	// Everything outside the merge phase is untouched.
 	for name, pair := range map[string][2]float64{
-		"ReadTransform": {seqRes.Phases.ReadTransform, par8.Phases.ReadTransform},
-		"TreeBuild":     {seqRes.Phases.TreeBuild, par8.Phases.TreeBuild},
-		"Broadcast":     {seqRes.Phases.Broadcast, par8.Phases.Broadcast},
-		"Executors":     {seqRes.Phases.Executors, par8.Phases.Executors},
+		"ReadTransform": {par1.Phases.ReadTransform, par8.Phases.ReadTransform},
+		"TreeBuild":     {par1.Phases.TreeBuild, par8.Phases.TreeBuild},
+		"Broadcast":     {par1.Phases.Broadcast, par8.Phases.Broadcast},
+		"Executors":     {par1.Phases.Executors, par8.Phases.Executors},
 	} {
 		if pair[0] != pair[1] {
 			t.Fatalf("phase %s moved with merge workers: %g vs %g", name, pair[0], pair[1])
@@ -228,8 +231,7 @@ func TestMergeParallelWorkersMovePhaseTimeOnly(t *testing.T) {
 // driver crash recovering through it) under a traced faulty run, the
 // critical path still tiles Phases.Total() exactly, exports stay
 // byte-identical across runs — real merge goroutines underneath — and
-// the merge phase's share of the path drops versus the sequential
-// canonical merge.
+// the merge phase's share of the path drops versus the one-worker merge.
 func TestParallelMergeTracingDeterministic(t *testing.T) {
 	ds := testDataset(t, "c10k", 2500)
 	export := func(merge MergeOptions) (*Result, []byte, []trace.Segment) {
@@ -250,7 +252,7 @@ func TestParallelMergeTracingDeterministic(t *testing.T) {
 			Tracer: tr,
 		})
 		res, err := Run(sctx, ds, Config{
-			Params: tableParams, Partitions: 8, SeedMode: SeedExact, Merge: merge,
+			Params: tableParams, Partitions: 8, Merge: merge,
 			Storage: &StorageOptions{FS: fs, InputFile: "input", SimulateDriverCrash: true},
 		})
 		if err != nil {
@@ -263,7 +265,7 @@ func TestParallelMergeTracingDeterministic(t *testing.T) {
 		return res, j, tr.CriticalPath()
 	}
 
-	par := MergeOptions{Algo: MergeParallel, Workers: 8}
+	par := MergeOptions{Workers: 8}
 	res, j1, segs := export(par)
 	cur, sum := 0.0, 0.0
 	for i, s := range segs {
@@ -281,7 +283,7 @@ func TestParallelMergeTracingDeterministic(t *testing.T) {
 		t.Fatal("trace JSON differs across identical parallel-merge runs")
 	}
 
-	_, _, seqSegs := export(MergeOptions{Algo: MergeCanonical})
+	_, _, seqSegs := export(MergeOptions{Workers: 1})
 	if parShare, seqShare := trace.ShareByName(segs, "merge"), trace.ShareByName(seqSegs, "merge"); parShare >= seqShare {
 		t.Fatalf("merge share did not drop: parallel %.3f vs sequential %.3f", parShare, seqShare)
 	}

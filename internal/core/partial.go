@@ -3,7 +3,9 @@ package core
 import "fmt"
 
 // SeedMode controls how foreign points encountered during local
-// expansion are recorded (Algorithm 3's "placing SEEDs").
+// expansion are recorded (Algorithm 3's "placing SEEDs"). Run derives
+// it from the merge: MergePaper runs on SeedSingle partials, every
+// other merge on SeedExact partials.
 type SeedMode int
 
 const (
@@ -12,19 +14,8 @@ const (
 	// 3). Cheapest, but it can drop merge edges and lose unclaimed
 	// border points — see DESIGN.md §3.
 	SeedSingle SeedMode = iota
-	// SeedAll records every distinct foreign point reached by the
-	// expansion as a SEED. Merging through union-find is then complete
-	// for core connectivity, and unclaimed foreign borders stay in the
-	// cluster.
-	SeedAll
-	// SeedCore records every distinct foreign *core* point as a SEED
-	// (one extra neighbourhood count query per candidate, metered) and
-	// keeps foreign non-core points as passive Borders that never
-	// trigger a merge. This makes parallel core co-clustering exactly
-	// equal to sequential DBSCAN.
-	SeedCore
 	// SeedExact produces partial clusters whose canonical merge
-	// (MergeCanonical) is byte-identical to sequential DBSCAN,
+	// (MergeParallel) is byte-identical to sequential DBSCAN,
 	// independent of partition shape or accumulator commit order:
 	// Members holds only *core* owned points (Members[0] is the
 	// lowest-index core, because the local scan proceeds in ascending
@@ -42,10 +33,6 @@ func (m SeedMode) String() string {
 	switch m {
 	case SeedSingle:
 		return "single"
-	case SeedAll:
-		return "all"
-	case SeedCore:
-		return "core"
 	case SeedExact:
 		return "exact"
 	default:
@@ -67,8 +54,9 @@ type PartialCluster struct {
 	// paper they are also elements of the final merged cluster
 	// (Figure 4b keeps 3000 in the merged C[0]).
 	Seeds []int32
-	// Borders are foreign non-core points recorded under SeedCore
-	// mode: cluster elements that must not drive a merge.
+	// Borders are owned non-core points recorded under SeedExact: every
+	// cluster that reaches one lists it, and the merge awards it to the
+	// lowest claiming cluster. They never drive a merge.
 	Borders []int32
 }
 

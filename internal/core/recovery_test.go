@@ -94,8 +94,8 @@ func TestRecoveredMergeChargesWholeWastedAttempt(t *testing.T) {
 	run := func(storage *StorageOptions) (*Result, spark.Report) {
 		sctx := spark.NewContext(spark.Config{Cores: 8, Seed: 11})
 		res, err := Run(sctx, ds, Config{
-			Params: tableParams, Partitions: 6, SeedMode: SeedExact,
-			Merge: MergeOptions{Algo: MergeCanonical}, Storage: storage,
+			Params: tableParams, Partitions: 6,
+			Merge: MergeOptions{Workers: 1}, Storage: storage,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -19,10 +19,10 @@ type Config struct {
 	// paper sets partitions = cores. Default: the context's core
 	// count.
 	Partitions int
-	// SeedMode selects the Algorithm 3 variant. Default SeedSingle
-	// (the paper's rule).
-	SeedMode SeedMode
-	// Merge configures the driver-side merge.
+	// Merge configures the driver-side merge. The zero value is the
+	// exact pair: SeedExact partials merged by MergeParallel, labels
+	// byte-identical to sequential DBSCAN. MergePaper selects the
+	// paper's pair instead: SeedSingle partials and Algorithm 4.
 	Merge MergeOptions
 	// MaxNeighbors > 0 enables the pruned range search the paper uses
 	// for the 1m-point datasets.
@@ -38,9 +38,9 @@ type Config struct {
 	// Partitioning selects how points reach executors: PartRange (the
 	// paper's index ranges over a full-dataset broadcast, the default)
 	// or PartCell (grid cells with eps-halo replication over a
-	// shuffle). Cell mode forces SeedExact and MergeCanonical so its
-	// labels are pinned byte-identical to range mode and sequential
-	// DBSCAN; see DESIGN.md §13.
+	// shuffle). Cell mode always runs the exact pair, so its labels are
+	// pinned byte-identical to range mode and sequential DBSCAN; see
+	// DESIGN.md §13.
 	Partitioning PartitionMode
 	// Cell tunes PartCell; ignored under PartRange.
 	Cell CellOptions
@@ -179,28 +179,24 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 	// which distributes points to executors (broadcast or shuffle),
 	// runs the local clustering and returns partial clusters through
 	// the accumulator.
+	if cfg.Partitioning == PartCell {
+		// Cell mode pins the exact pair: labels become a pure function
+		// of the point set and parameters, independent of grid shape
+		// and accumulator commit order.
+		cfg.Merge.Algo = MergeParallel
+	}
+	// The merge fixes the seed mode: canonical labeling assumes the
+	// SeedExact partial-cluster contract (Members hold only owned cores,
+	// Members[0] lowest), Algorithm 4 the paper's SeedSingle rule.
+	seedMode := SeedExact
+	if cfg.Merge.Algo == MergePaper {
+		seedMode = SeedSingle
+	}
 	opts := LocalOptions{
 		Params:         cfg.Params,
-		SeedMode:       cfg.SeedMode,
+		SeedMode:       seedMode,
 		MaxNeighbors:   cfg.MaxNeighbors,
 		MinClusterSize: cfg.MinLocalClusterSize,
-	}
-	if cfg.Partitioning == PartCell {
-		// Cell mode pins the exact-seed / canonical-merge pair: labels
-		// become a pure function of the point set and parameters,
-		// independent of grid shape and accumulator commit order.
-		// MergeParallel is canonical labeling too (byte-identical by
-		// construction), so it satisfies the pin and is left in place.
-		opts.SeedMode = SeedExact
-		if cfg.Merge.Algo != MergeParallel {
-			cfg.Merge.Algo = MergeCanonical
-		}
-	}
-	if cfg.Merge.Algo == MergeCanonical || cfg.Merge.Algo == MergeParallel {
-		// Canonical labeling assumes the SeedExact partial-cluster
-		// contract (Members hold only owned cores, Members[0] lowest);
-		// any other seed mode would feed it garbage.
-		opts.SeedMode = SeedExact
 	}
 
 	acc := spark.SliceAccumulator[PartialCluster](sctx)
@@ -257,20 +253,19 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 		res.Recovery.JournalBytes = jr.bytes
 	}
 
-	// Phase 5: driver merge (Algorithm 4 / union-find / parallel
-	// canonical). MergeParallel runs on real goroutines and is priced
-	// under that many driver cores; the sequential algorithms meter
-	// everything as serial residue, which makes RunInDriverPar collapse
-	// to the old RunInDriver pricing exactly. With a simulated driver
+	// Phase 5: driver merge (parallel canonical / Algorithm 4).
+	// MergeParallel runs on real goroutines and is priced under that
+	// many driver cores; MergePaper meters everything as serial residue,
+	// which makes RunInDriverPar collapse to RunInDriver pricing
+	// exactly. With a simulated driver
 	// crash, the first merge attempt dies at CrashPointFrac of its span,
 	// a fresh driver replays the journal, and the merge runs on the
 	// replayed partial clusters — which are the accumulator's slice byte
 	// for byte, so labels are identical. Recovery reuses the same
 	// (possibly parallel) merge path.
 	mergeWorkers := cfg.Merge.effectiveWorkers()
-	d0 = driverBefore()
 	if st != nil && st.SimulateDriverCrash {
-		err = sctx.RunInDriverPar("merge (recovered)", mergeWorkers, func(w, serial *simtime.Work) error {
+		res.Phases.Merge, err = sctx.RunInDriverPar("merge (recovered)", mergeWorkers, func(w, serial *simtime.Work) error {
 			// The journal decode is one sequential byte stream: charged
 			// to the serial residue.
 			var replayW simtime.Work
@@ -300,7 +295,7 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 			return nil
 		})
 	} else {
-		err = sctx.RunInDriverPar("merge", mergeWorkers, func(w, serial *simtime.Work) error {
+		res.Phases.Merge, err = sctx.RunInDriverPar("merge", mergeWorkers, func(w, serial *simtime.Work) error {
 			res.Global = Merge(partials, n, cfg.Merge)
 			w.Add(res.Global.Work)
 			serial.Add(res.Global.SerialWork)
@@ -310,7 +305,6 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Phases.Merge = driverBefore() - d0
 
 	if cfg.SpatialPartitioning {
 		res.Global.Labels = InvertOrder(order, res.Global.Labels)

@@ -104,7 +104,6 @@ func TestSpatialPartitioningReducesPartialClusters(t *testing.T) {
 		res, err := Run(sctx, ds, Config{
 			Params:              tableParams,
 			Partitions:          16,
-			SeedMode:            SeedAll,
 			SpatialPartitioning: spatial,
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -225,6 +226,42 @@ func TestReadTextErrors(t *testing.T) {
 	for name, input := range cases {
 		if _, err := ReadText(strings.NewReader(input)); err == nil {
 			t.Fatalf("%s: expected error", name)
+		}
+	}
+}
+
+// TestReadRejectsNonFinite: NaN and ±Inf coordinates are load errors
+// naming where they sit, in both formats — not points that silently
+// come out as noise.
+func TestReadRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		text    string    // ReadText input
+		coords  []float64 // ReadBinary input, 2-D
+		wantErr string
+	}{
+		{"nan", "1 2\nNaN 5\n", []float64{1, 2, nan, 5}, "coordinate 0"},
+		{"inf", "1 2\n3 Inf\n", []float64{1, 2, 3, inf}, "coordinate 1"},
+		{"minus inf", "1 2\n3 4\n-Inf 0\n", []float64{1, 2, 3, 4, -inf, 0}, "coordinate 0"},
+		{"both", "Inf -Inf\n", []float64{inf, -inf}, "coordinate 0"},
+	} {
+		_, err := ReadText(strings.NewReader(tc.text))
+		wantLine := fmt.Sprintf("line %d", strings.Count(tc.text, "\n"))
+		if err == nil || !strings.Contains(err.Error(), wantLine) || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: ReadText error %v, want %q and %q", tc.name, err, wantLine, tc.wantErr)
+		}
+
+		ds := NewDataset(len(tc.coords)/2, 2)
+		copy(ds.Coords, tc.coords)
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, ds); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadBinary(&buf)
+		wantPoint := fmt.Sprintf("point %d", ds.Len()-1)
+		if err == nil || !strings.Contains(err.Error(), wantPoint) || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: ReadBinary error %v, want %q and %q", tc.name, err, wantPoint, tc.wantErr)
 		}
 	}
 }

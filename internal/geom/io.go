@@ -83,10 +83,13 @@ func ReadText(r io.Reader) (*Dataset, error) {
 		} else if lineHasLabel != hasLabels {
 			return nil, fmt.Errorf("geom: line %d: inconsistent label column", line)
 		}
-		for _, f := range fields {
+		for j, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("geom: line %d: %v", line, err)
+			}
+			if err := checkFinite(v); err != nil {
+				return nil, fmt.Errorf("geom: line %d: coordinate %d: %w", line, j, err)
 			}
 			ds.Coords = append(ds.Coords, v)
 		}
@@ -159,7 +162,11 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("geom: short coords: %v", err)
 		}
-		ds.Coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		v := math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		if err := checkFinite(v); err != nil {
+			return nil, fmt.Errorf("geom: point %d coordinate %d: %w", i/dim, i%dim, err)
+		}
+		ds.Coords[i] = v
 	}
 	if hasLabels {
 		ds.Label = make([]int32, n)
@@ -171,4 +178,13 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		}
 	}
 	return ds, nil
+}
+
+// checkFinite rejects NaN and ±Inf: a non-finite coordinate has no
+// eps-neighbourhood, so such a point would silently come out as noise.
+func checkFinite(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%v is not a finite number", v)
+	}
+	return nil
 }

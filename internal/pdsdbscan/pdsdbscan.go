@@ -10,7 +10,8 @@
 // a union-find forest — core-core edges union their trees, and each
 // border point attaches to the first core tree that claims it. Both
 // phases parallelize over point ranges with goroutines; the union phase
-// synchronizes through a striped-lock disjoint-set.
+// synchronizes through the lock-free concurrent disjoint-set of
+// internal/dsu (where Patwary et al. lock the two roots).
 //
 // Its inclusion gives the repository a second, structurally different
 // parallel baseline: where the paper's Spark algorithm pays for
@@ -23,9 +24,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"sparkdbscan/internal/dbscan"
+	"sparkdbscan/internal/dsu"
 	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
 	"sparkdbscan/internal/simtime"
@@ -48,81 +49,6 @@ type Result struct {
 	Work simtime.Work
 	// Stats aggregates the index work.
 	Stats kdtree.SearchStats
-}
-
-// lockedDSU is a disjoint-set forest with striped locks, following
-// Patwary et al.'s locking discipline: a union locks the two current
-// roots in index order, re-checking rootness after acquisition.
-type lockedDSU struct {
-	parent []int32
-	locks  []sync.Mutex // striped over elements
-}
-
-const lockStripes = 256
-
-func newLockedDSU(n int) *lockedDSU {
-	d := &lockedDSU{
-		parent: make([]int32, n),
-		locks:  make([]sync.Mutex, lockStripes),
-	}
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-	}
-	return d
-}
-
-func (d *lockedDSU) lockOf(x int32) *sync.Mutex {
-	return &d.locks[int(x)%lockStripes]
-}
-
-// find walks to the root without path compression (compression under
-// concurrency needs care; the final relabeling pass compresses
-// implicitly). Parent reads are atomic so lock-free finds are safe
-// against concurrent locked unions.
-func (d *lockedDSU) find(x int32) int32 {
-	for {
-		p := atomic.LoadInt32(&d.parent[x])
-		if p == x {
-			return x
-		}
-		x = p
-	}
-}
-
-// union merges the trees of a and b, locking roots in order.
-func (d *lockedDSU) union(a, b int32) {
-	for {
-		ra, rb := d.find(a), d.find(b)
-		if ra == rb {
-			return
-		}
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		// Lock the two roots' stripes in a global order to avoid
-		// deadlock; same stripe needs a single lock.
-		la, lb := d.lockOf(ra), d.lockOf(rb)
-		if la == lb {
-			la.Lock()
-		} else {
-			la.Lock()
-			lb.Lock()
-		}
-		ok := atomic.LoadInt32(&d.parent[ra]) == ra && atomic.LoadInt32(&d.parent[rb]) == rb
-		if ok {
-			atomic.StoreInt32(&d.parent[rb], ra)
-		}
-		if la == lb {
-			la.Unlock()
-		} else {
-			lb.Unlock()
-			la.Unlock()
-		}
-		if ok {
-			return
-		}
-		// A root moved under us; retry with fresh roots.
-	}
 }
 
 // Run executes PDSDBSCAN over ds.
@@ -150,7 +76,7 @@ func Run(ds *geom.Dataset, idx kdtree.Index, cfg Config) (*Result, error) {
 	}
 
 	eps, minPts := cfg.Params.Eps, cfg.Params.MinPts
-	dsu := newLockedDSU(n)
+	forest := dsu.NewConcurrent(n)
 	// borderOwner[i] is the core point that claimed border i, or -1.
 	borderOwner := make([]int32, n)
 	for i := range borderOwner {
@@ -205,7 +131,7 @@ func Run(ds *geom.Dataset, idx kdtree.Index, cfg Config) (*Result, error) {
 					continue
 				}
 				if res.Core[y] {
-					dsu.union(x, y)
+					forest.Union(x, y)
 					sh.work.MergeOps++
 				} else {
 					ownerMu.Lock()
@@ -234,7 +160,7 @@ func Run(ds *geom.Dataset, idx kdtree.Index, cfg Config) (*Result, error) {
 		if !res.Core[i] {
 			continue
 		}
-		root := dsu.find(i)
+		root := forest.Find(i)
 		lbl, ok := rootLabel[root]
 		if !ok {
 			lbl = next

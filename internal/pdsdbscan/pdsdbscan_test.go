@@ -131,28 +131,3 @@ func TestWorkMetered(t *testing.T) {
 		t.Fatalf("work not metered: %+v", res.Work)
 	}
 }
-
-func TestLockedDSUConcurrentUnions(t *testing.T) {
-	// Hammer the striped-lock DSU from many goroutines building one
-	// long chain; the result must be a single component.
-	const n = 10000
-	d := newLockedDSU(n)
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			for i := w; i < n-1; i += 8 {
-				d.union(int32(i), int32(i+1))
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	root := d.find(0)
-	for i := int32(1); i < n; i++ {
-		if d.find(i) != root {
-			t.Fatalf("element %d not joined", i)
-		}
-	}
-}

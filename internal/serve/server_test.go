@@ -97,6 +97,9 @@ func TestServerStressHotSwap(t *testing.T) {
 	if served.Load() == 0 {
 		t.Fatal("no queries served")
 	}
+	// A worker counts a query completed just after delivering it; Close
+	// waits for the workers, so the counters have settled.
+	srv.Close()
 	st := srv.Stats()
 	if st.Completed != served.Load() {
 		t.Fatalf("stats completed %d, clients counted %d", st.Completed, served.Load())
@@ -126,9 +129,14 @@ func TestServerStressHotSwap(t *testing.T) {
 // one-slot queue per shard and a burst far larger than QueueCap, some
 // queries must be rejected at admission with ErrOverloaded while the
 // accepted ones are answered; nothing hangs and the books balance.
+// Every batch stalls its worker (chaos StallRate 1), so the queue fills
+// however fast the host's workers would otherwise drain it.
 func TestServerShedsWhenQueueFull(t *testing.T) {
 	mA, _ := stressModels(t)
-	srv := NewServer(mA, Options{Workers: 2, BatchCap: 1, QueueCap: 2, MaxQueueDelay: -1})
+	srv := NewServer(mA, Options{
+		Workers: 2, BatchCap: 1, QueueCap: 2, MaxQueueDelay: -1,
+		Chaos: &ChaosProfile{Seed: 1, StallRate: 1},
+	})
 	defer srv.Close()
 	w := DatasetWorkload(mA.ds)
 	const burst = 512
@@ -156,6 +164,7 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Fatal("shedding rejected everything; accepted queries must still be answered")
 	}
+	srv.Close() // settle the completion counter (see TestServerStressHotSwap)
 	st := srv.Stats()
 	if st.ShedAtEnq != shed.Load() || st.Completed != ok.Load() {
 		t.Fatalf("stats %+v disagree with client counts ok=%d shed=%d", st, ok.Load(), shed.Load())

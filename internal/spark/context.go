@@ -100,7 +100,8 @@ type Config struct {
 	Faults *FaultProfile
 	// HostParallelism is how many OS-level workers actually execute
 	// tasks in Virtual mode (wall-clock speed only; no effect on
-	// simulated time). Default runtime.NumCPU().
+	// simulated time). Default runtime.GOMAXPROCS(0), so GOMAXPROCS
+	// and go test -cpu control it.
 	HostParallelism int
 	// Tracer, when set, records driver spans and stage schedules on the
 	// simulated clock for the observability exports (Virtual mode
@@ -131,7 +132,7 @@ func (c Config) withDefaults() Config {
 		c.Faults = c.Faults.withDefaults()
 	}
 	if c.HostParallelism < 1 {
-		c.HostParallelism = runtime.NumCPU()
+		c.HostParallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -264,7 +265,8 @@ func (c *Context) BlacklistedExecutors() []int {
 // the ledger it passes to f. In Virtual mode the ledger's priced
 // seconds are added to driver time; in Real mode the wall clock is.
 func (c *Context) RunInDriver(name string, f func(w *simtime.Work) error) error {
-	return c.RunInDriverPar(name, 1, func(w, _ *simtime.Work) error { return f(w) })
+	_, err := c.RunInDriverPar(name, 1, func(w, _ *simtime.Work) error { return f(w) })
+	return err
 }
 
 // RunInDriverPar executes f as driver-side code that spreads part of
@@ -280,10 +282,12 @@ func (c *Context) RunInDriver(name string, f func(w *simtime.Work) error) error 
 // worker (or serial == w) the price collapses to Model.Seconds(w),
 // which is why RunInDriver is exactly the workers==1 case. In Real
 // mode the wall clock is used — f is expected to run its parallel
-// sections on real goroutines.
-func (c *Context) RunInDriverPar(name string, workers int, f func(w, serial *simtime.Work) error) error {
+// sections on real goroutines. It returns the seconds charged, so a
+// caller can report the phase exactly rather than as a difference of
+// running driver-time totals.
+func (c *Context) RunInDriverPar(name string, workers int, f func(w, serial *simtime.Work) error) (float64, error) {
 	if err := c.checkActive(); err != nil {
-		return err
+		return 0, err
 	}
 	if workers < 1 {
 		workers = 1
@@ -306,7 +310,7 @@ func (c *Context) RunInDriverPar(name string, workers int, f func(w, serial *sim
 	if tr := c.cfg.Tracer; tr != nil && c.cfg.Mode == Virtual {
 		tr.RecordDriverSpan(name, trace.KindPhase, startClock, dur, w)
 	}
-	return err
+	return dur, err
 }
 
 func (c *Context) checkActive() error {

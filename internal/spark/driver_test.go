@@ -14,7 +14,7 @@ import (
 func TestRunInDriverParPricing(t *testing.T) {
 	run := func(workers int) (float64, simtime.Work) {
 		ctx := NewContext(Config{Cores: 8})
-		err := ctx.RunInDriverPar("merge", workers, func(w, serial *simtime.Work) error {
+		dur, err := ctx.RunInDriverPar("merge", workers, func(w, serial *simtime.Work) error {
 			w.MergeOps = 8_000_000  // 10 s at 1.25e-6 s/op
 			w.SortComps = 1_000_000 // 2 s at 2e-6 s/comp
 			serial.SortComps = 1_000_000
@@ -24,6 +24,9 @@ func TestRunInDriverParPricing(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := ctx.Report()
+		if dur != rep.DriverSeconds {
+			t.Fatalf("returned %g s, report charged %g s", dur, rep.DriverSeconds)
+		}
 		return rep.DriverSeconds, rep.DriverWork
 	}
 
@@ -51,7 +54,7 @@ func TestRunInDriverIsOneWorkerPar(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewContext(Config{Cores: 4})
-	err := b.RunInDriverPar("x", 1, func(w, serial *simtime.Work) error {
+	_, err := b.RunInDriverPar("x", 1, func(w, serial *simtime.Work) error {
 		w.Add(charge)
 		serial.Add(charge)
 		return nil
@@ -75,11 +78,11 @@ func TestRunInDriverIsOneWorkerPar(t *testing.T) {
 func TestRunInDriverParPropagatesError(t *testing.T) {
 	ctx := NewContext(Config{})
 	wantErr := fmt.Errorf("boom")
-	if err := ctx.RunInDriverPar("x", 4, func(w, serial *simtime.Work) error { return wantErr }); err != wantErr {
+	if _, err := ctx.RunInDriverPar("x", 4, func(w, serial *simtime.Work) error { return wantErr }); err != wantErr {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
 	ctx.Stop()
-	if err := ctx.RunInDriverPar("x", 4, func(w, serial *simtime.Work) error { return nil }); err == nil {
+	if _, err := ctx.RunInDriverPar("x", 4, func(w, serial *simtime.Work) error { return nil }); err == nil {
 		t.Fatal("stopped context ran driver code")
 	}
 }

@@ -60,12 +60,9 @@ type Config struct {
 	// PaperFidelity selects the paper's exact algorithm variants: one
 	// SEED per foreign partition per partial cluster (Algorithm 3) and
 	// the single-pass Algorithm 4 merge. The default (false) uses the
-	// robust variants — every foreign boundary point becomes a SEED
-	// and the merge is a union-find — which never split a true cluster
-	// and never drop a reachable border point to noise, at no extra
-	// query cost. (A third mode that is exact even on clusters sharing
-	// border points, at one extra counting query per foreign
-	// neighbour, lives in internal/core as SeedCore.)
+	// exact variants — every foreign point reached becomes a SEED and
+	// the merge labels canonically through a union-find — whose labels
+	// equal sequential DBSCAN's byte for byte, at no extra query cost.
 	PaperFidelity bool
 	// MaxNeighbors > 0 enables pruned ("pruning branches") search.
 	MaxNeighbors int
@@ -167,16 +164,13 @@ func Cluster(ds *Dataset, cfg Config) (*Result, error) {
 		Mode:  mode,
 		Seed:  cfg.Seed,
 	})
-	seedMode := core.SeedAll
-	mergeAlgo := core.MergeUnionFind
+	mergeAlgo := core.MergeParallel
 	if cfg.PaperFidelity {
-		seedMode = core.SeedSingle
 		mergeAlgo = core.MergePaper
 	}
 	res, err := core.Run(sctx, ds, core.Config{
 		Params:              dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts},
 		Partitions:          cfg.Partitions,
-		SeedMode:            seedMode,
 		Merge:               core.MergeOptions{Algo: mergeAlgo},
 		MaxNeighbors:        cfg.MaxNeighbors,
 		MinLocalClusterSize: cfg.MinLocalClusterSize,
