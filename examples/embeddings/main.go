@@ -62,5 +62,5 @@ func main() {
 
 	fmt.Println("\nThe exact graph reproduces the reference; the approximate graph")
 	fmt.Println("trades a sliver of NMI for the build speedup measured by")
-	fmt.Println("`benchrunner -knnbench` (>=3x at n=20k, d=128).")
+	fmt.Println("`benchrunner -bench knn` (>=3x at n=20k, d=128).")
 }

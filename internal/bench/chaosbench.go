@@ -1,17 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
-	"sparkdbscan/internal/dbscan"
-	"sparkdbscan/internal/kdtree"
 	"sparkdbscan/internal/serve"
 )
 
@@ -19,9 +14,7 @@ import (
 // baseline, then one arm per injected fault kind, each driven by the
 // same seeded ChaosProfile discipline the tests use. Every arm reports
 // the outcome taxonomy and the supervision/hedging counters, and the
-// single-fault arms carry hard gates (checked at the end, after the
-// JSON report is written, so a gate failure still leaves the evidence
-// on disk):
+// single-fault arms carry gates named after the arm:
 //
 //   - availability >= 99% under worker kills (supervised), stalls and
 //     dropped responses;
@@ -60,17 +53,11 @@ type ChaosArm struct {
 	HedgeDenied       uint64 `json:"hedge_denied"`
 	ShedPriority      uint64 `json:"shed_priority"`
 	HealthTransitions uint64 `json:"health_transitions"`
-
-	Gate string `json:"gate,omitempty"` // "pass", "FAIL: ...", or empty (ungated)
 }
 
-// ChaosBenchReport is the BENCH_chaos.json payload.
-type ChaosBenchReport struct {
-	Method   string `json:"method"`
-	GoOS     string `json:"goos"`
-	GoArch   string `json:"goarch"`
-	MaxProcs int    `json:"maxprocs"`
-	Smoke    bool   `json:"smoke"`
+// ChaosBenchResult is the BENCH_chaos.json result body.
+type ChaosBenchResult struct {
+	Smoke bool `json:"smoke"`
 
 	Points int     `json:"points"`
 	Dim    int     `json:"dim"`
@@ -116,13 +103,16 @@ func armFromLoad(name, fault string, rep serve.LoadReport, st serve.Stats) Chaos
 	}
 }
 
-// RunChaosBench benchmarks the resilience layer under seeded fault
-// injection and, when jsonPath is non-empty, writes BENCH_chaos.json
-// there. It returns an error if any gated arm fails its gate. smoke
-// shrinks the dataset and arm durations to the CI configuration.
-func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke bool) error {
+// runChaosBench benchmarks the resilience layer under seeded fault
+// injection (c.Seed, default 53). Smoke shrinks the dataset and arm
+// durations to the CI configuration.
+func runChaosBench(w io.Writer, c Config) (Report, error) {
+	points, seed, smoke := c.Points, c.Seed, c.Smoke
 	if points <= 0 {
 		points = 20_000
+	}
+	if seed == 0 {
+		seed = 53
 	}
 	armDur := 400 * time.Millisecond
 	if smoke {
@@ -131,21 +121,13 @@ func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke 
 		}
 		armDur = 150 * time.Millisecond
 	}
-	const (
-		dim    = 10
-		minPts = 5
-		eps    = 22.0 // the serving regime -servebench measures in
-	)
-	ds := kdBenchDataset(points, dim)
-	tree := kdtree.Build(ds)
-	p := dbscan.Params{Eps: eps, MinPts: minPts}
-	res, err := dbscan.Run(ds, tree, p)
+	ds, tree, res, err := servingClustering(points)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
-	model, err := serve.Freeze(ds, res.Labels, res.Core, tree, p)
+	model, err := serve.Freeze(ds, res.Labels, res.Core, tree, servingParams)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	workload := serve.DatasetWorkload(ds)
 
@@ -153,18 +135,12 @@ func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke 
 	digest := fnv.New64a()
 	digest.Write([]byte(canonical.Schedule(4, 256)))
 
-	report := ChaosBenchReport{
-		Method: "closed-loop load per arm against a fresh server, one injected fault kind per arm " +
-			"(same seeded deterministic schedule discipline as the tests); availability = completed/issued; " +
-			"latency quantiles from the server's enqueue-to-response histogram",
-		GoOS:           runtime.GOOS,
-		GoArch:         runtime.GOARCH,
-		MaxProcs:       runtime.GOMAXPROCS(0),
+	report := &ChaosBenchResult{
 		Smoke:          smoke,
 		Points:         ds.Len(),
-		Dim:            dim,
-		Eps:            eps,
-		MinPts:         minPts,
+		Dim:            servingDim,
+		Eps:            servingParams.Eps,
+		MinPts:         servingParams.MinPts,
 		Seed:           seed,
 		ScheduleDigest: fmt.Sprintf("fnv1a:%016x", digest.Sum64()),
 	}
@@ -179,14 +155,11 @@ func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke 
 		return armFromLoad(name, fault, rep, st)
 	}
 
-	var gateFailures []string
-	gate := func(arm *ChaosArm, ok bool, desc string) {
-		if ok {
-			arm.Gate = "pass"
-			return
-		}
-		arm.Gate = "FAIL: " + desc
-		gateFailures = append(gateFailures, fmt.Sprintf("%s: %s", arm.Name, desc))
+	rep := Report{
+		Method: "closed-loop load per arm against a fresh server, one injected fault kind per arm " +
+			"(same seeded deterministic schedule discipline as the tests); availability = completed/issued; " +
+			"latency quantiles from the server's enqueue-to-response histogram",
+		Result: report,
 	}
 
 	const availabilityFloor = 0.99
@@ -204,9 +177,9 @@ func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke 
 		StallTimeout: 10 * time.Millisecond, SupervisorInterval: time.Millisecond,
 		Chaos: &serve.ChaosProfile{Seed: seed, KillRate: 0.004},
 	}, serve.LoadOptions{Clients: 8, RequestTimeout: 100 * time.Millisecond})
-	gate(&kill, kill.Availability >= availabilityFloor && kill.WorkerDeaths > 0,
-		fmt.Sprintf("availability %.4f (floor %.2f), deaths %d (want > 0)",
-			kill.Availability, availabilityFloor, kill.WorkerDeaths))
+	rep.gate(kill.Name, kill.Availability >= availabilityFloor && kill.WorkerDeaths > 0,
+		"availability %.4f (floor %.2f), deaths %d (want > 0)",
+		kill.Availability, availabilityFloor, kill.WorkerDeaths)
 	report.Arms = append(report.Arms, kill)
 
 	// The contrast arm: same kills, supervision off — dead shards
@@ -225,9 +198,9 @@ func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke 
 		StallTimeout: 5 * time.Millisecond, SupervisorInterval: time.Millisecond,
 		Chaos: &serve.ChaosProfile{Seed: seed, StallRate: 0.01, StallFor: 20 * time.Millisecond},
 	}, serve.LoadOptions{Clients: 8, RequestTimeout: 100 * time.Millisecond})
-	gate(&stall, stall.Availability >= availabilityFloor && stall.WorkerStalls > 0,
-		fmt.Sprintf("availability %.4f (floor %.2f), stalls %d (want > 0)",
-			stall.Availability, availabilityFloor, stall.WorkerStalls))
+	rep.gate(stall.Name, stall.Availability >= availabilityFloor && stall.WorkerStalls > 0,
+		"availability %.4f (floor %.2f), stalls %d (want > 0)",
+		stall.Availability, availabilityFloor, stall.WorkerStalls)
 	report.Arms = append(report.Arms, stall)
 
 	// Slow workers, hedging off vs on: the pair that shows what hedged
@@ -261,10 +234,10 @@ func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke 
 		Chaos: slowChaos(),
 	}, serve.LoadOptions{QPS: slowQPS, RequestTimeout: 100 * time.Millisecond})
 	hedgeBound := uint64(float64(slowHedge.Completed-slowHedge.HedgeWon)*hedgeBudget) + hedgeBurst
-	gate(&slowHedge,
+	rep.gate(slowHedge.Name,
 		slowHedge.P99us < slowNoHedge.P99us && slowHedge.HedgeWins > 0 && slowHedge.Hedges <= hedgeBound,
-		fmt.Sprintf("p99 %.0fµs vs unhedged %.0fµs (want <), hedge wins %d (want > 0), hedges %d (bound %d)",
-			slowHedge.P99us, slowNoHedge.P99us, slowHedge.HedgeWins, slowHedge.Hedges, hedgeBound))
+		"p99 %.0fµs vs unhedged %.0fµs (want <), hedge wins %d (want > 0), hedges %d (bound %d)",
+		slowHedge.P99us, slowNoHedge.P99us, slowHedge.HedgeWins, slowHedge.Hedges, hedgeBound)
 	report.Arms = append(report.Arms, slowHedge)
 
 	// Dropped responses: without a hedge the caller would hang to its
@@ -275,19 +248,24 @@ func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke 
 		HedgeBudget: hedgeBudget, HedgeBurst: hedgeBurst,
 		Chaos: &serve.ChaosProfile{Seed: seed, DropRate: 0.01},
 	}, serve.LoadOptions{Clients: 8, RequestTimeout: 100 * time.Millisecond})
-	gate(&drop, drop.Availability >= availabilityFloor && drop.Dropped > 0,
-		fmt.Sprintf("availability %.4f (floor %.2f), drops %d (want > 0)",
-			drop.Availability, availabilityFloor, drop.Dropped))
+	rep.gate(drop.Name, drop.Availability >= availabilityFloor && drop.Dropped > 0,
+		"availability %.4f (floor %.2f), drops %d (want > 0)",
+		drop.Availability, availabilityFloor, drop.Dropped)
 	report.Arms = append(report.Arms, drop)
 
-	// Brownout: slow compute plus more offered load than the pool can
-	// serve within its queue-delay budget. The ladder must engage and
-	// trade low-priority work away first.
+	// Brownout: every batch slow, and more high-priority clients alone
+	// (12) than the pool has batch slots (2 workers x 4). The queue of
+	// high-priority work never empties, so the queue-delay EWMA crosses
+	// DegradeAt and stays past it on any host, however the scheduler
+	// interleaves the clients; an overload that needed the low-priority
+	// load to keep the queue full let CPU contention decide whether the
+	// ladder engaged. The ladder must engage and trade low-priority work
+	// away first.
 	{
 		srv := serve.NewServer(model, serve.Options{
 			Workers: 2, BatchCap: 4, MaxQueueDelay: 5 * time.Millisecond,
 			SupervisorInterval: time.Millisecond, StallTimeout: 50 * time.Millisecond,
-			Chaos: &serve.ChaosProfile{Seed: seed, SlowRate: 0.6, SlowFor: 8 * time.Millisecond},
+			Chaos: &serve.ChaosProfile{Seed: seed, SlowRate: 1, SlowFor: 8 * time.Millisecond},
 		})
 		var lowRep, highRep serve.LoadReport
 		var wg sync.WaitGroup
@@ -302,48 +280,34 @@ func RunChaosBench(w io.Writer, jsonPath string, points int, seed uint64, smoke 
 		go func() {
 			defer wg.Done()
 			highRep = serve.RunLoad(srv, workload, serve.LoadOptions{
-				Clients: 2, Duration: armDur,
+				Clients: 12, Duration: armDur,
 				RequestTimeout: 50 * time.Millisecond, Priority: serve.PriorityHigh,
 			})
 		}()
 		wg.Wait()
 		st := srv.Stats()
 		srv.Close()
-		low := armFromLoad("brownout-low", "SlowRate 0.6/batch 8ms + overload, PriorityLow", lowRep, st)
-		high := armFromLoad("brownout-high", "SlowRate 0.6/batch 8ms + overload, PriorityHigh", highRep, st)
-		gate(&high,
+		low := armFromLoad("brownout-low", "SlowRate 1/batch 8ms, 8 clients, PriorityLow", lowRep, st)
+		high := armFromLoad("brownout-high", "SlowRate 1/batch 8ms, 12 clients, PriorityHigh", highRep, st)
+		rep.gate(high.Name,
 			high.Availability >= low.Availability && st.HealthTransitions > 0,
-			fmt.Sprintf("high-pri availability %.4f vs low-pri %.4f (want >=), transitions %d (want > 0)",
-				high.Availability, low.Availability, st.HealthTransitions))
+			"high-pri availability %.4f vs low-pri %.4f (want >=), transitions %d (want > 0)",
+			high.Availability, low.Availability, st.HealthTransitions)
 		report.Arms = append(report.Arms, low, high)
 	}
 
 	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "arm\tavail %\tp50 µs\tp99 µs\tdeaths\trespawns\tstalls\thedges\twins\tdenied\tdrops\tshed pri\thealth Δ\tgate")
+	fmt.Fprintln(tw, "arm\tavail %\tp50 µs\tp99 µs\tdeaths\trespawns\tstalls\thedges\twins\tdenied\tdrops\tshed pri\thealth Δ")
 	for _, a := range report.Arms {
-		fmt.Fprintf(tw, "%s\t%.2f\t%.0f\t%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
+		fmt.Fprintf(tw, "%s\t%.2f\t%.0f\t%.0f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			a.Name, 100*a.Availability, a.P50us, a.P99us,
 			a.WorkerDeaths, a.Respawns, a.WorkerStalls,
 			a.Hedges, a.HedgeWins, a.HedgeDenied, a.Dropped,
-			a.ShedPriority, a.HealthTransitions, a.Gate)
+			a.ShedPriority, a.HealthTransitions)
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
 	fmt.Fprintf(w, "chaos seed %d, schedule digest %s\n", report.Seed, report.ScheduleDigest)
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", jsonPath)
-	}
-	if len(gateFailures) > 0 {
-		return fmt.Errorf("chaos bench gates failed: %v", gateFailures)
-	}
-	return nil
+	return rep, nil
 }

@@ -1,12 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 
 	"sparkdbscan/internal/dbscan"
+	"sparkdbscan/internal/geom"
+	"sparkdbscan/internal/hdfs"
 	"sparkdbscan/internal/quest"
 	"sparkdbscan/internal/spark"
 
@@ -19,6 +20,59 @@ import (
 // blacklisting), and the report contrasts the makespans. The labels
 // column is the invariant the whole layer is built around — faults move
 // time, never results.
+
+// The fault, storage and trace benches share one job: a c10k draw
+// (default 4000 points) clustered at Table I parameters over 8
+// partitions on 16 cores in executors of 4, straggler seed 42. Its
+// input, when stored, is replicated 3 ways on 6 datanodes in 16 KiB
+// blocks.
+const (
+	faultJobDataset    = "c10k"
+	faultJobCores      = 16
+	faultJobCPE        = 4
+	faultJobPartitions = 8
+	faultJobBlockSize  = 1 << 14
+	faultJobDatanodes  = 6
+)
+
+// faultJobData generates the shared job's dataset.
+func faultJobData(points int) (*geom.Dataset, error) {
+	if points < 100 {
+		points = 4000
+	}
+	spec, err := quest.ByName(faultJobDataset)
+	if err != nil {
+		return nil, err
+	}
+	return quest.Generate(spec.Scaled(points))
+}
+
+// faultJobFS builds the replicated filesystem holding the job's input
+// under storage-fault profile p (nil: none).
+func faultJobFS(ds *geom.Dataset, p *hdfs.StorageFaultProfile) (*hdfs.FileSystem, error) {
+	fs := hdfs.NewCluster(faultJobBlockSize, 3, faultJobDatanodes)
+	if err := fs.Write("input", make([]byte, ds.SizeBytes()), nil); err != nil {
+		return nil, err
+	}
+	fs.SetFaultProfile(p)
+	return fs, nil
+}
+
+// runFaultJob runs the shared job over ds on a fresh context; cfg
+// supplies any faults or tracer, storage any filesystem.
+func runFaultJob(ds *geom.Dataset, cfg spark.Config, storage *coredbscan.StorageOptions) (*coredbscan.Result, spark.Report, error) {
+	cfg.Cores, cfg.CoresPerExecutor, cfg.Seed = faultJobCores, faultJobCPE, 42
+	sctx := spark.NewContext(cfg)
+	res, err := coredbscan.Run(sctx, ds, coredbscan.Config{
+		Params:     dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts},
+		Partitions: faultJobPartitions,
+		Storage:    storage,
+	})
+	if err != nil {
+		return nil, spark.Report{}, err
+	}
+	return res, sctx.Report(), nil
+}
 
 // faultBenchProfile is the injected fault mix: moderately flaky tasks,
 // occasional slow executors, and a coin-flip executor crash per stage.
@@ -45,9 +99,8 @@ type FaultBenchRun struct {
 	LabelsMatch      bool     `json:"labels_match_clean"`
 }
 
-// FaultBenchReport is the BENCH_faults.json payload.
-type FaultBenchReport struct {
-	Method               string          `json:"method"`
+// FaultBenchResult is the BENCH_faults.json result body.
+type FaultBenchResult struct {
 	Dataset              string          `json:"dataset"`
 	Points               int             `json:"points"`
 	Cores                int             `json:"cores"`
@@ -57,76 +110,38 @@ type FaultBenchReport struct {
 	Runs                 []FaultBenchRun `json:"runs"`
 }
 
-// RunFaultBench runs the clean-vs-faulty comparison for each seed and,
-// when jsonPath is non-empty, writes the report there.
-func RunFaultBench(w io.Writer, jsonPath string, seeds []uint64, points int) error {
-	if len(seeds) == 0 {
-		seeds = []uint64{11, 23, 47}
-	}
-	if points < 100 {
-		points = 4000
-	}
-	const (
-		dataset    = "c10k"
-		cores      = 16
-		cpe        = 4
-		partitions = 8
-	)
-	spec, err := quest.ByName(dataset)
+// runFaultBench runs the clean-vs-faulty comparison for each seed
+// (c.Seed alone when set, else 11, 23 and 47).
+func runFaultBench(w io.Writer, c Config) (Report, error) {
+	ds, err := faultJobData(c.Points)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
-	ds, err := quest.Generate(spec.Scaled(points))
+	clean, cleanRep, err := runFaultJob(ds, spark.Config{}, nil)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
-	params := dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts}
-
-	run := func(p *spark.FaultProfile) (*coredbscan.Result, spark.Report, error) {
-		sctx := spark.NewContext(spark.Config{
-			Cores: cores, CoresPerExecutor: cpe, Seed: 42, Faults: p,
-		})
-		res, err := coredbscan.Run(sctx, ds, coredbscan.Config{
-			Params: params, Partitions: partitions,
-		})
-		if err != nil {
-			return nil, spark.Report{}, err
-		}
-		return res, sctx.Report(), nil
-	}
-
-	clean, cleanRep, err := run(nil)
-	if err != nil {
-		return err
-	}
-	report := FaultBenchReport{
-		Method: "same job, same straggler seed; each arm adds a seeded fault profile " +
-			"(task fail 0.3, slow 0.2 x4, executor crash 0.5/stage, blacklist after 2)",
-		Dataset: dataset, Points: ds.Len(),
-		Cores: cores, CoresPerExecutor: cpe, Partitions: partitions,
+	report := &FaultBenchResult{
+		Dataset: faultJobDataset, Points: ds.Len(),
+		Cores: faultJobCores, CoresPerExecutor: faultJobCPE, Partitions: faultJobPartitions,
 		CleanExecutorSeconds: cleanRep.ExecutorSeconds,
 	}
 
 	tw := newTabWriter(w)
 	fmt.Fprintln(tw, "run\texec s\toverhead\tfailures\tretry s\tbackoff s\trestarts\tblacklist\tlabels")
 	fmt.Fprintf(tw, "clean\t%.3f\t1.00x\t0\t0\t0\t0\t0\tref\n", cleanRep.ExecutorSeconds)
-	for _, seed := range seeds {
-		res, rep, err := run(faultBenchProfile(seed))
+	for _, seed := range benchSeeds(c.Seed) {
+		res, rep, err := runFaultJob(ds, spark.Config{Faults: faultBenchProfile(seed)}, nil)
 		if err != nil {
-			return err
+			return Report{}, err
 		}
 		var retry, backoff float64
 		for _, st := range rep.Stages {
 			retry += st.RetrySeconds
 			backoff += st.BackoffSeconds
 		}
-		match := res.Global.NumPartialClusters == clean.Global.NumPartialClusters
-		for i := range clean.Global.Labels {
-			if res.Global.Labels[i] != clean.Global.Labels[i] {
-				match = false
-				break
-			}
-		}
+		match := res.Global.NumPartialClusters == clean.Global.NumPartialClusters &&
+			slices.Equal(res.Global.Labels, clean.Global.Labels)
 		r := FaultBenchRun{
 			Seed:             seed,
 			ExecutorSeconds:  rep.ExecutorSeconds,
@@ -152,23 +167,29 @@ func RunFaultBench(w io.Writer, jsonPath string, seeds []uint64, points int) err
 			len(r.BlacklistEvents), labels)
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
+	rep := Report{
+		Method: "same job, same straggler seed; each arm adds a seeded fault profile " +
+			"(task fail 0.3, slow 0.2 x4, executor crash 0.5/stage, blacklist after 2)",
+		Result: report,
+	}
+	matched := 0
 	for _, r := range report.Runs {
-		if !r.LabelsMatch {
-			return fmt.Errorf("faultbench: seed %d changed the clustering — the fault layer is broken", r.Seed)
+		if r.LabelsMatch {
+			matched++
 		}
 	}
-	if jsonPath == "" {
-		return nil
+	rep.gate("labels-identical", matched == len(report.Runs),
+		"%d of %d fault seeds left the labels identical to the clean run", matched, len(report.Runs))
+	return rep, nil
+}
+
+// benchSeeds is the seed list of the multi-seed benches: seed alone
+// when set, else the three recorded seeds.
+func benchSeeds(seed uint64) []uint64 {
+	if seed != 0 {
+		return []uint64{seed}
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
-	return nil
+	return []uint64{11, 23, 47}
 }

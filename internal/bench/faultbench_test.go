@@ -1,30 +1,17 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestFaultBenchWritesReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_faults.json")
-	var out bytes.Buffer
-	if err := RunFaultBench(&out, path, []uint64{11}, 800); err != nil {
-		t.Fatal(err)
+	env, rep, out := runBench[FaultBenchResult](t, "faults", Config{Seed: 11, Points: 800})
+	if !strings.Contains(out, "identical") {
+		t.Fatalf("labels column missing:\n%s", out)
 	}
-	if !strings.Contains(out.String(), "identical") {
-		t.Fatalf("labels column missing:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep FaultBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
+	if env.Clock != ClockSimulated || !gateNames(env)["labels-identical"] {
+		t.Fatalf("envelope clock %q gates %+v", env.Clock, env.Gates)
 	}
 	if rep.CleanExecutorSeconds <= 0 || len(rep.Runs) != 1 {
 		t.Fatalf("bad report: %+v", rep)

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"sparkdbscan/internal/geom"
@@ -13,48 +10,37 @@ import (
 	"sparkdbscan/internal/rng"
 )
 
-// The kd-tree engine benchmark is the one harness entry that measures
-// host wall-clock rather than simulated time: it compares the packed
-// query engine against the retained pre-change implementation
-// (kdtree.LegacyTree) on the workload shape the executors actually
+// The kd-tree engine benchmark measures the packed query engine on
+// the host wall clock, on the workload shape the executors actually
 // run — a full pass querying every point of a clustered dataset once,
-// which is exactly LocalDBSCAN's access pattern. Arms are interleaved
-// within each repetition and the best repetition is reported, so slow
-// host noise (shared machines, frequency scaling) inflates both arms
-// or neither.
+// which is exactly LocalDBSCAN's access pattern. The best repetition is
+// reported, so slow host noise (shared machines, frequency scaling)
+// does not inflate the figures. The pre-packed tree it replaced is
+// compared in BENCH_kdtree.json at commit 0df0cd6.
 
-// KDBenchCell is one (operation, dataset) comparison.
+// KDBenchCell is one (operation, dataset) measurement.
 type KDBenchCell struct {
-	Op               string  `json:"op"`
-	Dim              int     `json:"dim"`
-	N                int     `json:"n"`
-	Eps              float64 `json:"eps"`
-	Queries          int     `json:"queries"`
-	PackedNsPerQuery float64 `json:"packed_ns_per_query"`
-	LegacyNsPerQuery float64 `json:"legacy_ns_per_query"`
-	Speedup          float64 `json:"speedup"`
+	Op         string  `json:"op"`
+	Dim        int     `json:"dim"`
+	N          int     `json:"n"`
+	Eps        float64 `json:"eps"`
+	Queries    int     `json:"queries"`
+	NsPerQuery float64 `json:"ns_per_query"`
 }
 
-// KDBenchBuild is one dataset's build-time comparison. The packed build
-// is parallel (bounded pool, bit-identical output); the legacy build is
-// the serial pre-change code.
+// KDBenchBuild is one dataset's (parallel, bit-identical) build.
 type KDBenchBuild struct {
-	Dim               int     `json:"dim"`
-	N                 int     `json:"n"`
-	PackedBuildMs     float64 `json:"packed_build_ms"`
-	LegacyBuildMs     float64 `json:"legacy_build_ms"`
-	PackedMemoryBytes int64   `json:"packed_memory_bytes"`
+	Dim         int     `json:"dim"`
+	N           int     `json:"n"`
+	BuildMs     float64 `json:"build_ms"`
+	MemoryBytes int64   `json:"memory_bytes"`
 }
 
-// KDBenchReport is the BENCH_kdtree.json payload.
-type KDBenchReport struct {
-	Method   string         `json:"method"`
-	GoOS     string         `json:"goos"`
-	GoArch   string         `json:"goarch"`
-	MaxProcs int            `json:"maxprocs"`
-	Reps     int            `json:"reps"`
-	Builds   []KDBenchBuild `json:"builds"`
-	Cells    []KDBenchCell  `json:"cells"`
+// KDBenchResult is the BENCH_kdtree.json result body.
+type KDBenchResult struct {
+	Reps   int            `json:"reps"`
+	Builds []KDBenchBuild `json:"builds"`
+	Cells  []KDBenchCell  `json:"cells"`
 }
 
 // kdBenchDataset mirrors the microbenchmark corpus in
@@ -113,81 +99,54 @@ func fullPass(idx kdtree.Index, ds *geom.Dataset, eps float64, op string) time.D
 
 var kdBenchOps = []string{"Radius", "RadiusCount", "RadiusLimit"}
 
-// RunKDBench benchmarks the packed kd-tree against the pre-change tree
-// and, when jsonPath is non-empty, writes the report there.
-func RunKDBench(w io.Writer, jsonPath string, reps int) error {
-	if reps < 1 {
-		reps = 3
+// runKDBench times the packed tree's build and full query passes over
+// {Radius, RadiusCount, RadiusLimit} × d ∈ {2, 10} × n ∈ {10k, 100k};
+// smoke takes one repetition instead of three.
+func runKDBench(w io.Writer, c Config) (Report, error) {
+	reps := 3
+	if c.Smoke {
+		reps = 1
 	}
-	report := KDBenchReport{
-		Method: "full pass: every dataset point queried once per (op, arm); " +
-			"arms interleaved per repetition, best repetition reported",
-		GoOS:     runtime.GOOS,
-		GoArch:   runtime.GOARCH,
-		MaxProcs: runtime.GOMAXPROCS(0),
-		Reps:     reps,
-	}
+	res := &KDBenchResult{Reps: reps}
 	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "op\td\tn\teps\tpacked ns/q\tlegacy ns/q\tspeedup")
+	fmt.Fprintln(tw, "op\td\tn\teps\tns/q")
 	for _, dim := range []int{2, 10} {
 		for _, n := range []int{10_000, 100_000} {
 			ds := kdBenchDataset(n, dim)
 			eps := kdBenchEps(dim)
 
-			var packed *kdtree.Tree
-			var legacy *kdtree.LegacyTree
+			var tree *kdtree.Tree
 			build := KDBenchBuild{Dim: dim, N: n}
 			for rep := 0; rep < reps; rep++ {
 				start := time.Now()
-				packed = kdtree.Build(ds)
-				pms := float64(time.Since(start).Nanoseconds()) / 1e6
-				start = time.Now()
-				legacy = kdtree.BuildLegacy(ds)
-				lms := float64(time.Since(start).Nanoseconds()) / 1e6
-				if rep == 0 || pms < build.PackedBuildMs {
-					build.PackedBuildMs = pms
-				}
-				if rep == 0 || lms < build.LegacyBuildMs {
-					build.LegacyBuildMs = lms
+				tree = kdtree.Build(ds)
+				ms := float64(time.Since(start).Nanoseconds()) / 1e6
+				if rep == 0 || ms < build.BuildMs {
+					build.BuildMs = ms
 				}
 			}
-			build.PackedMemoryBytes = packed.MemoryBytes()
-			report.Builds = append(report.Builds, build)
+			build.MemoryBytes = tree.MemoryBytes()
+			res.Builds = append(res.Builds, build)
 
 			for _, op := range kdBenchOps {
 				cell := KDBenchCell{Op: op, Dim: dim, N: n, Eps: eps, Queries: ds.Len()}
 				for rep := 0; rep < reps; rep++ {
-					p := fullPass(packed, ds, eps, op)
-					l := fullPass(legacy, ds, eps, op)
-					pns := float64(p.Nanoseconds()) / float64(ds.Len())
-					lns := float64(l.Nanoseconds()) / float64(ds.Len())
-					if rep == 0 || pns < cell.PackedNsPerQuery {
-						cell.PackedNsPerQuery = pns
-					}
-					if rep == 0 || lns < cell.LegacyNsPerQuery {
-						cell.LegacyNsPerQuery = lns
+					ns := float64(fullPass(tree, ds, eps, op).Nanoseconds()) / float64(ds.Len())
+					if rep == 0 || ns < cell.NsPerQuery {
+						cell.NsPerQuery = ns
 					}
 				}
-				cell.Speedup = cell.LegacyNsPerQuery / cell.PackedNsPerQuery
-				report.Cells = append(report.Cells, cell)
-				fmt.Fprintf(tw, "%s\t%d\t%d\t%g\t%.0f\t%.0f\t%.2fx\n",
-					op, dim, n, eps, cell.PackedNsPerQuery, cell.LegacyNsPerQuery, cell.Speedup)
+				res.Cells = append(res.Cells, cell)
+				fmt.Fprintf(tw, "%s\t%d\t%d\t%g\t%.0f\n", op, dim, n, eps, cell.NsPerQuery)
 			}
 		}
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
-	return nil
+	return Report{
+		Method: "full pass: every dataset point queried once per op; build and each pass " +
+			"repeated, best repetition reported",
+		Result: res,
+	}, nil
 }

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 	"time"
 
 	"sparkdbscan/internal/dbscan"
@@ -27,9 +25,9 @@ import (
 //
 // Gates: at the default k (16) both graphs must reach NMI >= 0.99
 // against exact DBSCAN; KNN-DBSCAN labels on the approximate graph
-// must be byte-identical across DSU worker counts; and at full size
-// (n=20k, d=128 — not enforced in -smoke) the approximate build must
-// be >= 3x faster than the exact build at the same k.
+// must be byte-identical across DSU worker counts; and outside a smoke
+// run (the full n=20k, d=128) the approximate build must be >= 3x
+// faster than the exact build at the same k.
 
 // KNNBenchArm is one (builder, k) cell of the frontier.
 type KNNBenchArm struct {
@@ -52,15 +50,15 @@ type KNNBenchArm struct {
 	SpeedupVsExact float64 `json:"build_speedup_vs_exact"`
 }
 
-// KNNBenchReport is the BENCH_knn.json payload.
-type KNNBenchReport struct {
-	Method  string `json:"method"`
-	Dataset string `json:"dataset"`
-	Points  int    `json:"points"`
-	Dim     int    `json:"dim"`
+// KNNBenchResult is the BENCH_knn.json result body.
+type KNNBenchResult struct {
+	Smoke   bool    `json:"smoke"`
+	Dataset string  `json:"dataset"`
+	Points  int     `json:"points"`
+	Dim     int     `json:"dim"`
 	Eps     float64 `json:"eps"`
 	MinPts  int     `json:"min_pts"`
-	Seed    uint64 `json:"seed"`
+	Seed    uint64  `json:"seed"`
 	// Reference exact DBSCAN (brute-force radius at d=128).
 	RefSeconds  float64 `json:"exact_dbscan_seconds"`
 	RefClusters int     `json:"exact_dbscan_clusters"`
@@ -68,51 +66,47 @@ type KNNBenchReport struct {
 
 	Arms []KNNBenchArm `json:"arms"`
 
-	// Gate inputs, pulled out of Arms for the CI assertions.
+	// Gate inputs, pulled out of Arms.
 	DefaultK            int     `json:"default_k"`
 	NMIExactAtDefaultK  float64 `json:"nmi_exact_graph_at_default_k"`
 	NMIApproxAtDefaultK float64 `json:"nmi_approx_graph_at_default_k"`
 	SpeedupAtDefaultK   float64 `json:"build_speedup_at_default_k"`
-	SpeedGateEnforced   bool    `json:"speed_gate_enforced"`
 	LabelsDeterministic bool    `json:"labels_deterministic_across_dsu_workers"`
 }
 
-// RunKNNBench runs the frontier and, when jsonPath is non-empty, writes
-// the report there. points sizes the mixture (0 = the full 20k; smoke
-// shrinks to 4k and waives the build-speed gate, which needs the full
-// n for the quadratic exact build to dominate).
-func RunKNNBench(w io.Writer, jsonPath string, points int, seed uint64, smoke bool) error {
+// runKNNBench runs the frontier. c.Points sizes the mixture (default
+// the full 20k; smoke shrinks to 4k and waives the build-speed gate,
+// which needs the full n for the quadratic exact build to dominate).
+// c.Seed is the NN-descent sampling seed (default 1).
+func runKNNBench(w io.Writer, c Config) (Report, error) {
 	const defaultK = 16
 	ks := []int{8, defaultK, 32}
 
+	points, seed, smoke := c.Points, c.Seed, c.Smoke
 	if points <= 0 {
 		points = 20_000
 	}
 	if smoke && points > 4_000 {
 		points = 4_000
 	}
+	if seed == 0 {
+		seed = 1
+	}
 	spec, err := quest.EmbedByName("embed20k")
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	spec = spec.Scaled(points)
 	ds, err := quest.GenerateEmbedding(spec)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	params := dbscan.Params{Eps: spec.Eps, MinPts: spec.MinPts}
-	report := KNNBenchReport{
-		Method: "For each k, time the exact blocked brute-force kNN build and the seeded " +
-			"NN-descent build on the embed20k mixture (d=128 unit-sphere Gaussian caps), " +
-			"score NN-descent's neighbour recall against the exact lists, run KNN-DBSCAN " +
-			"on every graph and score its labels against the exact DBSCAN reference " +
-			"(brute-force radius scan) with NMI/ARI. Gates: NMI >= 0.99 at k=16 on both " +
-			"graphs, labels byte-identical across DSU worker counts, and at full size " +
-			"the approximate build >= 3x faster than exact at the same k.",
+	report := &KNNBenchResult{
+		Smoke:   smoke,
 		Dataset: spec.Name, Points: ds.Len(), Dim: ds.Dim,
 		Eps: spec.Eps, MinPts: spec.MinPts, Seed: seed,
 		DefaultK:            defaultK,
-		SpeedGateEnforced:   !smoke,
 		LabelsDeterministic: true,
 	}
 
@@ -121,7 +115,7 @@ func RunKNNBench(w io.Writer, jsonPath string, points int, seed uint64, smoke bo
 	start := time.Now()
 	ref, err := dbscan.Run(ds, kdtree.NewBruteForce(ds), params)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	report.RefSeconds = time.Since(start).Seconds()
 	report.RefClusters, report.RefNoise = ref.NumClusters, ref.NumNoise
@@ -157,29 +151,29 @@ func RunKNNBench(w io.Writer, jsonPath string, points int, seed uint64, smoke bo
 		start := time.Now()
 		exact, err := knng.BuildExact(ds, k, 0)
 		if err != nil {
-			return err
+			return Report{}, err
 		}
 		exactSec := time.Since(start).Seconds()
 
 		start = time.Now()
 		approx, err := knng.BuildNNDescent(ds, k, knng.ApproxOptions{Seed: seed})
 		if err != nil {
-			return err
+			return Report{}, err
 		}
 		approxSec := time.Since(start).Seconds()
 		recall, err := eval.RecallAtK(approx.Idx, exact.Idx, k)
 		if err != nil {
-			return err
+			return Report{}, err
 		}
 
 		exactArm, err := score(exact, "exact", k, exactSec, 1)
 		if err != nil {
-			return err
+			return Report{}, err
 		}
 		exactArm.SpeedupVsExact = 1
 		approxArm, err := score(approx, "nndescent", k, approxSec, recall)
 		if err != nil {
-			return err
+			return Report{}, err
 		}
 		approxArm.SpeedupVsExact = exactSec / approxSec
 		report.Arms = append(report.Arms, exactArm, approxArm)
@@ -196,58 +190,50 @@ func RunKNNBench(w io.Writer, jsonPath string, points int, seed uint64, smoke bo
 
 			// The determinism gate: KNN-DBSCAN on the approximate graph
 			// must label identically whatever the DSU worker count.
-			var base []byte
+			var base []int32
 			for _, workers := range []int{1, 2, 8} {
 				res, err := knng.DBSCAN(approx, params, knng.Options{Workers: workers})
 				if err != nil {
-					return err
+					return Report{}, err
 				}
-				lb := int32sAsBytes(res.Labels)
 				if base == nil {
-					base = lb
-				} else if !bytes.Equal(lb, base) {
+					base = res.Labels
+				} else if !slices.Equal(res.Labels, base) {
 					report.LabelsDeterministic = false
 				}
 			}
 		}
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
 
 	fmt.Fprintf(w, "\nat default k=%d: exact-graph NMI %.4f, approx-graph NMI %.4f, build speedup %.2fx\n",
 		defaultK, report.NMIExactAtDefaultK, report.NMIApproxAtDefaultK, report.SpeedupAtDefaultK)
 
-	if !report.LabelsDeterministic {
-		return fmt.Errorf("knnbench: labels depend on the DSU worker count")
+	rep := Report{
+		Method: "For each k, time the exact blocked brute-force kNN build and the seeded " +
+			"NN-descent build on the embed20k mixture (d=128 unit-sphere Gaussian caps), " +
+			"score NN-descent's neighbour recall against the exact lists, run KNN-DBSCAN " +
+			"on every graph and score its labels against the exact DBSCAN reference " +
+			"(brute-force radius scan) with NMI/ARI. Gates: NMI >= 0.99 at k=16 on both " +
+			"graphs, labels byte-identical across DSU worker counts, and outside a smoke " +
+			"run the approximate build >= 3x faster than exact at the same k.",
+		Result: report,
 	}
-	if report.NMIExactAtDefaultK < 0.99 {
-		return fmt.Errorf("knnbench: exact-graph NMI at k=%d is %.4f, want >= 0.99",
-			defaultK, report.NMIExactAtDefaultK)
-	}
-	if report.NMIApproxAtDefaultK < 0.99 {
-		return fmt.Errorf("knnbench: approx-graph NMI at k=%d is %.4f, want >= 0.99",
-			defaultK, report.NMIApproxAtDefaultK)
-	}
-	if report.SpeedGateEnforced && report.SpeedupAtDefaultK < 3 {
-		return fmt.Errorf("knnbench: approximate build speedup at k=%d is %.2fx, want >= 3x at n=%d",
-			defaultK, report.SpeedupAtDefaultK, report.Points)
-	}
-	if !report.SpeedGateEnforced {
+	rep.gate("labels-deterministic", report.LabelsDeterministic,
+		"approx-graph labels identical across 1/2/8 DSU workers: %v", report.LabelsDeterministic)
+	rep.gate("nmi-exact-graph", report.NMIExactAtDefaultK >= 0.99,
+		"exact-graph NMI at k=%d is %.4f (want >= 0.99)", defaultK, report.NMIExactAtDefaultK)
+	rep.gate("nmi-approx-graph", report.NMIApproxAtDefaultK >= 0.99,
+		"approx-graph NMI at k=%d is %.4f (want >= 0.99)", defaultK, report.NMIApproxAtDefaultK)
+	if smoke {
 		fmt.Fprintf(w, "(smoke: %.2fx build speedup reported, >= 3x gate waived below full size)\n",
 			report.SpeedupAtDefaultK)
+	} else {
+		rep.gate("build-speedup", report.SpeedupAtDefaultK >= 3,
+			"approximate build speedup at k=%d is %.2fx at n=%d (want >= 3x)",
+			defaultK, report.SpeedupAtDefaultK, report.Points)
 	}
-
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
-	return nil
+	return rep, nil
 }

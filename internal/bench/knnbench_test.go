@@ -1,30 +1,12 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // A tiny run of the knn frontier: the accuracy and determinism gates
-// must hold even at 800 points, and the artifact must record the
-// waived speed gate honestly.
+// must hold even at 800 points, and the smoke artifact must not claim
+// the waived speed gate.
 func TestKNNBenchSmoke(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_knn.json")
-	var out bytes.Buffer
-	if err := RunKNNBench(&out, path, 800, 7, true); err != nil {
-		t.Fatalf("%v\noutput:\n%s", err, out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep KNNBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
+	env, rep, _ := runBench[KNNBenchResult](t, "knn", Config{Points: 800, Seed: 7, Smoke: true})
 	if rep.Points != 800 || rep.Dim != 128 {
 		t.Fatalf("unexpected dataset shape: %+v", rep)
 	}
@@ -34,8 +16,14 @@ func TestKNNBenchSmoke(t *testing.T) {
 	if !rep.LabelsDeterministic {
 		t.Fatal("labels depend on the DSU worker count")
 	}
-	if rep.SpeedGateEnforced {
+	gates := gateNames(env)
+	if !rep.Smoke || gates["build-speedup"] {
 		t.Fatal("smoke run must waive the full-size speed gate")
+	}
+	for _, want := range []string{"labels-deterministic", "nmi-exact-graph", "nmi-approx-graph"} {
+		if !gates[want] {
+			t.Fatalf("gate %q missing: %+v", want, env.Gates)
+		}
 	}
 	// The accuracy gates, as recorded in the artifact.
 	if rep.NMIExactAtDefaultK < 0.99 || rep.NMIApproxAtDefaultK < 0.99 {

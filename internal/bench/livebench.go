@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
+	"slices"
 	"time"
 
 	"sparkdbscan/internal/dbscan"
@@ -29,8 +27,8 @@ import (
 //     has the model drifted when the threshold fires, what does the
 //     reconcile cost, and does it restore exactness?
 //
-// The report gates (availability, post-reconcile ARI, drift bound)
-// return an error — the CI smoke run fails the process on regression.
+// The gates (availability, post-reconcile ARI, drift bound) fail the
+// run — the CI smoke run fails the process on regression.
 
 // LiveUpdateCell is the direct-model mutation-throughput arm.
 type LiveUpdateCell struct {
@@ -69,12 +67,8 @@ type LiveReconcileCell struct {
 	Clusters       int     `json:"clusters"`
 }
 
-// LiveBenchReport is the BENCH_live.json payload.
-type LiveBenchReport struct {
-	Method    string            `json:"method"`
-	GoOS      string            `json:"goos"`
-	GoArch    string            `json:"goarch"`
-	MaxProcs  int               `json:"maxprocs"`
+// LiveBenchResult is the BENCH_live.json result body.
+type LiveBenchResult struct {
 	Smoke     bool              `json:"smoke"`
 	Seed      uint64            `json:"seed"`
 	Points    int               `json:"points"`
@@ -84,23 +78,24 @@ type LiveBenchReport struct {
 	Update    LiveUpdateCell    `json:"update_throughput"`
 	Churn     []LiveChurnCell   `json:"read_under_churn"`
 	Reconcile LiveReconcileCell `json:"reconcile"`
-	Gates     []string          `json:"gates"`
 }
 
-// liveGates are the regression bounds the smoke run enforces.
+// The live bench's gate bounds.
 const (
 	liveGateAvailability = 0.99
 	liveGatePostARI      = 0.9999
 	liveGateDriftSlack   = 1.10 // drift at trigger may overshoot MaxDrift by 10%
 )
 
-// RunLiveBench benchmarks the live-update layer and, when jsonPath is
-// non-empty, writes BENCH_live.json. A gate violation returns an
-// error after the report is written, so CI fails while the numbers
-// remain inspectable.
-func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke bool) error {
+// runLiveBench benchmarks the live-update layer. c.Seed drives the
+// mutation stream (default 5).
+func runLiveBench(w io.Writer, c Config) (Report, error) {
+	points, seed, smoke := c.Points, c.Seed, c.Smoke
 	if points <= 0 {
 		points = 20_000
+	}
+	if seed == 0 {
+		seed = 5
 	}
 	armDur := 600 * time.Millisecond
 	if smoke {
@@ -109,30 +104,19 @@ func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke b
 		}
 		armDur = 200 * time.Millisecond
 	}
-	const (
-		dim    = 10
-		minPts = 5
-		eps    = 22.0 // the BENCH_serve regime; see servebench.go
-	)
-	p := dbscan.Params{Eps: eps, MinPts: minPts}
-	ds := kdBenchDataset(points, dim)
-	tree := kdtree.Build(ds)
-	res, err := dbscan.Run(ds, tree, p)
+	p := servingParams
+	ds, tree, res, err := servingClustering(points)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
-	report := LiveBenchReport{
-		Method: "update arm: direct Model mutations, thresholds disabled; churn arms: closed-loop readers " +
-			"vs the same plus a paced write stream (RunMixedLoad); reconcile arm: mutate to just under the " +
-			"drift threshold, measure ARI vs from-scratch DBSCAN before and after ReconcileNow",
-		GoOS: runtime.GOOS, GoArch: runtime.GOARCH, MaxProcs: runtime.GOMAXPROCS(0),
-		Smoke: smoke, Seed: seed, Points: ds.Len(), Dim: dim, Eps: eps, MinPts: minPts,
+	report := &LiveBenchResult{
+		Smoke: smoke, Seed: seed, Points: ds.Len(), Dim: servingDim, Eps: p.Eps, MinPts: p.MinPts,
 	}
 
 	// Arm 1: raw update throughput, reconciliation disabled.
 	m, err := live.NewModel(ds, res.Labels, tree, p, live.Options{MaxOverlay: -1, MaxDrift: -1})
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	wl := serve.DatasetWorkload(ds)
 	ops := points / 4
@@ -144,7 +128,7 @@ func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke b
 	ins, del := 0, 0
 	for i := 0; i < ops; i++ {
 		if delOp, err := mut.apply(m, i); err != nil {
-			return err
+			return Report{}, err
 		} else if delOp {
 			del++
 		} else {
@@ -172,10 +156,10 @@ func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke b
 	tw := newTabWriter(w)
 	fmt.Fprintln(tw, "arm\twrite rate\tread qps\tavail\tp50 µs\tp99 µs\twrites\tupd/s")
 	for _, arm := range churnArms {
-		lm, err := live.NewModel(kdBenchDataset(points, dim), nil2labels(res.Labels), nil, p,
+		lm, err := live.NewModel(kdBenchDataset(points, servingDim), slices.Clone(res.Labels), nil, p,
 			live.Options{MaxOverlay: -1, MaxDrift: -1})
 		if err != nil {
-			return err
+			return Report{}, err
 		}
 		srv := live.NewServer(lm, serve.Options{Workers: 4, BatchCap: 16, MaxQueueDelay: -1})
 		rep := live.RunMixedLoad(srv, wl, live.MixedOptions{
@@ -198,7 +182,7 @@ func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke b
 			cell.P50us, cell.P99us, cell.Writes, cell.UpdatesPerSec)
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
 
 	// Arm 3: staleness at the reconcile threshold. Thresholds are
@@ -206,34 +190,34 @@ func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke b
 	// drift up to exactly the bound, measure staleness, then force the
 	// reconcile the threshold would have run.
 	const maxDrift = 0.10
-	rm, err := live.NewModel(kdBenchDataset(points, dim), nil2labels(res.Labels), nil, p,
+	rm, err := live.NewModel(kdBenchDataset(points, servingDim), slices.Clone(res.Labels), nil, p,
 		live.Options{MaxOverlay: -1, MaxDrift: -1})
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	rmut := newMutator(seed^0xabcdef, wl)
 	muts := 0
 	for rm.Stats().Drift < maxDrift {
 		if _, err := rmut.apply(rm, muts); err != nil {
-			return err
+			return Report{}, err
 		}
 		muts++
 		if muts > 2*points {
-			return fmt.Errorf("livebench: drift bound never reached after %d mutations", muts)
+			return Report{}, fmt.Errorf("livebench: drift bound never reached after %d mutations", muts)
 		}
 	}
 	// Measure staleness just before forcing the reconcile.
 	preARI, err := liveARI(rm, p)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	rst, err := rm.ReconcileNow()
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	postARI, err := liveARI(rm, p)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	report.Reconcile = LiveReconcileCell{
 		Mutations:      muts,
@@ -247,43 +231,22 @@ func RunLiveBench(w io.Writer, jsonPath string, points int, seed uint64, smoke b
 	fmt.Fprintf(w, "reconcile: %d mutations, drift %.3f, pre-ARI %.4f (staleness %.4f), rebuild %.1f ms, post-ARI %.6f\n",
 		muts, rst.Drift, preARI, 1-preARI, report.Reconcile.ReconcileMs, postARI)
 
-	// Gates.
-	for _, c := range report.Churn {
-		if c.Availability < liveGateAvailability {
-			report.Gates = append(report.Gates, fmt.Sprintf(
-				"availability %.4f < %.2f in arm %s", c.Availability, liveGateAvailability, c.Name))
-		}
+	rep := Report{
+		Method: "update arm: direct Model mutations, thresholds disabled; churn arms: closed-loop readers " +
+			"vs the same plus a paced write stream (RunMixedLoad); reconcile arm: mutate to just under the " +
+			"drift threshold, measure ARI vs from-scratch DBSCAN before and after ReconcileNow",
+		Result: report,
 	}
-	if postARI < liveGatePostARI {
-		report.Gates = append(report.Gates, fmt.Sprintf(
-			"post-reconcile ARI %.6f < %.4f", postARI, liveGatePostARI))
+	for _, arm := range report.Churn {
+		rep.gate("availability-"+arm.Name, arm.Availability >= liveGateAvailability,
+			"read availability %.4f (want >= %.2f)", arm.Availability, liveGateAvailability)
 	}
-	if rst.Drift > maxDrift*liveGateDriftSlack && rst.Drift > 0 {
-		report.Gates = append(report.Gates, fmt.Sprintf(
-			"drift at reconcile %.4f exceeds bound %.4f", rst.Drift, maxDrift*liveGateDriftSlack))
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
-	}
-	if len(report.Gates) > 0 {
-		return fmt.Errorf("livebench gates failed: %v", report.Gates)
-	}
-	fmt.Fprintf(w, "gates ok: availability >= %.2f, post-ARI >= %.4f, drift bounded\n",
-		liveGateAvailability, liveGatePostARI)
-	return nil
+	rep.gate("post-reconcile-ari", postARI >= liveGatePostARI,
+		"post-reconcile ARI %.6f (want >= %.4f)", postARI, liveGatePostARI)
+	rep.gate("drift-bounded", rst.Drift <= maxDrift*liveGateDriftSlack || rst.Drift <= 0,
+		"drift at reconcile %.4f (bound %.4f)", rst.Drift, maxDrift*liveGateDriftSlack)
+	return rep, nil
 }
-
-// nil2labels copies a label slice (live.NewModel adopts the dataset we
-// rebuild per arm, but the labels come from the shared offline run).
-func nil2labels(labels []int32) []int32 { return append([]int32(nil), labels...) }
 
 // mutator is the deterministic insert/delete stream shared by the
 // bench arms: 70% jittered inserts sampled from the workload, 30%

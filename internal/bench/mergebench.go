@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"time"
+	"slices"
 
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/quest"
@@ -46,10 +43,7 @@ type MergeBenchArm struct {
 	Workers int    `json:"workers"`
 	// SimSeconds is the simulated driver-phase time: the serial residue
 	// at full cost plus the parallelizable remainder divided by workers.
-	SimSeconds float64 `json:"sim_seconds"`
-	// WallSeconds is the real time the merge took on the host — the
-	// goroutines are real even though the pricing is simulated.
-	WallSeconds float64 `json:"wall_seconds"`
+	SimSeconds  float64 `json:"sim_seconds"`
 	NumClusters int     `json:"clusters"`
 	NumMerges   int     `json:"merges"`
 	// Speedup is the one-worker arm's SimSeconds over this arm's.
@@ -67,9 +61,8 @@ type MergePipelineRun struct {
 	MergeShare float64 `json:"merge_critical_path_share"`
 }
 
-// MergeBenchReport is the BENCH_merge.json payload.
-type MergeBenchReport struct {
-	Method          string             `json:"method"`
+// MergeBenchResult is the BENCH_merge.json result body.
+type MergeBenchResult struct {
 	Partials        int                `json:"partial_clusters"`
 	Points          int                `json:"points"`
 	Components      int                `json:"components"`
@@ -116,10 +109,10 @@ func synthPartials(m, chainLen, membersPer int) ([]coredbscan.PartialCluster, in
 	return partials, n
 }
 
-// RunMergeBench runs both sections and, when jsonPath is non-empty,
-// writes the report there. points sizes the Section B pipeline run
-// (0 = 4000); smoke shrinks both sections for CI.
-func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
+// runMergeBench runs both sections. c.Points sizes the Section B
+// pipeline run (default 4000); smoke shrinks both sections for CI.
+func runMergeBench(w io.Writer, c Config) (Report, error) {
+	points, smoke := c.Points, c.Smoke
 	const (
 		chainLen   = 3 // partials per merged cluster
 		membersPer = 10
@@ -137,13 +130,7 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 	partials, n := synthPartials(m, chainLen, membersPer)
 	model := simtime.DefaultModel()
 
-	report := MergeBenchReport{
-		Method: "Section A merges 9279 synthesized SeedExact partial clusters (paper Fig. 6c, " +
-			"32 cores c100k: chains linked by seeds, shared borders) with " +
-			"MergeParallel at 1/2/4/8 driver cores; labels, Work and " +
-			"NumMerges are asserted identical, sim_seconds prices the serial sort residue " +
-			"at full cost plus the rest divided by workers. Section B runs the traced " +
-			"pipeline end to end and reports the merge's critical-path share.",
+	report := &MergeBenchResult{
 		Partials:        m,
 		Points:          n,
 		LabelsIdentical: true,
@@ -153,18 +140,16 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 	var baseline *coredbscan.GlobalResult
 	var baselineSec float64
 	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "algo\tworkers\tsim\twall\tclusters\tmerges\tspeedup")
+	fmt.Fprintln(tw, "algo\tworkers\tsim\tclusters\tmerges\tspeedup")
 	for _, workers := range []int{1, 2, 4, 8} {
-		start := time.Now()
 		res := coredbscan.Merge(partials, n, coredbscan.MergeOptions{Workers: workers})
-		wall := time.Since(start).Seconds()
 		sec := model.ParallelSeconds(res.Work, res.SerialWork, workers)
 		if baseline == nil {
 			baseline = res
 			baselineSec = sec
 			report.Components = res.NumClusters
 		} else {
-			if !bytes.Equal(int32sAsBytes(res.Labels), int32sAsBytes(baseline.Labels)) {
+			if !slices.Equal(res.Labels, baseline.Labels) {
 				report.LabelsIdentical = false
 			}
 			if res.Work != baseline.Work || res.NumMerges != baseline.NumMerges {
@@ -173,31 +158,20 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 		}
 		arm := MergeBenchArm{
 			Algo: coredbscan.MergeParallel.String(), Workers: workers,
-			SimSeconds: sec, WallSeconds: wall,
+			SimSeconds:  sec,
 			NumClusters: res.NumClusters, NumMerges: res.NumMerges,
 			Speedup: baselineSec / sec,
 		}
 		report.Arms = append(report.Arms, arm)
-		fmt.Fprintf(tw, "%s\t%d\t%.3fs\t%.3fs\t%d\t%d\t%.2fx\n",
-			arm.Algo, arm.Workers, arm.SimSeconds, arm.WallSeconds,
+		fmt.Fprintf(tw, "%s\t%d\t%.3fs\t%d\t%d\t%.2fx\n",
+			arm.Algo, arm.Workers, arm.SimSeconds,
 			arm.NumClusters, arm.NumMerges, arm.Speedup)
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
 	report.SpeedupAt8 = report.Arms[len(report.Arms)-1].Speedup
-	if !report.LabelsIdentical {
-		return fmt.Errorf("mergebench: parallel merge changed the labels")
-	}
-	if !report.WorkIdentical {
-		return fmt.Errorf("mergebench: metered work or merge count depends on the worker count")
-	}
-	if report.SpeedupAt8 < 2 {
-		return fmt.Errorf("mergebench: simulated merge speedup at 8 workers is %.2fx, want >= 2x",
-			report.SpeedupAt8)
-	}
-	fmt.Fprintf(w, "labels/work identical across arms; speedup at 8 workers: %.2fx\n\n",
-		report.SpeedupAt8)
+	fmt.Fprintf(w, "speedup at 8 workers: %.2fx\n\n", report.SpeedupAt8)
 
 	// ---- Section B: merge share of the traced pipeline critical path.
 	const (
@@ -207,11 +181,11 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 	)
 	spec, err := quest.ByName("c10k")
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	ds, err := quest.Generate(spec.Scaled(points))
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	report.PipelinePoints = ds.Len()
 	report.PipelineCores = cores
@@ -239,45 +213,35 @@ func RunMergeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 	}
 	seq, err := pipeline(1)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	par, err := pipeline(8)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	report.Pipeline = []MergePipelineRun{seq, par}
 	for _, p := range report.Pipeline {
 		fmt.Fprintf(w, "pipeline %-10s workers=%d  merge %.3fs / total %.3fs  critical-path share %.1f%%\n",
 			p.Algo, p.Workers, p.MergeSeconds, p.TotalSeconds, 100*p.MergeShare)
 	}
-	if par.MergeShare >= seq.MergeShare {
-		return fmt.Errorf("mergebench: parallel merge did not shrink the critical-path share (%.3f vs %.3f)",
-			par.MergeShare, seq.MergeShare)
-	}
-	if par.MergeShare >= 0.9 {
-		return fmt.Errorf("mergebench: merge still holds %.1f%% of the critical path at 8 workers",
-			100*par.MergeShare)
-	}
 
-	if jsonPath == "" {
-		return nil
+	rep := Report{
+		Method: "Section A merges 9279 synthesized SeedExact partial clusters (paper Fig. 6c, " +
+			"32 cores c100k: chains linked by seeds, shared borders) with " +
+			"MergeParallel at 1/2/4/8 driver cores; labels, Work and " +
+			"NumMerges are asserted identical, sim_seconds prices the serial sort residue " +
+			"at full cost plus the rest divided by workers. Section B runs the traced " +
+			"pipeline end to end and reports the merge's critical-path share.",
+		Result: report,
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
-	return nil
-}
-
-// int32sAsBytes views a label slice as comparable bytes.
-func int32sAsBytes(xs []int32) []byte {
-	out := make([]byte, 0, len(xs)*4)
-	for _, x := range xs {
-		out = append(out, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
-	}
-	return out
+	rep.gate("labels-identical", report.LabelsIdentical,
+		"labels identical across 1/2/4/8 workers: %v", report.LabelsIdentical)
+	rep.gate("work-identical", report.WorkIdentical,
+		"metered work and merge count identical across 1/2/4/8 workers: %v", report.WorkIdentical)
+	rep.gate("speedup-at-8", report.SpeedupAt8 >= 2,
+		"simulated merge speedup at 8 workers %.2fx (want >= 2x)", report.SpeedupAt8)
+	rep.gate("critical-path-share", par.MergeShare < seq.MergeShare && par.MergeShare < 0.9,
+		"merge critical-path share %.3f at 8 workers vs %.3f at 1 (want smaller, and < 0.9)",
+		par.MergeShare, seq.MergeShare)
+	return rep, nil
 }

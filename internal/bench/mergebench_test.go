@@ -1,26 +1,14 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestMergeBenchSmoke(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_merge.json")
-	var out bytes.Buffer
-	if err := RunMergeBench(&out, path, 0, true); err != nil {
-		t.Fatalf("%v\noutput:\n%s", err, out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep MergeBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
+	env, rep, _ := runBench[MergeBenchResult](t, "merge", Config{Smoke: true})
+	gates := gateNames(env)
+	for _, want := range []string{"labels-identical", "work-identical", "speedup-at-8", "critical-path-share"} {
+		if !gates[want] {
+			t.Fatalf("gate %q missing: %+v", want, env.Gates)
+		}
 	}
 	if !rep.LabelsIdentical || !rep.WorkIdentical {
 		t.Fatalf("parallel merge is not semantically identical: %+v", rep)

@@ -1,11 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
+	"slices"
 
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/quest"
@@ -61,9 +60,8 @@ type PartBenchRow struct {
 	Speedup float64 `json:"range_over_cell_makespan"`
 }
 
-// PartBenchReport is the BENCH_partition.json payload.
-type PartBenchReport struct {
-	Method           string         `json:"method"`
+// PartBenchResult is the BENCH_partition.json result body.
+type PartBenchResult struct {
 	Dataset          string         `json:"dataset"`
 	BasePoints       int            `json:"base_points"`
 	BaseCores        int            `json:"base_cores"`
@@ -174,14 +172,14 @@ func (m partMeasure) project(n int64, cores int, basePoints int, logGrows bool, 
 	return out
 }
 
-// RunPartBench runs the range-vs-cell comparison and, when jsonPath is
-// non-empty, writes the report there. points sizes the real base run
-// (0 = 20000); smoke shrinks it for CI.
-func RunPartBench(w io.Writer, jsonPath string, points int, smoke bool) error {
+// runPartBench runs the range-vs-cell comparison. c.Points sizes the
+// real base run (default 20000); smoke shrinks it for CI.
+func runPartBench(w io.Writer, c Config) (Report, error) {
+	points := c.Points
 	if points < 100 {
 		points = 20000
 	}
-	if smoke && points > 4000 {
+	if c.Smoke && points > 4000 {
 		points = 4000
 	}
 	const (
@@ -192,11 +190,11 @@ func RunPartBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 	)
 	spec, err := quest.ByName(dataset)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	ds, err := quest.Generate(spec.Scaled(points))
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	params := dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts}
 	model := simtime.DefaultModel()
@@ -229,29 +227,18 @@ func RunPartBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 	}
 	rangeRes, rangeM, err := measurePart(run(coredbscan.PartRange), model)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	cellRes, cellM, err := measurePart(run(coredbscan.PartCell), model)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 
 	match := rangeRes.Global.NumClusters == cellRes.Global.NumClusters &&
-		rangeRes.Global.NumNoise == cellRes.Global.NumNoise
-	for i := range rangeRes.Global.Labels {
-		if rangeRes.Global.Labels[i] != cellRes.Global.Labels[i] {
-			match = false
-			break
-		}
-	}
+		rangeRes.Global.NumNoise == cellRes.Global.NumNoise &&
+		slices.Equal(rangeRes.Global.Labels, cellRes.Global.Labels)
 
-	report := PartBenchReport{
-		Method: "same job, same parameters, exact-seed/canonical-merge in both arms; " +
-			"measured row is a real run, projected rows rescale its metered work ledgers " +
-			"(constant-density weak scaling: per-point work and halo fraction held at " +
-			"measured values, counts x n/n0, global-tree build and traversal additionally " +
-			"x ln n/ln n0, executors assumed task-balanced on the row's core count, " +
-			"driver serial, per-executor broadcast deserialization linear in payload)",
+	report := &PartBenchResult{
 		Dataset: dataset, BasePoints: ds.Len(), BaseCores: cores,
 		CoresPerExecutor: cpe, Partitions: partitions,
 		LabelsMatch: match,
@@ -299,29 +286,20 @@ func RunPartBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 		}
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
-	labels := "identical"
-	if !match {
-		labels = "DIFFER"
+	rep := Report{
+		Method: "same job, same parameters, exact-seed/canonical-merge in both arms; " +
+			"measured row is a real run, projected rows rescale its metered work ledgers " +
+			"(constant-density weak scaling: per-point work and halo fraction held at " +
+			"measured values, counts x n/n0, global-tree build and traversal additionally " +
+			"x ln n/ln n0, executors assumed task-balanced on the row's core count, " +
+			"driver serial, per-executor broadcast deserialization linear in payload)",
+		Result: report,
 	}
-	fmt.Fprintf(w, "labels across modes: %s\n", labels)
-	if !match {
-		return fmt.Errorf("partbench: cell mode changed the clustering — the halo or merge is broken")
-	}
-
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
-	return nil
+	rep.gate("labels-identical", match,
+		"cell-mode labels byte-identical to range mode: %v", match)
+	return rep, nil
 }
 
 // fmtBytes renders a byte count with a binary-ish human unit.

@@ -1,30 +1,17 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestPartBenchWritesReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_partition.json")
-	var out bytes.Buffer
-	if err := RunPartBench(&out, path, 0, true); err != nil {
-		t.Fatal(err)
+	env, rep, out := runBench[PartBenchResult](t, "partition", Config{Smoke: true})
+	if !strings.Contains(out, "identical") {
+		t.Fatalf("labels line missing:\n%s", out)
 	}
-	if !strings.Contains(out.String(), "identical") {
-		t.Fatalf("labels line missing:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep PartBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
+	if !gateNames(env)["labels-identical"] {
+		t.Fatalf("labels gate missing: %+v", env.Gates)
 	}
 	if !rep.LabelsMatch {
 		t.Fatal("cell mode changed the labels")

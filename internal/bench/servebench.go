@@ -1,22 +1,20 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"sparkdbscan/internal/dbscan"
+	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
 	"sparkdbscan/internal/serve"
 )
 
 // The serving benchmark measures the online layer on the host wall
-// clock (like -kdbench, unlike the simulated-time experiments): freeze
-// one clustering into a serve.Model, then drive a Server with the
-// closed- and open-loop generators.
+// clock (like the kdtree bench, unlike the simulated-time experiments):
+// freeze one clustering into a serve.Model, then drive a Server with
+// serve.RunLoad's closed and open loops.
 //
 // The closed-loop grid answers the design question behind the worker
 // pool: how does throughput scale with workers, and what does adaptive
@@ -58,12 +56,8 @@ type ServeOpenCell struct {
 	P999us      float64 `json:"p999_us"`
 }
 
-// ServeBenchReport is the BENCH_serve.json payload.
-type ServeBenchReport struct {
-	Method      string           `json:"method"`
-	GoOS        string           `json:"goos"`
-	GoArch      string           `json:"goarch"`
-	MaxProcs    int              `json:"maxprocs"`
+// ServeBenchResult is the BENCH_serve.json result body.
+type ServeBenchResult struct {
 	Smoke       bool             `json:"smoke"`
 	Points      int              `json:"points"`
 	Dim         int              `json:"dim"`
@@ -76,12 +70,31 @@ type ServeBenchReport struct {
 	Open        []ServeOpenCell  `json:"open_loop"`
 }
 
+// The serve, chaos and live benches share one serving regime: d=10
+// Table-I-shaped clusters at an eps tighter than Table I's 25 on
+// purpose. ~45-point serving neighbourhoods keep per-query tree work in
+// the regime where dispatch overhead is visible, which is the regime
+// micro-batching exists for (at eps=25 a query returns ~100 neighbours
+// and scan time dominates any batching effect).
+const servingDim = 10
+
+var servingParams = dbscan.Params{Eps: 22, MinPts: 5}
+
+// servingClustering generates the serving regime's dataset and
+// clusters it over a fresh packed tree.
+func servingClustering(points int) (*geom.Dataset, *kdtree.Tree, *dbscan.Result, error) {
+	ds := kdBenchDataset(points, servingDim)
+	tree := kdtree.Build(ds)
+	res, err := dbscan.Run(ds, tree, servingParams)
+	return ds, tree, res, err
+}
+
 func usQ(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// RunServeBench benchmarks the serving layer and, when jsonPath is
-// non-empty, writes the report there. smoke shrinks every knob so the
-// whole run fits in a couple of seconds (the CI configuration).
-func RunServeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
+// runServeBench benchmarks the serving layer. Smoke shrinks every knob
+// so the whole run fits in a couple of seconds.
+func runServeBench(w io.Writer, c Config) (Report, error) {
+	points, smoke := c.Points, c.Smoke
 	if points <= 0 {
 		points = 20_000
 	}
@@ -94,40 +107,21 @@ func RunServeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 		armDur = 100 * time.Millisecond
 		workerSweep = []int{1, 4}
 	}
-	const (
-		dim    = 10
-		minPts = 5
-		// Tighter than Table I's eps=25 on purpose: ~45-point serving
-		// neighbourhoods keep per-query tree work in the regime where
-		// dispatch overhead is visible, which is the regime
-		// micro-batching exists for (at eps=25 a query returns ~100
-		// neighbours and scan time dominates any batching effect).
-		eps = 22.0
-	)
-	ds := kdBenchDataset(points, dim)
-	tree := kdtree.Build(ds)
-	p := dbscan.Params{Eps: eps, MinPts: minPts}
-	res, err := dbscan.Run(ds, tree, p)
+	ds, tree, res, err := servingClustering(points)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	start := time.Now()
-	model, err := serve.Freeze(ds, res.Labels, res.Core, tree, p)
+	model, err := serve.Freeze(ds, res.Labels, res.Core, tree, servingParams)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
-	report := ServeBenchReport{
-		Method: "closed loop: N clients issue back-to-back queries for the arm duration, " +
-			"fresh server per arm; open loop: fixed-rate arrivals against the widest batched server; " +
-			"latency quantiles from the server's enqueue-to-response histogram",
-		GoOS:        runtime.GOOS,
-		GoArch:      runtime.GOARCH,
-		MaxProcs:    runtime.GOMAXPROCS(0),
+	report := &ServeBenchResult{
 		Smoke:       smoke,
 		Points:      ds.Len(),
-		Dim:         dim,
-		Eps:         eps,
-		MinPts:      minPts,
+		Dim:         servingDim,
+		Eps:         servingParams.Eps,
+		MinPts:      servingParams.MinPts,
 		NumClusters: res.NumClusters,
 		NumCore:     model.NumCore(),
 		FreezeMs:    float64(time.Since(start).Nanoseconds()) / 1e6,
@@ -150,7 +144,7 @@ func RunServeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 				QueueCap:      64 * workers,
 				MaxQueueDelay: -1, // capacity measurement: answer everything
 			})
-			rep := serve.ClosedLoop(srv, workload, clients, armDur)
+			rep := serve.RunLoad(srv, workload, serve.LoadOptions{Clients: clients, Duration: armDur})
 			st := srv.Stats()
 			srv.Close()
 			cell := ServeBenchCell{
@@ -181,7 +175,7 @@ func RunServeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 		}
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
 
 	// Open loop against the best batched configuration: one arm at 60%
@@ -201,7 +195,7 @@ func RunServeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 			MaxQueueDelay: 5 * time.Millisecond,
 		})
 		rate := arm.frac * bestBatched.QPS
-		rep := serve.OpenLoop(srv, workload, rate, armDur)
+		rep := serve.RunLoad(srv, workload, serve.LoadOptions{QPS: rate, Duration: armDur})
 		st := srv.Stats()
 		srv.Close()
 		cell := ServeOpenCell{
@@ -224,19 +218,12 @@ func RunServeBench(w io.Writer, jsonPath string, points int, smoke bool) error {
 			cell.P50us, cell.P99us, cell.P999us)
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
-
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
-	return nil
+	return Report{
+		Method: "closed loop: N clients issue back-to-back queries for the arm duration, " +
+			"fresh server per arm; open loop: fixed-rate arrivals against the widest batched server; " +
+			"latency quantiles from the server's enqueue-to-response histogram",
+		Result: report,
+	}, nil
 }

@@ -1,31 +1,17 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestServeBenchWritesReport(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_serve.json")
-	var out bytes.Buffer
-	if err := RunServeBench(&out, path, 2000, true); err != nil {
-		t.Fatal(err)
+	env, rep, out := runBench[ServeBenchResult](t, "serve", Config{Points: 2000, Smoke: true})
+	if !strings.Contains(out, "closed") || !strings.Contains(out, "open") {
+		t.Fatalf("table output missing arms:\n%s", out)
 	}
-	if !strings.Contains(out.String(), "closed") || !strings.Contains(out.String(), "open") {
-		t.Fatalf("table output missing arms:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep ServeBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
+	if env.Clock != ClockWall {
+		t.Fatalf("serve bench clock %q", env.Clock)
 	}
 	if !rep.Smoke || rep.Points != 2000 || rep.NumClusters == 0 || rep.NumCore == 0 {
 		t.Fatalf("implausible report header: %+v", rep)

@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 
-	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/hdfs"
-	"sparkdbscan/internal/quest"
 	"sparkdbscan/internal/simtime"
 	"sparkdbscan/internal/spark"
 
@@ -55,9 +52,8 @@ type CheckpointBenchRun struct {
 	FailedAttempts  int     `json:"failed_attempts"`
 }
 
-// StorageBenchReport is the BENCH_storage.json payload.
-type StorageBenchReport struct {
-	Method            string               `json:"method"`
+// StorageBenchResult is the BENCH_storage.json result body.
+type StorageBenchResult struct {
 	Dataset           string               `json:"dataset"`
 	Points            int                  `json:"points"`
 	Cores             int                  `json:"cores"`
@@ -67,64 +63,19 @@ type StorageBenchReport struct {
 	Checkpoint        []CheckpointBenchRun `json:"checkpoint_vs_lineage"`
 }
 
-// RunStorageBench runs both sections and, when jsonPath is non-empty,
-// writes the report there.
-func RunStorageBench(w io.Writer, jsonPath string, seeds []uint64, points int) error {
-	if len(seeds) == 0 {
-		seeds = []uint64{11, 23, 47}
-	}
-	if points < 100 {
-		points = 4000
-	}
-	const (
-		dataset    = "c10k"
-		cores      = 16
-		cpe        = 4
-		partitions = 8
-		blockSize  = 1 << 14
-		datanodes  = 6
-	)
-	spec, err := quest.ByName(dataset)
+// runStorageBench runs both sections, the pipeline section for each
+// seed (c.Seed alone when set, else 11, 23 and 47).
+func runStorageBench(w io.Writer, c Config) (Report, error) {
+	ds, err := faultJobData(c.Points)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
-	ds, err := quest.Generate(spec.Scaled(points))
+	clean, cleanRep, err := runFaultJob(ds, spark.Config{}, nil)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
-	params := dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts}
-
-	run := func(storage *coredbscan.StorageOptions) (*coredbscan.Result, spark.Report, error) {
-		sctx := spark.NewContext(spark.Config{
-			Cores: cores, CoresPerExecutor: cpe, Seed: 42,
-		})
-		res, err := coredbscan.Run(sctx, ds, coredbscan.Config{
-			Params: params, Partitions: partitions, Storage: storage,
-		})
-		if err != nil {
-			return nil, spark.Report{}, err
-		}
-		return res, sctx.Report(), nil
-	}
-	// newFS builds a replicated cluster holding the job input.
-	newFS := func(p *hdfs.StorageFaultProfile) (*hdfs.FileSystem, error) {
-		fs := hdfs.NewCluster(blockSize, 3, datanodes)
-		if err := fs.Write("input", make([]byte, ds.SizeBytes()), nil); err != nil {
-			return nil, err
-		}
-		fs.SetFaultProfile(p)
-		return fs, nil
-	}
-
-	clean, cleanRep, err := run(nil)
-	if err != nil {
-		return err
-	}
-	report := StorageBenchReport{
-		Method: "same job, same straggler seed; arms add a journaling filesystem, a seeded " +
-			"storage-fault profile (replica corrupt 0.3, datanode crash 0.4, 3 replicas on 6 nodes), " +
-			"and a driver crash at 50% of the merge",
-		Dataset: dataset, Points: ds.Len(), Cores: cores, Partitions: partitions,
+	report := &StorageBenchResult{
+		Dataset: faultJobDataset, Points: ds.Len(), Cores: faultJobCores, Partitions: faultJobPartitions,
 		CleanTotalSeconds: cleanRep.Total(),
 	}
 
@@ -134,17 +85,12 @@ func RunStorageBench(w io.Writer, jsonPath string, seeds []uint64, points int) e
 		cleanRep.Total(), cleanRep.DriverSeconds)
 
 	arm := func(name string, seed uint64, storage *coredbscan.StorageOptions, fs *hdfs.FileSystem) error {
-		res, rep, err := run(storage)
+		res, rep, err := runFaultJob(ds, spark.Config{}, storage)
 		if err != nil {
 			return err
 		}
-		match := res.Global.NumPartialClusters == clean.Global.NumPartialClusters
-		for i := range clean.Global.Labels {
-			if res.Global.Labels[i] != clean.Global.Labels[i] {
-				match = false
-				break
-			}
-		}
+		match := res.Global.NumPartialClusters == clean.Global.NumPartialClusters &&
+			slices.Equal(res.Global.Labels, clean.Global.Labels)
 		st := fs.Stats()
 		r := StorageBenchRun{
 			Name:              name,
@@ -171,38 +117,33 @@ func RunStorageBench(w io.Writer, jsonPath string, seeds []uint64, points int) e
 	}
 
 	// Journal only: the fault-free price of recoverability.
-	fs, err := newFS(nil)
+	fs, err := faultJobFS(ds, nil)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	if err := arm("journal", 0, &coredbscan.StorageOptions{FS: fs, InputFile: "input"}, fs); err != nil {
-		return err
+		return Report{}, err
 	}
-	for _, seed := range seeds {
-		fs, err := newFS(storageBenchProfile(seed))
+	for _, seed := range benchSeeds(c.Seed) {
+		fs, err := faultJobFS(ds, storageBenchProfile(seed))
 		if err != nil {
-			return err
+			return Report{}, err
 		}
 		if err := arm(fmt.Sprintf("faults seed %d", seed), seed,
 			&coredbscan.StorageOptions{FS: fs, InputFile: "input"}, fs); err != nil {
-			return err
+			return Report{}, err
 		}
-		fs, err = newFS(storageBenchProfile(seed))
+		fs, err = faultJobFS(ds, storageBenchProfile(seed))
 		if err != nil {
-			return err
+			return Report{}, err
 		}
 		if err := arm(fmt.Sprintf("faults+crash seed %d", seed), seed,
 			&coredbscan.StorageOptions{FS: fs, InputFile: "input", SimulateDriverCrash: true}, fs); err != nil {
-			return err
+			return Report{}, err
 		}
 	}
 	if err := tw.Flush(); err != nil {
-		return err
-	}
-	for _, r := range report.Pipeline {
-		if !r.LabelsMatch {
-			return fmt.Errorf("storagebench: arm %q changed the clustering — the storage layer is broken", r.Name)
-		}
+		return Report{}, err
 	}
 
 	// Section B: checkpoint vs lineage on an expensive chain. Each
@@ -222,7 +163,7 @@ func RunStorageBench(w io.Writer, jsonPath string, seeds []uint64, points int) e
 		if checkpoint {
 			downstream = 1
 		}
-		cfg := spark.Config{Cores: cores, CoresPerExecutor: cpe, Seed: 42}
+		cfg := spark.Config{Cores: faultJobCores, CoresPerExecutor: faultJobCPE, Seed: 42}
 		if failDownstream {
 			cfg.FailureInjector = func(stage, partition, attempt int) error {
 				if stage == downstream && attempt < 2 {
@@ -232,12 +173,12 @@ func RunStorageBench(w io.Writer, jsonPath string, seeds []uint64, points int) e
 			}
 		}
 		ctx := spark.NewContext(cfg)
-		cfs := hdfs.NewCluster(blockSize, 3, datanodes)
-		indices := make([]int, partitions*100)
+		cfs := hdfs.NewCluster(faultJobBlockSize, 3, faultJobDatanodes)
+		indices := make([]int, faultJobPartitions*100)
 		for i := range indices {
 			indices[i] = i
 		}
-		rdd := spark.MapPartitionsWithIndex(spark.Parallelize(ctx, indices, partitions),
+		rdd := spark.MapPartitionsWithIndex(spark.Parallelize(ctx, indices, faultJobPartitions),
 			func(split int, in []int, tc *spark.TaskContext) ([]int, error) {
 				tc.Charge(simtime.Work{DistComps: 2_000_000})
 				return in, nil
@@ -278,23 +219,27 @@ func RunStorageBench(w io.Writer, jsonPath string, seeds []uint64, points int) e
 		{"checkpoint faulty", true, true},
 	} {
 		if err := chainArm(a.name, a.checkpoint, a.failDownstream); err != nil {
-			return err
+			return Report{}, err
 		}
 	}
 	if err := tw.Flush(); err != nil {
-		return err
+		return Report{}, err
 	}
 
-	if jsonPath == "" {
-		return nil
+	rep := Report{
+		Method: "same job, same straggler seed; arms add a journaling filesystem, a seeded " +
+			"storage-fault profile (replica corrupt 0.3, datanode crash 0.4, 3 replicas on 6 nodes), " +
+			"and a driver crash at 50% of the merge",
+		Result: report,
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+	matched := 0
+	for _, r := range report.Pipeline {
+		if r.LabelsMatch {
+			matched++
+		}
 	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
-	return nil
+	rep.gate("labels-identical", matched == len(report.Pipeline),
+		"%d of %d journaled/faulty/crashed arms left the labels identical to the clean run",
+		matched, len(report.Pipeline))
+	return rep, nil
 }

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
-	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/hdfs"
-	"sparkdbscan/internal/quest"
 	"sparkdbscan/internal/spark"
 	"sparkdbscan/internal/trace"
 
@@ -16,67 +15,40 @@ import (
 
 // The trace bench runs the canonical faulty pipeline configuration
 // (the same cluster shape the fault and storage benches use) with the
-// trace recorder attached, writes the Perfetto trace and/or metrics
+// trace recorder attached, writes the Perfetto trace and the metrics
 // snapshot, and prints the critical path — the worked example of the
 // observability subsystem. Because every export is a pure function of
 // the configuration, running it twice and diffing the files is the CI
 // determinism check.
 
-// RunTraceBench runs one traced job. tracePath and metricsPath may be
-// empty individually, not both.
-func RunTraceBench(w io.Writer, tracePath, metricsPath string, points int) error {
-	if tracePath == "" && metricsPath == "" {
-		return fmt.Errorf("tracebench: need -trace and/or -metrics output path")
-	}
-	if points < 100 {
-		points = 4000
-	}
-	const (
-		dataset    = "c10k"
-		cores      = 16
-		cpe        = 4
-		partitions = 8
-		blockSize  = 1 << 14
-		datanodes  = 6
-		seed       = 11
-	)
-	spec, err := quest.ByName(dataset)
+// runTraceBench runs one traced job of points points (default 4000)
+// and writes dir/trace.json and dir/metrics.json.
+func runTraceBench(w io.Writer, dir string, points int) error {
+	const seed = 11
+	ds, err := faultJobData(points)
 	if err != nil {
 		return err
 	}
-	ds, err := quest.Generate(spec.Scaled(points))
-	if err != nil {
-		return err
-	}
-
-	fs := hdfs.NewCluster(blockSize, 3, datanodes)
-	if err := fs.Write("input", make([]byte, ds.SizeBytes()), nil); err != nil {
-		return err
-	}
-	fs.SetFaultProfile(&hdfs.StorageFaultProfile{
+	fs, err := faultJobFS(ds, &hdfs.StorageFaultProfile{
 		Seed: seed, CorruptRate: 0.3, DatanodeCrashRate: 0.4,
 	})
-
+	if err != nil {
+		return err
+	}
 	rec := trace.NewRecorder()
-	sctx := spark.NewContext(spark.Config{
-		Cores: cores, CoresPerExecutor: cpe, Seed: 42,
+	res, _, err := runFaultJob(ds, spark.Config{
 		Faults: &spark.FaultProfile{
 			Seed: seed, TaskFailRate: 0.3, SlowRate: 0.2,
 			ExecutorCrashRate: 0.5, MaxExecutorFailures: 6,
 		},
 		Tracer: rec,
-	})
-	res, err := coredbscan.Run(sctx, ds, coredbscan.Config{
-		Params:     dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts},
-		Partitions: partitions,
-		Storage:    &coredbscan.StorageOptions{FS: fs, InputFile: "input"},
-	})
+	}, &coredbscan.StorageOptions{FS: fs, InputFile: "input"})
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(w, "traced run: %d points, %d clusters, %d cores, seed %d\n",
-		ds.Len(), res.Global.NumClusters, cores, seed)
+		ds.Len(), res.Global.NumClusters, faultJobCores, seed)
 	fmt.Fprintf(w, "phases: read %.3fs  tree %.3fs  bcast %.3fs  exec %.3fs  journal %.3fs  merge %.3fs  total %.3fs\n",
 		res.Phases.ReadTransform, res.Phases.TreeBuild, res.Phases.Broadcast,
 		res.Phases.Executors, res.Phases.Journal, res.Phases.Merge, res.Phases.Total())
@@ -84,29 +56,26 @@ func RunTraceBench(w io.Writer, tracePath, metricsPath string, points int) error
 		return err
 	}
 
-	writeFile := func(path string, write func(io.Writer) error) error {
+	for _, export := range []struct {
+		file  string
+		write func(io.Writer) error
+	}{
+		{"trace.json", rec.WriteChrome},
+		{"metrics.json", rec.WriteMetrics},
+	} {
+		path := filepath.Join(dir, export.file)
 		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
-		werr := write(f)
+		werr := export.write(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
-		if werr == nil {
-			fmt.Fprintf(w, "wrote %s\n", path)
+		if werr != nil {
+			return werr
 		}
-		return werr
-	}
-	if tracePath != "" {
-		if err := writeFile(tracePath, rec.WriteChrome); err != nil {
-			return err
-		}
-	}
-	if metricsPath != "" {
-		if err := writeFile(metricsPath, rec.WriteMetrics); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "wrote %s\n", path)
 	}
 	return nil
 }

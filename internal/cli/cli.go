@@ -344,100 +344,44 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// RunBench implements cmd/benchrunner.
+// RunBench implements cmd/benchrunner: the paper experiments (-exp),
+// or the registered benches (-bench), which write BENCH_<name>.json
+// envelopes to -out.
 func RunBench(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		exp     = fs.String("exp", "all", "experiment id, comma-separated list, or 'all'")
-		scale   = fs.Float64("scale", 1.0, "dataset scale factor in (0, 1]")
-		list    = fs.Bool("list", false, "list experiments and exit")
-		seed    = fs.Uint64("seed", 0, "straggler seed (0 = default)")
-		kdbench = fs.String("kdbench", "", "run the kd-tree engine wall-clock benchmark, write JSON to this path (e.g. BENCH_kdtree.json), and exit")
-		kdreps  = fs.Int("kdreps", 3, "repetitions per kd-tree benchmark cell")
+		exp   = fs.String("exp", "all", "experiment id, comma-separated list, or 'all'")
+		scale = fs.Float64("scale", 1.0, "dataset scale factor in (0, 1]")
+		list  = fs.Bool("list", false, "list experiments and exit")
+		seed  = fs.Uint64("seed", 0, "experiments: straggler seed; benches: the bench's fault/chaos/mutation/sampling seed (0 = default)")
 
-		faultbench  = fs.String("faultbench", "", "run the fault-injection benchmark, write JSON to this path (e.g. BENCH_faults.json), and exit")
-		faultseeds  = fs.String("faultseeds", "11,23,47", "comma-separated fault-profile seeds for -faultbench")
-		faultpoints = fs.Int("faultpoints", 4000, "dataset points for -faultbench")
-
-		storagebench  = fs.String("storagebench", "", "run the storage-fault benchmark, write JSON to this path (e.g. BENCH_storage.json), and exit")
-		storageseeds  = fs.String("storageseeds", "11,23,47", "comma-separated storage-profile seeds for -storagebench")
-		storagepoints = fs.Int("storagepoints", 4000, "dataset points for -storagebench")
-
-		traceOut    = fs.String("trace", "", "run one traced faulty job, write its Chrome/Perfetto trace to this path, and exit")
-		metricsOut  = fs.String("metrics", "", "with or instead of -trace: write the traced job's metrics snapshot to this path")
-		tracepoints = fs.Int("tracepoints", 4000, "dataset points for -trace/-metrics")
-
-		servebench  = fs.String("servebench", "", "run the online-serving benchmark, write JSON to this path (e.g. BENCH_serve.json), and exit")
-		servepoints = fs.Int("servepoints", 20000, "dataset points for -servebench")
-		smoke       = fs.Bool("smoke", false, "shrink -servebench/-partbench/-chaosbench to a seconds-long CI smoke run")
-
-		chaosbench  = fs.String("chaosbench", "", "run the serving resilience benchmark (chaos injection), write JSON to this path (e.g. BENCH_chaos.json), and exit non-zero if a resilience gate fails")
-		chaospoints = fs.Int("chaospoints", 20000, "dataset points for -chaosbench")
-		chaosseed   = fs.Uint64("chaosseed", 53, "chaos-profile seed for -chaosbench (same seed, same fault schedule)")
-
-		partbench  = fs.String("partbench", "", "run the range-vs-cell partitioning benchmark, write JSON to this path (e.g. BENCH_partition.json), and exit")
-		partpoints = fs.Int("partpoints", 20000, "measured base-run points for -partbench (projections scale from it)")
-
-		mergebench  = fs.String("mergebench", "", "run the sequential-vs-parallel driver-merge benchmark, write JSON to this path (e.g. BENCH_merge.json), and exit")
-		mergepoints = fs.Int("mergepoints", 4000, "dataset points for the -mergebench traced pipeline section")
-
-		knnbench  = fs.String("knnbench", "", "run the high-dimensional kNN-graph benchmark, write JSON to this path (e.g. BENCH_knn.json), and exit non-zero if an accuracy/speed gate fails")
-		knnpoints = fs.Int("knnpoints", 20000, "embedding points for -knnbench (d=128)")
-		knnseed   = fs.Uint64("knnseed", 1, "NN-descent sampling seed for -knnbench")
-
-		livebench  = fs.String("livebench", "", "run the live-update benchmark (mutation throughput, read tail under churn, staleness at reconcile), write JSON to this path (e.g. BENCH_live.json), and exit non-zero if a gate fails")
-		livepoints = fs.Int("livepoints", 20000, "dataset points for -livebench")
-		liveseed   = fs.Uint64("liveseed", 5, "mutation-stream seed for -livebench (same seed, same insert/delete sequence)")
+		benches = fs.String("bench", "", "run benches instead of experiments: comma-separated names (kdtree, faults, storage, serve, chaos, partition, merge, knn, live, trace) or 'all' (every BENCH_*.json; trace writes trace.json and metrics.json)")
+		points  = fs.Int("points", 0, "bench dataset points (0 = each bench's default)")
+		smoke   = fs.Bool("smoke", false, "shrink each bench to a seconds-long CI run")
+		out     = fs.String("out", ".", "directory the benches write their reports to")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *traceOut != "" || *metricsOut != "" {
-		return bench.RunTraceBench(stdout, *traceOut, *metricsOut, *tracepoints)
-	}
-	if *servebench != "" {
-		return bench.RunServeBench(stdout, *servebench, *servepoints, *smoke)
-	}
-	if *chaosbench != "" {
-		return bench.RunChaosBench(stdout, *chaosbench, *chaospoints, *chaosseed, *smoke)
-	}
-	if *partbench != "" {
-		return bench.RunPartBench(stdout, *partbench, *partpoints, *smoke)
-	}
-	if *mergebench != "" {
-		return bench.RunMergeBench(stdout, *mergebench, *mergepoints, *smoke)
-	}
-	if *knnbench != "" {
-		return bench.RunKNNBench(stdout, *knnbench, *knnpoints, *knnseed, *smoke)
-	}
-	if *livebench != "" {
-		return bench.RunLiveBench(stdout, *livebench, *livepoints, *liveseed, *smoke)
-	}
-	if *kdbench != "" {
-		return bench.RunKDBench(stdout, *kdbench, *kdreps)
-	}
-	if *faultbench != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(*faultseeds, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return fmt.Errorf("benchrunner: bad -faultseeds entry %q: %w", s, err)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *benches != "" {
+		for _, f := range []string{"exp", "scale", "list"} {
+			if set[f] {
+				return fmt.Errorf("benchrunner: -%s selects the paper experiments; drop it or -bench", f)
 			}
-			seeds = append(seeds, v)
 		}
-		return bench.RunFaultBench(stdout, *faultbench, seeds, *faultpoints)
+		if *points < 0 {
+			return fmt.Errorf("benchrunner: -points must be >= 0, got %d", *points)
+		}
+		return bench.RunBenches(stdout, *benches,
+			bench.Config{Points: *points, Seed: *seed, Smoke: *smoke}, *out)
 	}
-	if *storagebench != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(*storageseeds, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return fmt.Errorf("benchrunner: bad -storageseeds entry %q: %w", s, err)
-			}
-			seeds = append(seeds, v)
+	for _, f := range []string{"points", "smoke", "out"} {
+		if set[f] {
+			return fmt.Errorf("benchrunner: -%s configures -bench", f)
 		}
-		return bench.RunStorageBench(stdout, *storagebench, seeds, *storagepoints)
 	}
 	if *list {
 		for _, e := range bench.All() {

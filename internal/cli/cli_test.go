@@ -163,12 +163,27 @@ func TestBenchCommaSeparatedAndErrors(t *testing.T) {
 	if err := RunBench([]string{"-scale", "0"}, &out); err == nil {
 		t.Fatal("bad scale accepted")
 	}
+	for _, bad := range [][]string{
+		{"-bench", "nope"},
+		{"-bench", "faults,nope"},
+		{"-bench", "faults", "-points", "-5"},
+		{"-bench", "faults", "-points", "many"},
+		{"-bench", "faults", "-exp", "fig7"},
+		{"-bench", "faults", "-scale", "0.5"},
+		{"-exp", "table1", "-smoke"},
+		{"-points", "800"},
+	} {
+		if err := RunBench(bad, &out); err == nil {
+			t.Fatalf("%q accepted", bad)
+		}
+	}
 }
 
 func TestBenchFaultBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_faults.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_faults.json")
 	var out bytes.Buffer
-	err := RunBench([]string{"-faultbench", path, "-faultseeds", "11", "-faultpoints", "800"}, &out)
+	err := RunBench([]string{"-bench", "faults", "-seed", "11", "-points", "800", "-out", dir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +195,8 @@ func TestBenchFaultBench(t *testing.T) {
 			t.Fatalf("output lacks %q:\n%s", col, out.String())
 		}
 	}
-	if err := RunBench([]string{"-faultbench", path, "-faultseeds", "nope"}, &out); err == nil {
-		t.Fatal("bad -faultseeds accepted")
+	if err := RunBench([]string{"-bench", "faults", "-seed", "nope", "-out", dir}, &out); err == nil {
+		t.Fatal("bad -seed accepted")
 	}
 }
 
@@ -240,7 +255,7 @@ func TestBenchTraceBench(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	metricsPath := filepath.Join(dir, "metrics.json")
 	var out bytes.Buffer
-	err := RunBench([]string{"-trace", tracePath, "-metrics", metricsPath, "-tracepoints", "800"}, &out)
+	err := RunBench([]string{"-bench", "trace", "-points", "800", "-out", dir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +302,10 @@ func TestDBSCANServeDemo(t *testing.T) {
 }
 
 func TestBenchServeBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_serve.json")
 	var out bytes.Buffer
-	err := RunBench([]string{"-servebench", path, "-servepoints", "2000", "-smoke"}, &out)
+	err := RunBench([]string{"-bench", "serve", "-points", "2000", "-smoke", "-out", dir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,9 +420,10 @@ func TestDBSCANMergeWorkersFlag(t *testing.T) {
 }
 
 func TestBenchMergeBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_merge.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_merge.json")
 	var out bytes.Buffer
-	err := RunBench([]string{"-mergebench", path, "-smoke"}, &out)
+	err := RunBench([]string{"-bench", "merge", "-smoke", "-out", dir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,16 +438,17 @@ func TestBenchMergeBench(t *testing.T) {
 }
 
 func TestBenchPartBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_partition.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_partition.json")
 	var out bytes.Buffer
-	err := RunBench([]string{"-partbench", path, "-smoke"}, &out)
+	err := RunBench([]string{"-bench", "partition", "-smoke", "-out", dir}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("report missing: %v", err)
 	}
-	for _, want := range []string{"bcast/exec", "range", "cell", "labels across modes: identical", "(proj)"} {
+	for _, want := range []string{"bcast/exec", "range", "cell", "labels-identical", "(proj)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output lacks %q:\n%s", want, out.String())
 		}

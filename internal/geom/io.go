@@ -83,15 +83,15 @@ func ReadText(r io.Reader) (*Dataset, error) {
 		} else if lineHasLabel != hasLabels {
 			return nil, fmt.Errorf("geom: line %d: inconsistent label column", line)
 		}
-		for j, f := range fields {
+		for _, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("geom: line %d: %v", line, err)
 			}
-			if err := checkFinite(v); err != nil {
-				return nil, fmt.Errorf("geom: line %d: coordinate %d: %w", line, j, err)
-			}
 			ds.Coords = append(ds.Coords, v)
+		}
+		if err := CheckFinite(ds.Coords[len(ds.Coords)-ds.Dim:]); err != nil {
+			return nil, fmt.Errorf("geom: line %d: %w", line, err)
 		}
 		if hasLabels {
 			labels = append(labels, label)
@@ -162,11 +162,12 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("geom: short coords: %v", err)
 		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		if err := checkFinite(v); err != nil {
-			return nil, fmt.Errorf("geom: point %d coordinate %d: %w", i/dim, i%dim, err)
+		ds.Coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+	}
+	for i := int32(0); i < int32(n); i++ {
+		if err := CheckFinite(ds.At(i)); err != nil {
+			return nil, fmt.Errorf("geom: point %d: %w", i, err)
 		}
-		ds.Coords[i] = v
 	}
 	if hasLabels {
 		ds.Label = make([]int32, n)
@@ -180,11 +181,15 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	return ds, nil
 }
 
-// checkFinite rejects NaN and ±Inf: a non-finite coordinate has no
-// eps-neighbourhood, so such a point would silently come out as noise.
-func checkFinite(v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("%v is not a finite number", v)
+// CheckFinite rejects a point with a NaN or ±Inf coordinate, naming
+// the first one: a non-finite coordinate has no eps-neighbourhood, so
+// such a point would silently come out as noise. The readers and every
+// serving entry point that accepts coordinates call it.
+func CheckFinite(p []float64) error {
+	for j, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("coordinate %d: %v is not a finite number", j, v)
+		}
 	}
 	return nil
 }

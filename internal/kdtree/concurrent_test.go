@@ -14,55 +14,48 @@ import (
 // entry while the race detector watches, and each goroutine checks its
 // answers against a single-threaded reference so a data race that
 // corrupts results (not just one the detector flags) also fails.
-// LegacyTree is covered too — it backs benchmarks that query from
-// parallel arms.
 func TestConcurrentQueriesRaceFree(t *testing.T) {
-	ds := clusteredDataset(7, 3000, 4, 6, 10)
-	const eps = 12.0
-	trees := map[string]Index{
-		"packed": Build(ds),
-		"legacy": BuildLegacy(ds),
-	}
-	for name, idx := range trees {
-		t.Run(name, func(t *testing.T) {
-			// Single-threaded reference answers.
-			queries := 64
-			wantRadius := make([][]int32, queries)
-			wantCount := make([]int, queries)
-			for qi := 0; qi < queries; qi++ {
-				q := ds.At(int32(qi * 17 % ds.Len()))
-				wantRadius[qi] = sortedCopy(idx.Radius(q, eps, nil, nil))
-				wantCount[qi] = idx.RadiusCount(q, eps, nil)
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < 16; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					var out []int32
-					var stats SearchStats
-					for rep := 0; rep < 30; rep++ {
-						qi := (g*31 + rep) % queries
-						q := ds.At(int32(qi * 17 % ds.Len()))
-						out = idx.Radius(q, eps, out[:0], &stats)
-						if !reflect.DeepEqual(sortedCopy(out), wantRadius[qi]) {
-							t.Errorf("goroutine %d: Radius(query %d) diverged under concurrency", g, qi)
-							return
-						}
-						if c := idx.RadiusCount(q, eps, &stats); c != wantCount[qi] {
-							t.Errorf("goroutine %d: RadiusCount(query %d) = %d, want %d", g, qi, c, wantCount[qi])
-							return
-						}
-						if lim := idx.RadiusLimit(q, eps, 8, nil, &stats); len(lim) > 8 {
-							t.Errorf("goroutine %d: RadiusLimit returned %d > 8", g, len(lim))
-							return
-						}
+	t.Run("packed", func(t *testing.T) {
+		ds := clusteredDataset(7, 3000, 4, 6, 10)
+		const eps = 12.0
+		idx := Build(ds)
+		// Single-threaded reference answers.
+		queries := 64
+		wantRadius := make([][]int32, queries)
+		wantCount := make([]int, queries)
+		for qi := 0; qi < queries; qi++ {
+			q := ds.At(int32(qi * 17 % ds.Len()))
+			wantRadius[qi] = sortedCopy(idx.Radius(q, eps, nil, nil))
+			wantCount[qi] = idx.RadiusCount(q, eps, nil)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var out []int32
+				var stats SearchStats
+				for rep := 0; rep < 30; rep++ {
+					qi := (g*31 + rep) % queries
+					q := ds.At(int32(qi * 17 % ds.Len()))
+					out = idx.Radius(q, eps, out[:0], &stats)
+					if !reflect.DeepEqual(sortedCopy(out), wantRadius[qi]) {
+						t.Errorf("goroutine %d: Radius(query %d) diverged under concurrency", g, qi)
+						return
 					}
-				}(g)
-			}
-			wg.Wait()
-		})
-	}
+					if c := idx.RadiusCount(q, eps, &stats); c != wantCount[qi] {
+						t.Errorf("goroutine %d: RadiusCount(query %d) = %d, want %d", g, qi, c, wantCount[qi])
+						return
+					}
+					if lim := idx.RadiusLimit(q, eps, 8, nil, &stats); len(lim) > 8 {
+						t.Errorf("goroutine %d: RadiusLimit returned %d > 8", g, len(lim))
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
 }
 
 // TestRadiusBatchMatchesRadius pins the batch entry to the single-query

@@ -14,9 +14,7 @@
 // misses the query ball entirely and report subtrees whose box lies
 // inside it wholesale; and traversals are iterative over an explicit
 // stack. Narrowed float32 classifications stay exact through an
-// interval band around eps² (see epsBand). The original pointer-chasing
-// implementation is retained as LegacyTree for benchmarking and
-// cross-checking.
+// interval band around eps² (see epsBand).
 //
 // Every search can meter its work into a SearchStats so the virtual
 // cluster can charge simulated time proportional to the real number of
@@ -98,9 +96,9 @@ type node struct {
 	left     int32 // node index; leaf: unused
 	right    int32
 	// start, end delimit the subtree's range into Tree.order (and the
-	// leaf-packed coordinate blocks). Unlike the legacy layout this is
-	// populated for internal nodes too, so bbox inclusion can report a
-	// whole subtree as one contiguous copy.
+	// leaf-packed coordinate blocks). It is populated for internal nodes
+	// too, so bbox inclusion can report a whole subtree as one
+	// contiguous copy.
 	start, end int32
 	splitVal   float64
 }
@@ -497,7 +495,7 @@ func (t *Tree) epsBand(dim int, eps2, qMax float64) float64 {
 
 // selectNth partially sorts order[lo:hi] so that order[nth] holds the
 // element of rank nth by coordinate dim (Hoare quickselect with
-// median-of-three pivots). Shared by Tree and LegacyTree builds.
+// median-of-three pivots).
 func selectNth(ds *geom.Dataset, order []int32, lo, hi, nth int32, dim int) {
 	coords, d := ds.Coords, ds.Dim
 	coord := func(p int32) float64 { return coords[int(p)*d+dim] }

@@ -2,8 +2,11 @@ package live_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"sparkdbscan/internal/dbscan"
@@ -333,6 +336,30 @@ func TestMutationErrors(t *testing.T) {
 	}
 	if err := m.Delete(7); err == nil {
 		t.Fatal("double delete accepted")
+	}
+}
+
+// TestInsertRejectsNonFinite: an insert with a NaN or ±Inf coordinate
+// is an error naming the coordinate, and it publishes no epoch.
+func TestInsertRejectsNonFinite(t *testing.T) {
+	m := newTestModel(t, 50, 51, live.Options{})
+	epoch := m.Epoch()
+	for _, tc := range []struct {
+		name  string
+		p     []float64
+		coord int
+	}{
+		{"nan", []float64{math.NaN(), 1}, 0},
+		{"+inf", []float64{1, math.Inf(1)}, 1},
+		{"-inf", []float64{math.Inf(-1), 1}, 0},
+	} {
+		want := fmt.Sprintf("coordinate %d", tc.coord)
+		if err := m.Insert(1000, tc.p); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Insert error %v, want %q", tc.name, err, want)
+		}
+	}
+	if got := m.Epoch(); got != epoch {
+		t.Fatalf("rejected inserts moved the epoch %d -> %d", epoch, got)
 	}
 }
 

@@ -21,6 +21,9 @@ func (m *Model) Insert(id int64, p []float64) error {
 	if len(p) != m.base.ds.Dim {
 		return fmt.Errorf("live: insert dimensionality %d != model %d", len(p), m.base.ds.Dim)
 	}
+	if err := geom.CheckFinite(p); err != nil {
+		return fmt.Errorf("live: insert of id %d: %w", id, err)
+	}
 	if _, dup := m.idx[id]; dup {
 		return fmt.Errorf("live: insert of duplicate id %d", id)
 	}

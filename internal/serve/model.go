@@ -76,6 +76,11 @@ func Freeze(ds *geom.Dataset, labels []int32, core []bool, tree *kdtree.Tree, p 
 	if core != nil && len(core) != n {
 		return nil, fmt.Errorf("serve: %d core flags for %d points", len(core), n)
 	}
+	for i := int32(0); i < int32(n); i++ {
+		if err := geom.CheckFinite(ds.At(i)); err != nil {
+			return nil, fmt.Errorf("serve: point %d: %w", i, err)
+		}
+	}
 	if tree == nil {
 		tree = kdtree.Build(ds)
 	} else if tree.Size() != n {

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -67,6 +70,28 @@ func TestFreezeValidation(t *testing.T) {
 	}
 	if _, err := Freeze(ds, []int32{0, 0, 0}, nil, kdtree.Build(line2d(0, 1)), dbscan.Params{Eps: 1, MinPts: 1}); err == nil {
 		t.Fatal("tree-size mismatch accepted")
+	}
+}
+
+// TestFreezeRejectsNonFinite: a snapshot with a NaN or ±Inf coordinate
+// is refused, and the error names the point and the coordinate.
+func TestFreezeRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		v            float64
+		point, coord int
+	}{
+		{"nan", math.NaN(), 1, 0},
+		{"+inf", math.Inf(1), 2, 1},
+		{"-inf", math.Inf(-1), 0, 1},
+	} {
+		ds := line2d(0, 1, 2)
+		ds.Coords[tc.point*ds.Dim+tc.coord] = tc.v
+		_, err := Freeze(ds, []int32{0, 0, 0}, nil, nil, dbscan.Params{Eps: 1, MinPts: 1})
+		want := fmt.Sprintf("point %d: coordinate %d", tc.point, tc.coord)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Freeze error %v, want %q", tc.name, err, want)
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sparkdbscan/internal/geom"
 )
 
 // ErrOverloaded is returned when a query is shed. Shedding early is
@@ -248,6 +250,9 @@ func (s *Server) AssignPriority(ctx context.Context, q []float64, pri Priority) 
 	noise := Assignment{Cluster: Noise}
 	if d := s.cur.Load().s.Dim(); len(q) != d {
 		return noise, fmt.Errorf("serve: query has %d coordinates, model wants %d", len(q), d)
+	}
+	if err := geom.CheckFinite(q); err != nil {
+		return noise, fmt.Errorf("serve: query %w", err)
 	}
 
 	// Graceful degradation: shed by priority before capacity does it

@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -251,6 +254,35 @@ func TestServerRejectsWrongDimension(t *testing.T) {
 	}
 }
 
+// TestServerRejectsNonFinite: a query with a NaN or ±Inf coordinate is
+// an error naming the coordinate, not an answer of noise, on every
+// priority.
+func TestServerRejectsNonFinite(t *testing.T) {
+	mA, _ := stressModels(t)
+	srv := NewServer(mA, Options{Workers: 1})
+	defer srv.Close()
+	for _, tc := range []struct {
+		name  string
+		q     []float64
+		coord int
+	}{
+		{"nan", []float64{math.NaN(), 0}, 0},
+		{"+inf", []float64{1, math.Inf(1)}, 1},
+		{"-inf", []float64{math.Inf(-1), 2}, 0},
+	} {
+		want := fmt.Sprintf("coordinate %d", tc.coord)
+		if _, err := srv.Assign(context.Background(), tc.q); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Assign error %v, want %q", tc.name, err, want)
+		}
+		if _, err := srv.AssignPriority(context.Background(), tc.q, PriorityHigh); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: AssignPriority error %v, want %q", tc.name, err, want)
+		}
+	}
+	if st := srv.Stats(); st.Completed != 0 {
+		t.Fatalf("rejected queries reached a worker: %d completed", st.Completed)
+	}
+}
+
 // TestLoadGenerators smoke-tests both loops against a live server and
 // checks the reports balance.
 func TestLoadGenerators(t *testing.T) {
@@ -259,7 +291,7 @@ func TestLoadGenerators(t *testing.T) {
 	defer srv.Close()
 	w := DatasetWorkload(mA.ds)
 
-	closed := ClosedLoop(srv, w, 8, 60*time.Millisecond)
+	closed := RunLoad(srv, w, LoadOptions{Clients: 8, Duration: 60 * time.Millisecond})
 	if closed.Completed == 0 || closed.AchievedQPS <= 0 {
 		t.Fatalf("closed loop served nothing: %+v", closed)
 	}
@@ -267,7 +299,7 @@ func TestLoadGenerators(t *testing.T) {
 		t.Fatalf("closed-loop books don't balance: %+v", closed)
 	}
 
-	open := OpenLoop(srv, w, 2000, 60*time.Millisecond)
+	open := RunLoad(srv, w, LoadOptions{QPS: 2000, Duration: 60 * time.Millisecond})
 	if open.Issued == 0 {
 		t.Fatalf("open loop issued nothing: %+v", open)
 	}

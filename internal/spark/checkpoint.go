@@ -20,7 +20,7 @@ import (
 // charges serialization plus the replicated write, and every
 // post-checkpoint materialization charges the HDFS read (through the
 // replica-failover path when a StorageFaultProfile is active) plus
-// deserialization. benchrunner -storagebench measures the crossover
+// deserialization. benchrunner -bench storage measures the crossover
 // against lineage recomputation.
 //
 // Like SetSizeFunc, this is driver-side wiring: call it between

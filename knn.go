@@ -9,7 +9,7 @@ package sparkdbscan
 // builder, or an approximate NN-descent builder that trades a little
 // graph recall for a large build speedup, both feeding the same
 // union-find clustering the distributed merge uses. See internal/knng,
-// examples/embeddings and the -knnbench benchmark.
+// examples/embeddings and the knn bench (benchrunner -bench knn).
 
 import (
 	"fmt"

@@ -332,8 +332,8 @@ const (
 // ChaosProfile deterministically injects worker faults (kills, stalls,
 // slowdowns, poisoned requests, dropped responses) into a Server for
 // resilience testing: same seed, same fault schedule. Set it in
-// ServeOptions.Chaos. See examples/resilience and the -chaosbench
-// benchmark.
+// ServeOptions.Chaos. See examples/resilience and the chaos bench
+// (benchrunner -bench chaos).
 type ChaosProfile = serve.ChaosProfile
 
 // Freeze snapshots a clustering into a Model for serving. It derives
