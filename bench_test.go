@@ -273,8 +273,6 @@ func BenchmarkAblationBroadcast(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var bcast, ship float64
 			for i := 0; i < b.N; i++ {
-				executors := (tc.tasks + 7) / 8
-				_ = executors
 				// Broadcast: one driver serialization + one
 				// deserialization per executor (TorrentBroadcast
 				// peers handle distribution).

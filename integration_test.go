@@ -22,7 +22,7 @@ import (
 
 // TestPipelineHDFSSparkDBSCAN is the cross-module integration test: a
 // dataset is written to the simulated HDFS in text form, read back
-// through spark.TextFile (one partition per block), parsed, clustered
+// through spark.TextFileLines (one partition per block), parsed, clustered
 // with the distributed algorithm, and the result is checked against
 // sequential DBSCAN — the full path the paper's Algorithm 2 lines 1–3
 // describe.

@@ -114,7 +114,8 @@ func runChaosBench(w io.Writer, c Config) (Report, error) {
 	if seed == 0 {
 		seed = 53
 	}
-	armDur := 400 * time.Millisecond
+	const fullArmDur = 400 * time.Millisecond
+	armDur := fullArmDur
 	if smoke {
 		if points > 4000 {
 			points = 4000
@@ -145,10 +146,13 @@ func runChaosBench(w io.Writer, c Config) (Report, error) {
 		ScheduleDigest: fmt.Sprintf("fnv1a:%016x", digest.Sum64()),
 	}
 
-	// runArm drives one closed-loop load against a fresh server.
+	// runArm drives one load against a fresh server, for armDur unless
+	// load sets its own duration.
 	runArm := func(name, fault string, opts serve.Options, load serve.LoadOptions) ChaosArm {
 		srv := serve.NewServer(model, opts)
-		load.Duration = armDur
+		if load.Duration == 0 {
+			load.Duration = armDur
+		}
 		rep := serve.RunLoad(srv, workload, load)
 		st := srv.Stats()
 		srv.Close()
@@ -210,7 +214,10 @@ func runChaosBench(w io.Writer, c Config) (Report, error) {
 	// turns batches around, so the p99 comparison would measure the
 	// machine; at a fixed arrival rate ~SlowRate of requests land in a
 	// slow batch on any host, and the only question is whether hedging
-	// moves them out of the tail.
+	// moves them out of the tail. The pair keeps the full arm duration
+	// even in smoke: ~800 requests put p99 eight samples from the
+	// worst, so a few host-scheduler stalls near the 20 ms slow delay
+	// cannot decide the gate on their own.
 	const slowQPS = 2000
 	slowChaos := func() *serve.ChaosProfile {
 		return &serve.ChaosProfile{Seed: seed, SlowRate: 0.05, SlowFor: 20 * time.Millisecond}
@@ -219,7 +226,7 @@ func runChaosBench(w io.Writer, c Config) (Report, error) {
 		Workers: 4, BatchCap: 8, MaxQueueDelay: -1,
 		StallTimeout: 50 * time.Millisecond, // slow != stalled
 		Chaos:        slowChaos(),
-	}, serve.LoadOptions{QPS: slowQPS, RequestTimeout: 100 * time.Millisecond})
+	}, serve.LoadOptions{QPS: slowQPS, RequestTimeout: 100 * time.Millisecond, Duration: fullArmDur})
 	report.Arms = append(report.Arms, slowNoHedge)
 
 	// Budget sized so the ~5% hedge demand never runs dry (a denied
@@ -232,7 +239,7 @@ func runChaosBench(w io.Writer, c Config) (Report, error) {
 		Hedge:        true, HedgeDelay: time.Millisecond,
 		HedgeBudget: hedgeBudget, HedgeBurst: hedgeBurst,
 		Chaos: slowChaos(),
-	}, serve.LoadOptions{QPS: slowQPS, RequestTimeout: 100 * time.Millisecond})
+	}, serve.LoadOptions{QPS: slowQPS, RequestTimeout: 100 * time.Millisecond, Duration: fullArmDur})
 	hedgeBound := uint64(float64(slowHedge.Completed-slowHedge.HedgeWon)*hedgeBudget) + hedgeBurst
 	rep.gate(slowHedge.Name,
 		slowHedge.P99us < slowNoHedge.P99us && slowHedge.HedgeWins > 0 && slowHedge.Hedges <= hedgeBound,

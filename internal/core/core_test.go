@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sparkdbscan/internal/dbscan"
@@ -444,5 +445,36 @@ func TestLocalDBSCANSplitValidation(t *testing.T) {
 	}
 	if _, err := LocalDBSCAN(ds, tree, part, -1, LocalOptions{Params: tableParams}); err == nil {
 		t.Fatal("negative split accepted")
+	}
+}
+
+func TestMergePaperLabelsIndependentOfCommitOrder(t *testing.T) {
+	// Tasks commit partial clusters to the accumulator in host
+	// scheduling order. Algorithm 4 numbers clusters by first
+	// appearance, so its labels must not depend on that order: every
+	// host parallelism and every repetition gives the same bytes.
+	for _, name := range []string{"r10k", "c10k"} {
+		ds := testDataset(t, name, 3000)
+		var want []int32
+		for _, hp := range []int{1, 2, 4} {
+			for rep := 0; rep < 3; rep++ {
+				sctx := spark.NewContext(spark.Config{Cores: 16, Seed: 5, HostParallelism: hp})
+				res, err := Run(sctx, ds, Config{
+					Params:     tableParams,
+					Partitions: 16,
+					Merge:      MergeOptions{Algo: MergePaper},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = res.Global.Labels
+					continue
+				}
+				if !slices.Equal(res.Global.Labels, want) {
+					t.Fatalf("%s: HostParallelism %d run %d: paper-pair labels differ from the first run", name, hp, rep)
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/simtime"
@@ -35,10 +37,9 @@ const (
 	// MergePaper is Algorithm 4 exactly as printed: a single pass over
 	// partial clusters with unfinished/finished statuses, each seed
 	// pulling its master cluster into the current one, and labels
-	// painted in order of first appearance. It can miss transitive
-	// merges (see the merge ablation and its tests) and its numbering
-	// depends on accumulator commit order; it is kept as the paper's
-	// ablation arm.
+	// painted in order of first appearance over the partials sorted by
+	// (Partition, Seq). It can miss transitive merges (see the merge
+	// ablation and its tests); it is kept as the paper's ablation arm.
 	MergePaper
 )
 
@@ -122,6 +123,15 @@ func Merge(partials []PartialCluster, n int, opts MergeOptions) *GlobalResult {
 	if opts.Algo != MergePaper {
 		return mergeParallel(partials, n, opts)
 	}
+	// Algorithm 4 numbers clusters by first appearance, so its labels
+	// depend on input order. Tasks commit to the accumulator in
+	// host-scheduling order; sorting by (Partition, Seq) makes the
+	// labels a function of the partial-cluster set, for a normal run
+	// and a journal replay alike. The sort is left uncharged: it only
+	// restores the order a one-worker host already commits in, so the
+	// paper pair's simulated timings do not move.
+	partials = slices.Clone(partials)
+	slices.SortFunc(partials, func(a, b PartialCluster) int { return cmp.Compare(a.ID(), b.ID()) })
 	res := &GlobalResult{
 		Labels:             make([]int32, n),
 		NumPartialClusters: len(partials),

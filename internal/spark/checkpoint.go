@@ -26,9 +26,6 @@ import (
 // Like SetSizeFunc, this is driver-side wiring: call it between
 // actions, not while jobs on r are in flight.
 func (r *RDD[T]) Checkpoint(fs *hdfs.FileSystem, dir string) error {
-	if err := r.runPrepare(); err != nil {
-		return err
-	}
 	part := func(split int) string { return fmt.Sprintf("%s/part-%05d", dir, split) }
 	type chk struct {
 		data  []T
@@ -64,7 +61,6 @@ func (r *RDD[T]) Checkpoint(fs *hdfs.FileSystem, dir string) error {
 		chkData[i] = p.data
 		sizes[i] = p.bytes
 	}
-	r.prepare = nil
 	r.compute = func(split int, tc *TaskContext) ([]T, error) {
 		var w simtime.Work
 		if _, err := fs.Read(part(split), &w); err != nil {
@@ -74,15 +70,9 @@ func (r *RDD[T]) Checkpoint(fs *hdfs.FileSystem, dir string) error {
 		tc.Charge(w)
 		return chkData[split], nil
 	}
-	r.cacheMu.Lock()
-	r.checkpointed = true
-	r.cacheMu.Unlock()
+	r.checkpointed.Store(true)
 	return nil
 }
 
 // Checkpointed reports whether Checkpoint has completed on r.
-func (r *RDD[T]) Checkpointed() bool {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	return r.checkpointed
-}
+func (r *RDD[T]) Checkpointed() bool { return r.checkpointed.Load() }

@@ -13,7 +13,7 @@ func TestCheckpointRoundTripAndLineageTruncation(t *testing.T) {
 	ctx := NewContext(Config{Cores: 4})
 	fs := hdfs.New(1<<20, 3)
 	var upstream atomic.Int64
-	rdd := Map(Parallelize(ctx, intRange(100), 5), func(v int) int {
+	rdd := mapEach(Parallelize(ctx, intRange(100), 5), func(v int) int {
 		upstream.Add(1)
 		return v * 2
 	})
@@ -95,7 +95,7 @@ func TestCheckpointCutsRecomputationUnderRetries(t *testing.T) {
 		var upstream atomic.Int64
 		ctx := NewContext(Config{Cores: 2})
 		fs := hdfs.New(1<<20, 1)
-		rdd := Map(Parallelize(ctx, intRange(40), 4), func(v int) int {
+		rdd := mapEach(Parallelize(ctx, intRange(40), 4), func(v int) int {
 			upstream.Add(1)
 			return v + 1
 		})

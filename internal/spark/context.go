@@ -1,10 +1,11 @@
 // Package spark is an in-process analogue of the Spark runtime the
-// paper targets: a driver coordinating executors, resilient distributed
-// datasets with lazy narrow transformations pipelined into stages,
-// hash-partitioned shuffles between stages, read-only broadcast
-// variables, write-only accumulators merged at the driver, FIFO task
-// scheduling with retries, and lineage-based recomputation when a task
-// attempt fails.
+// paper targets, cut to what its Algorithm 2 uses: a driver
+// coordinating executors, resilient distributed datasets (Parallelize,
+// record-aware HDFS text input, MapPartitionsWithIndex, Collect,
+// ForeachPartition, Checkpoint), read-only broadcast variables,
+// write-only accumulators merged at the driver, FIFO task scheduling
+// with retries, and lineage-based recomputation when a task attempt
+// fails. There is no shuffle: the paper's design exists to avoid one.
 //
 // Two execution modes exist. In Virtual mode (the default, and the one
 // every paper figure uses), tasks execute for real on the host — so

@@ -125,13 +125,12 @@ func TestSetSizeFuncAfterMaterializePanics(t *testing.T) {
 }
 
 func TestCachedRDDConcurrentJobsNoRace(t *testing.T) {
-	// A persisted RDD reused by concurrent jobs: every task reads the
-	// size estimator while the cache fills. Run under -race (the CI
+	// One RDD reused by concurrent jobs: every task reads the size
+	// estimator and marks the RDD started. Run under -race (the CI
 	// fault-matrix job does), this guards the atomic sizeFn.
 	ctx := NewContext(Config{Cores: 4})
 	base := Parallelize(ctx, intRange(1000), 8).
-		SetSizeFunc(func(int) int64 { return 8 }).
-		Persist()
+		SetSizeFunc(func(int) int64 { return 8 })
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for j := 0; j < 4; j++ {
@@ -141,7 +140,7 @@ func TestCachedRDDConcurrentJobsNoRace(t *testing.T) {
 			if j%2 == 0 {
 				_, errs[j] = base.Collect()
 			} else {
-				_, errs[j] = base.Count()
+				errs[j] = base.ForeachPartition(func(int, []int, *TaskContext) error { return nil })
 			}
 		}(j)
 	}
@@ -182,8 +181,13 @@ func TestProfileFailuresPreserveResultsAndAccumulators(t *testing.T) {
 		ctx := NewContext(Config{Cores: 4, CoresPerExecutor: 2, Faults: p})
 		rdd := Parallelize(ctx, intRange(100), 10)
 		acc := CounterAccumulator(ctx)
-		doubled := Map(rdd, func(x int) int { return 2 * x })
-		if err := doubled.Foreach(func(tc *TaskContext, v int) { acc.Add(tc, 1) }); err != nil {
+		doubled := mapEach(rdd, func(x int) int { return 2 * x })
+		if err := doubled.ForeachPartition(func(_ int, in []int, tc *TaskContext) error {
+			for range in {
+				acc.Add(tc, 1)
+			}
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 		out, err := doubled.Collect()

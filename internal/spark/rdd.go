@@ -2,7 +2,6 @@ package spark
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"sparkdbscan/internal/hdfs"
@@ -10,40 +9,31 @@ import (
 )
 
 // RDD is a resilient distributed dataset: a lazy, partitioned
-// collection described by its lineage. Narrow transformations (Map,
-// Filter, FlatMap, MapPartitions) are pipelined — they compose compute
-// functions and execute inside a single stage, exactly as Spark's DAG
-// scheduler pipelines narrow dependencies. Wide operations (see
-// shuffle.go) insert a stage boundary.
-//
-// Because Go methods cannot introduce type parameters, transformations
-// whose element type changes are package-level functions (spark.Map,
-// spark.FlatMap); same-type operations are methods.
+// collection described by its lineage. MapPartitionsWithIndex pipelines
+// into the stage of the action that consumes it, so a job is one stage
+// per action — the shape the paper's Algorithm 2 needs (a broadcast,
+// one foreachPartition over the partitions, accumulators back to the
+// driver). A failed task recomputes its partition by re-running the
+// lineage's compute chain.
 type RDD[T any] struct {
 	ctx   *Context
-	id    int
+	id    int // drawn from the counter broadcast ids share
 	name  string
 	parts int
 	// compute materializes one partition. It must be deterministic: a
 	// retried task recomputes the partition from lineage by calling it
 	// again.
 	compute func(split int, tc *TaskContext) ([]T, error)
-	// prepare runs parent stages (shuffle map sides). It executes at
-	// most once per job graph thanks to sync.Once chaining.
-	prepare func() error
 
 	// sizeFn estimates the serialized size of one element; used to
-	// charge executor→driver result traffic and shuffle volume. Held
-	// behind an atomic pointer because tasks of concurrent jobs read
-	// it while the driver may still be wiring the lineage; writes are
-	// only legal before the first materialization (see SetSizeFunc).
-	sizeFn  atomic.Pointer[func(T) int64]
-	started atomic.Bool // a partition has materialized
-
-	cacheMu      sync.Mutex
-	cached       bool
-	cache        [][]T
-	checkpointed bool
+	// charge driver→executor shipping, executor→driver result traffic
+	// and checkpoint bytes. Held behind an atomic pointer because tasks
+	// of concurrent jobs read it while the driver may still be wiring
+	// the lineage; writes are only legal before the first
+	// materialization (see SetSizeFunc).
+	sizeFn       atomic.Pointer[func(T) int64]
+	started      atomic.Bool // a partition has materialized
+	checkpointed atomic.Bool
 }
 
 // defaultElemSize is the serialized-size guess for elements without a
@@ -68,12 +58,6 @@ func newRDD[T any](ctx *Context, name string, parts int,
 	return r
 }
 
-// ID returns the RDD's unique id within its context.
-func (r *RDD[T]) ID() int { return r.id }
-
-// Name returns the RDD's lineage label.
-func (r *RDD[T]) Name() string { return r.name }
-
 // NumPartitions returns the partition count.
 func (r *RDD[T]) NumPartitions() int { return r.parts }
 
@@ -94,64 +78,18 @@ func (r *RDD[T]) SetSizeFunc(f func(T) int64) *RDD[T] {
 // elemSize prices one element with the current estimator.
 func (r *RDD[T]) elemSize(e T) int64 { return (*r.sizeFn.Load())(e) }
 
-// inheritSize copies the parent's estimator into a derived same-type
-// RDD (filter, coalesce, union — elements pass through unchanged).
-func (r *RDD[T]) inheritSize(parent *RDD[T]) {
-	r.sizeFn.Store(parent.sizeFn.Load())
-}
-
-// Persist marks the RDD cached: the first materialization of each
-// partition is kept in memory and reused by later jobs (and by task
-// retries of downstream stages). Mirrors rdd.cache().
-func (r *RDD[T]) Persist() *RDD[T] {
-	r.cacheMu.Lock()
-	if !r.cached {
-		r.cached = true
-		r.cache = make([][]T, r.parts)
-	}
-	r.cacheMu.Unlock()
-	return r
-}
-
-// materialize returns partition split, honouring the cache.
+// materialize returns partition split.
 func (r *RDD[T]) materialize(split int, tc *TaskContext) ([]T, error) {
 	r.started.Store(true)
-	if !r.cached {
-		return r.compute(split, tc)
-	}
-	r.cacheMu.Lock()
-	if c := r.cache[split]; c != nil {
-		r.cacheMu.Unlock()
-		return c, nil
-	}
-	r.cacheMu.Unlock()
-	data, err := r.compute(split, tc)
-	if err != nil {
-		return nil, err
-	}
-	r.cacheMu.Lock()
-	if r.cache[split] == nil {
-		r.cache[split] = data
-	} else {
-		data = r.cache[split]
-	}
-	r.cacheMu.Unlock()
-	return data, nil
-}
-
-func (r *RDD[T]) runPrepare() error {
-	if r.prepare == nil {
-		return nil
-	}
-	return r.prepare()
+	return r.compute(split, tc)
 }
 
 // ---------- Creation ----------
 
 // Parallelize distributes data across parts partitions (contiguous
 // index ranges, matching the paper's partitioning of points). The
-// driver→executor shipping cost of each slice is charged to the task
-// that first materializes it.
+// driver→executor shipping cost of each slice is charged to every task
+// that materializes it.
 func Parallelize[T any](ctx *Context, data []T, parts int) *RDD[T] {
 	if parts < 1 {
 		parts = 1
@@ -183,27 +121,6 @@ func partitionRange(n, parts, split int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// TextFile reads an HDFS file as one partition per block, charging the
-// block reads (the Δ ingestion term) to the reading tasks. Lines are
-// returned unsplit per block; callers parse them.
-func TextFile(ctx *Context, fs *hdfs.FileSystem, name string) (*RDD[[]byte], error) {
-	blocks, err := fs.NumBlocks(name)
-	if err != nil {
-		return nil, err
-	}
-	r := newRDD[[]byte](ctx, fmt.Sprintf("textFile(%s)", name), blocks, nil)
-	r.compute = func(split int, tc *TaskContext) ([][]byte, error) {
-		var w simtime.Work
-		block, err := fs.ReadBlock(name, split, &w)
-		if err != nil {
-			return nil, err
-		}
-		tc.Charge(w)
-		return [][]byte{block}, nil
-	}
-	return r, nil
 }
 
 // TextFileLines reads an HDFS text file as one partition per block with
@@ -271,67 +188,7 @@ func TextFileLines(ctx *Context, fs *hdfs.FileSystem, name string) (*RDD[string]
 	return r, nil
 }
 
-// ---------- Narrow transformations ----------
-
-// Map applies f to every element. Pipelined (no stage boundary).
-func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
-	out := newRDD[U](r.ctx, r.name+".map", r.parts, nil)
-	out.prepare = r.runPrepare
-	out.compute = func(split int, tc *TaskContext) ([]U, error) {
-		in, err := r.materialize(split, tc)
-		if err != nil {
-			return nil, err
-		}
-		res := make([]U, len(in))
-		for i, e := range in {
-			res[i] = f(e)
-		}
-		tc.ChargeElems(int64(len(in)))
-		return res, nil
-	}
-	return out
-}
-
-// FlatMap applies f to every element and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	out := newRDD[U](r.ctx, r.name+".flatMap", r.parts, nil)
-	out.prepare = r.runPrepare
-	out.compute = func(split int, tc *TaskContext) ([]U, error) {
-		in, err := r.materialize(split, tc)
-		if err != nil {
-			return nil, err
-		}
-		var res []U
-		for _, e := range in {
-			res = append(res, f(e)...)
-		}
-		tc.ChargeElems(int64(len(in)))
-		return res, nil
-	}
-	return out
-}
-
-// Filter keeps the elements for which pred is true.
-func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
-	out := newRDD[T](r.ctx, r.name+".filter", r.parts, nil)
-	out.prepare = r.runPrepare
-	out.inheritSize(r)
-	out.compute = func(split int, tc *TaskContext) ([]T, error) {
-		in, err := r.materialize(split, tc)
-		if err != nil {
-			return nil, err
-		}
-		var res []T
-		for _, e := range in {
-			if pred(e) {
-				res = append(res, e)
-			}
-		}
-		tc.ChargeElems(int64(len(in)))
-		return res, nil
-	}
-	return out
-}
+// ---------- Transformation ----------
 
 // MapPartitionsWithIndex transforms a whole partition at once, giving f
 // the partition index and task context — the hook the DBSCAN runner
@@ -339,7 +196,6 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 func MapPartitionsWithIndex[T, U any](r *RDD[T],
 	f func(split int, in []T, tc *TaskContext) ([]U, error)) *RDD[U] {
 	out := newRDD[U](r.ctx, r.name+".mapPartitions", r.parts, nil)
-	out.prepare = r.runPrepare
 	out.compute = func(split int, tc *TaskContext) ([]U, error) {
 		in, err := r.materialize(split, tc)
 		if err != nil {
@@ -355,9 +211,6 @@ func MapPartitionsWithIndex[T, U any](r *RDD[T],
 // Collect materializes every partition and returns all elements in
 // partition order, charging the executor→driver result transfer.
 func (r *RDD[T]) Collect() ([]T, error) {
-	if err := r.runPrepare(); err != nil {
-		return nil, err
-	}
 	parts, err := runStage(r.ctx, r.name+".collect", r.parts,
 		func(split int, tc *TaskContext) ([]T, error) {
 			data, err := r.materialize(split, tc)
@@ -382,95 +235,9 @@ func (r *RDD[T]) Collect() ([]T, error) {
 	return out, nil
 }
 
-// Count returns the number of elements.
-func (r *RDD[T]) Count() (int64, error) {
-	if err := r.runPrepare(); err != nil {
-		return 0, err
-	}
-	counts, err := runStage(r.ctx, r.name+".count", r.parts,
-		func(split int, tc *TaskContext) (int64, error) {
-			data, err := r.materialize(split, tc)
-			if err != nil {
-				return 0, err
-			}
-			return int64(len(data)), nil
-		})
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total, nil
-}
-
-// Reduce folds all elements with f, which must be associative and
-// commutative. It returns an error on an empty RDD.
-func (r *RDD[T]) Reduce(f func(T, T) T) (T, error) {
-	var zero T
-	if err := r.runPrepare(); err != nil {
-		return zero, err
-	}
-	type partial struct {
-		v  T
-		ok bool
-	}
-	parts, err := runStage(r.ctx, r.name+".reduce", r.parts,
-		func(split int, tc *TaskContext) (partial, error) {
-			data, err := r.materialize(split, tc)
-			if err != nil {
-				return partial{}, err
-			}
-			tc.ChargeElems(int64(len(data)))
-			if len(data) == 0 {
-				return partial{}, nil
-			}
-			acc := data[0]
-			for _, e := range data[1:] {
-				acc = f(acc, e)
-			}
-			return partial{v: acc, ok: true}, nil
-		})
-	if err != nil {
-		return zero, err
-	}
-	var acc T
-	have := false
-	for _, p := range parts {
-		if !p.ok {
-			continue
-		}
-		if !have {
-			acc, have = p.v, true
-		} else {
-			acc = f(acc, p.v)
-		}
-	}
-	if !have {
-		return zero, fmt.Errorf("spark: reduce of empty RDD")
-	}
-	return acc, nil
-}
-
-// Foreach runs f on every element, for side effects such as
-// accumulator updates.
-func (r *RDD[T]) Foreach(f func(tc *TaskContext, e T)) error {
-	return r.ForeachPartition(func(split int, in []T, tc *TaskContext) error {
-		for _, e := range in {
-			f(tc, e)
-		}
-		tc.ChargeElems(int64(len(in)))
-		return nil
-	})
-}
-
 // ForeachPartition runs f once per partition — the paper's Algorithm 2
 // executor closure (lines 4–29) runs inside one of these.
 func (r *RDD[T]) ForeachPartition(f func(split int, in []T, tc *TaskContext) error) error {
-	if err := r.runPrepare(); err != nil {
-		return err
-	}
 	_, err := runStage(r.ctx, r.name+".foreachPartition", r.parts,
 		func(split int, tc *TaskContext) (struct{}, error) {
 			data, err := r.materialize(split, tc)

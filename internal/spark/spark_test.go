@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"sparkdbscan/internal/hdfs"
 	"sparkdbscan/internal/simtime"
 )
 
@@ -17,6 +16,18 @@ func intRange(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// mapEach applies f to every element, built on the one transformation
+// the package has.
+func mapEach[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
+	return MapPartitionsWithIndex(r, func(_ int, in []T, _ *TaskContext) ([]U, error) {
+		out := make([]U, len(in))
+		for i, e := range in {
+			out[i] = f(e)
+		}
+		return out, nil
+	})
 }
 
 func TestParallelizeCollect(t *testing.T) {
@@ -62,63 +73,6 @@ func TestPartitionRangeCoversAll(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
-	ctx := NewContext(Config{Cores: 2})
-	rdd := Parallelize(ctx, intRange(20), 4)
-	doubled := Map(rdd, func(x int) int { return 2 * x })
-	evens := doubled.Filter(func(x int) bool { return x%4 == 0 })
-	expanded := FlatMap(evens, func(x int) []string {
-		return []string{fmt.Sprint(x), fmt.Sprint(x + 1)}
-	})
-	got, err := expanded.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// evens of doubled 0..38 divisible by 4: 0,4,...,36 -> 10 values, 2 strings each.
-	if len(got) != 20 {
-		t.Fatalf("got %d elements: %v", len(got), got)
-	}
-	if got[0] != "0" || got[1] != "1" || got[2] != "4" {
-		t.Fatalf("unexpected head: %v", got[:3])
-	}
-}
-
-func TestCountAndReduce(t *testing.T) {
-	ctx := NewContext(Config{Cores: 3})
-	rdd := Parallelize(ctx, intRange(101), 7)
-	n, err := rdd.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 101 {
-		t.Fatalf("Count = %d", n)
-	}
-	sum, err := rdd.Reduce(func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 5050 {
-		t.Fatalf("Reduce sum = %d", sum)
-	}
-}
-
-func TestReduceEmptyRDD(t *testing.T) {
-	ctx := NewContext(Config{})
-	rdd := Parallelize(ctx, []int{}, 3)
-	if _, err := rdd.Reduce(func(a, b int) int { return a + b }); err == nil {
-		t.Fatal("Reduce on empty RDD did not error")
-	}
-}
-
-func TestReduceWithEmptyPartitions(t *testing.T) {
-	ctx := NewContext(Config{})
-	rdd := Parallelize(ctx, []int{5}, 4) // 3 empty partitions
-	got, err := rdd.Reduce(func(a, b int) int { return a + b })
-	if err != nil || got != 5 {
-		t.Fatalf("got %d, %v", got, err)
-	}
-}
-
 func TestMapPartitionsWithIndex(t *testing.T) {
 	ctx := NewContext(Config{Cores: 2})
 	rdd := Parallelize(ctx, intRange(10), 3)
@@ -141,8 +95,11 @@ func TestForeachAccumulator(t *testing.T) {
 	ctx := NewContext(Config{Cores: 4})
 	rdd := Parallelize(ctx, intRange(1000), 8)
 	acc := CounterAccumulator(ctx)
-	err := rdd.Foreach(func(tc *TaskContext, v int) {
-		acc.Add(tc, int64(v))
+	err := rdd.ForeachPartition(func(_ int, in []int, tc *TaskContext) error {
+		for _, v := range in {
+			acc.Add(tc, int64(v))
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +143,12 @@ func TestAccumulatorExactlyOnceUnderRetries(t *testing.T) {
 	})
 	rdd := Parallelize(ctx, intRange(40), 4)
 	acc := CounterAccumulator(ctx)
-	err := rdd.Foreach(func(tc *TaskContext, v int) { acc.Add(tc, 1) })
+	err := rdd.ForeachPartition(func(_ int, in []int, tc *TaskContext) error {
+		for range in {
+			acc.Add(tc, 1)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +191,7 @@ func TestLineageRecomputation(t *testing.T) {
 	var failedOnce atomic.Bool
 	ctx := NewContext(Config{Cores: 1})
 	rdd := Parallelize(ctx, intRange(10), 2)
-	mapped := Map(rdd, func(x int) int {
+	mapped := mapEach(rdd, func(x int) int {
 		mapRuns.Add(1)
 		return x + 1
 	})
@@ -252,31 +214,12 @@ func TestLineageRecomputation(t *testing.T) {
 	}
 }
 
-func TestPersistAvoidsRecomputation(t *testing.T) {
-	var computeRuns atomic.Int64
-	ctx := NewContext(Config{Cores: 2})
-	rdd := Parallelize(ctx, intRange(10), 2)
-	expensive := Map(rdd, func(x int) int {
-		computeRuns.Add(1)
-		return x * x
-	}).Persist()
-	if _, err := expensive.Count(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := expensive.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if computeRuns.Load() != 10 {
-		t.Fatalf("cached RDD recomputed: %d map runs, want 10", computeRuns.Load())
-	}
-}
-
 func TestBroadcast(t *testing.T) {
 	ctx := NewContext(Config{Cores: 2})
 	table := map[int]string{0: "a", 1: "b"}
 	bc := NewBroadcast(ctx, table, 1024)
 	rdd := Parallelize(ctx, intRange(10), 2)
-	out, err := Map(rdd, func(x int) string { return bc.Value()[x%2] }).Collect()
+	out, err := mapEach(rdd, func(x int) string { return bc.Value()[x%2] }).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,110 +235,6 @@ func TestBroadcast(t *testing.T) {
 	// The broadcast charges driver serialization time in virtual mode.
 	if rep := ctx.Report(); rep.DriverWork.SerBytes < 1024 {
 		t.Fatalf("driver not charged for broadcast: %+v", rep.DriverWork)
-	}
-}
-
-func TestReduceByKey(t *testing.T) {
-	ctx := NewContext(Config{Cores: 4})
-	var pairs []Pair[string, int]
-	for i := 0; i < 100; i++ {
-		pairs = append(pairs, Pair[string, int]{Key: fmt.Sprintf("k%d", i%5), Value: i})
-	}
-	rdd := Parallelize(ctx, pairs, 8)
-	reduced, err := SortedCollectByKey(ReduceByKey(rdd, func(a, b int) int { return a + b }, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reduced) != 5 {
-		t.Fatalf("got %d keys", len(reduced))
-	}
-	// Sum over i where i%5==0: 0+5+...+95 = 950.
-	if reduced[0].Key != "k0" || reduced[0].Value != 950 {
-		t.Fatalf("k0 = %+v", reduced[0])
-	}
-	total := 0
-	for _, p := range reduced {
-		total += p.Value
-	}
-	if total != 4950 {
-		t.Fatalf("total %d", total)
-	}
-}
-
-func TestGroupByKey(t *testing.T) {
-	ctx := NewContext(Config{Cores: 2})
-	pairs := []Pair[int, string]{
-		{1, "a"}, {2, "b"}, {1, "c"}, {2, "d"}, {3, "e"},
-	}
-	rdd := Parallelize(ctx, pairs, 3)
-	grouped, err := GroupByKey(rdd, 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[int][]string{}
-	for _, g := range grouped {
-		vs := append([]string(nil), g.Value...)
-		sort.Strings(vs)
-		byKey[g.Key] = vs
-	}
-	if len(byKey) != 3 {
-		t.Fatalf("got %d keys", len(byKey))
-	}
-	if got := byKey[1]; len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("key 1 = %v", got)
-	}
-}
-
-func TestShuffleChargesDiskAndNetwork(t *testing.T) {
-	ctx := NewContext(Config{Cores: 2})
-	var pairs []Pair[int, int]
-	for i := 0; i < 1000; i++ {
-		pairs = append(pairs, Pair[int, int]{i % 10, i})
-	}
-	rdd := Parallelize(ctx, pairs, 4)
-	if _, err := ReduceByKey(rdd, func(a, b int) int { return a + b }, 4).Collect(); err != nil {
-		t.Fatal(err)
-	}
-	rep := ctx.Report()
-	var w simtime.Work
-	for _, st := range rep.Stages {
-		w.Add(st.Work)
-	}
-	if w.DiskWriteBytes == 0 || w.NetBytes == 0 {
-		t.Fatalf("shuffle costs not charged: %+v", w)
-	}
-}
-
-func TestTextFile(t *testing.T) {
-	fs := hdfs.New(64, 1) // tiny blocks to force multiple partitions
-	payload := make([]byte, 300)
-	for i := range payload {
-		payload[i] = byte('a' + i%26)
-	}
-	if err := fs.Write("data.txt", payload, nil); err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext(Config{Cores: 2})
-	rdd, err := TextFile(ctx, fs, "data.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rdd.NumPartitions() != 5 { // ceil(300/64)
-		t.Fatalf("partitions = %d, want 5", rdd.NumPartitions())
-	}
-	blocks, err := rdd.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rebuilt []byte
-	for _, b := range blocks {
-		rebuilt = append(rebuilt, b...)
-	}
-	if string(rebuilt) != string(payload) {
-		t.Fatal("textFile blocks do not reassemble the file")
-	}
-	if _, err := TextFile(ctx, fs, "missing"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 
@@ -453,9 +292,13 @@ func TestVirtualTimeDeterministic(t *testing.T) {
 func TestRealModeRuns(t *testing.T) {
 	ctx := NewContext(Config{Cores: 2, Mode: Real})
 	rdd := Parallelize(ctx, intRange(100), 4)
-	sum, err := Map(rdd, func(x int) int { return x }).Reduce(func(a, b int) int { return a + b })
+	vals, err := mapEach(rdd, func(x int) int { return x }).Collect()
 	if err != nil {
 		t.Fatal(err)
+	}
+	sum := 0
+	for _, v := range vals {
+		sum += v
 	}
 	if sum != 4950 {
 		t.Fatalf("sum = %d", sum)
