@@ -544,6 +544,13 @@ func median3(a, b, c float64) float64 {
 // Size returns the number of points indexed.
 func (t *Tree) Size() int { return len(t.order) }
 
+// Order returns the tree's point permutation: every leaf owns a
+// contiguous run of it, so consecutive entries are spatial neighbours.
+// Querying points in this order keeps the upper nodes and the leaf
+// blocks a query touches cache-resident for the next one. The slice is
+// the tree's own; callers must not modify it.
+func (t *Tree) Order() []int32 { return t.order }
+
 // BuildOps returns the metered construction work: the sum of subrange
 // sizes over all created nodes, i.e. the Θ(n log n) term the cost model
 // prices when the driver builds the tree. The count is identical

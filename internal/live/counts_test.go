@@ -1,0 +1,47 @@
+package live
+
+import (
+	"testing"
+
+	"sparkdbscan/internal/rng"
+)
+
+// checkBaseCounts asserts that the writer's neighbour counts over a
+// freshly built base (no overlay, no tombstones) equal one RadiusCount
+// per base point, and that the core flags follow from them.
+func checkBaseCounts(t *testing.T, m *Model, ctx string) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.counts) != m.base.n {
+		t.Fatalf("%s: %d counts for %d base points", ctx, len(m.counts), m.base.n)
+	}
+	for i := int32(0); int(i) < m.base.n; i++ {
+		want := m.base.tree.RadiusCount(m.base.ds.At(i), m.p.Eps, nil)
+		if int(m.counts[i]) != want {
+			t.Fatalf("%s: point %d count %d, RadiusCount %d", ctx, i, m.counts[i], want)
+		}
+		if m.core[i] != (want >= m.p.MinPts) {
+			t.Fatalf("%s: point %d core flag %v with count %d", ctx, i, m.core[i], want)
+		}
+	}
+}
+
+func TestNeighbourCountsAfterNewModelAndReconcile(t *testing.T) {
+	m := stressModel(t, 1500, 41)
+	checkBaseCounts(t, m, "NewModel")
+	r := rng.New(42)
+	for i := 0; i < 400; i++ {
+		if i%3 == 2 {
+			_ = m.Delete(int64(r.Intn(1500))) // an id already deleted is skipped
+			continue
+		}
+		if err := m.Insert(int64(10_000+i), []float64{r.Float64() * 20, r.Float64() * 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.ReconcileNow(); err != nil {
+		t.Fatal(err)
+	}
+	checkBaseCounts(t, m, "ReconcileNow")
+}

@@ -33,8 +33,9 @@
 // clusters can only be coarser — never finer, never wrong about
 // density — than a from-scratch DBSCAN on the surviving points.
 // Reconcile (triggered by overlay-size or drift thresholds, or by
-// ReconcileNow) reruns the offline pipeline on the survivors and swaps
-// the result in as a new frozen base under the same epoch protocol.
+// ReconcileNow) reclusters the survivors from scratch with the exact
+// parallel engine of internal/pdsdbscan and swaps the result in as a
+// new frozen base under the same epoch protocol.
 // DESIGN.md §17 states and proves the invariants; the property tests
 // in live_test.go pin them.
 package live
@@ -48,6 +49,7 @@ import (
 	"sparkdbscan/internal/dsu"
 	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
+	"sparkdbscan/internal/pdsdbscan"
 )
 
 // Noise is the label of points in no cluster.
@@ -220,7 +222,7 @@ func NewModel(ds *geom.Dataset, labels []int32, tree *kdtree.Tree, p dbscan.Para
 		opts:   opts.withDefaults(),
 		base:   &baseSnap{ds: ds, tree: tree, n: n},
 		labels: append([]int32(nil), labels...),
-		counts: make([]int32, n),
+		counts: pdsdbscan.Census(ds, tree, p.Eps),
 		core:   make([]bool, n),
 		tomb:   make([]bool, n),
 		ids:    make([]int64, n),
@@ -229,11 +231,8 @@ func NewModel(ds *geom.Dataset, labels []int32, tree *kdtree.Tree, p dbscan.Para
 		dirty:  make(map[int32]struct{}),
 	}
 	maxLabel := int32(-1)
-	for i := 0; i < n; i++ {
-		q := ds.At(int32(i))
-		c := tree.RadiusCount(q, p.Eps, nil)
-		m.counts[i] = int32(c)
-		m.core[i] = c >= p.MinPts
+	for i, c := range m.counts {
+		m.core[i] = int(c) >= p.MinPts
 		m.ids[i] = int64(i)
 		m.idx[int64(i)] = int32(i)
 		if labels[i] > maxLabel {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -134,8 +135,9 @@ func verifyOneSided(t *testing.T, m *live.Model, ctx string) {
 // checks pass a looser bound — borders may legitimately sit with a
 // different reachable cluster than dbscan.Run's expansion order chose,
 // and each such border moves ARI without breaking equivalence.
-// Post-reconcile the labels come from the offline pipeline itself, so
-// the bound is essentially 1.
+// Post-reconcile the labels come from the exact parallel engine, so
+// the bound is essentially 1 (TestReconcileRestoresExactness also pins
+// them byte for byte).
 func verifyExact(t *testing.T, m *live.Model, ctx string, minARI float64) {
 	t.Helper()
 	g := m.Pin()
@@ -230,6 +232,12 @@ func TestReconcileRestoresExactness(t *testing.T) {
 		t.Fatalf("suspicious reconcile stats: %+v", st)
 	}
 	verifyExact(t, m, "post-reconcile", 0.9999)
+	g := m.Pin()
+	_, labels, _, res := scratchRun(t, g)
+	g.Close()
+	if !slices.Equal(labels, res.Labels) {
+		t.Fatal("post-reconcile labels differ from a from-scratch dbscan.Run of the survivors")
+	}
 	if s := m.Stats(); s.Overlay != 0 || s.Tombstones != 0 || s.MutationsSinceBase != 0 {
 		t.Fatalf("reconcile did not reset the overlay: %+v", s)
 	}

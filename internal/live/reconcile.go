@@ -3,10 +3,10 @@ package live
 import (
 	"time"
 
-	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/dsu"
 	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
+	"sparkdbscan/internal/pdsdbscan"
 )
 
 // ReconcileStats describes one reconciliation.
@@ -19,7 +19,7 @@ type ReconcileStats struct {
 	// Clusters is the cluster count of the fresh clustering.
 	Clusters int `json:"clusters"`
 	// Duration is the wall-clock cost of the rebuild (writes queue
-	// behind it; reads are unaffected).
+	// behind it; reads keep answering from their snapshots).
 	Duration time.Duration `json:"duration_ns"`
 }
 
@@ -53,13 +53,16 @@ func (m *Model) maybeReconcile() {
 
 // ReconcileNow rebuilds the model from scratch on the surviving
 // points: compact the live points into a fresh dataset (preserving
-// external ids), rerun the offline pipeline (kd-tree build + DBSCAN),
-// and publish the result as a new frozen base with an empty overlay.
-// Reads are unaffected throughout — pinned epochs keep answering from
-// their snapshots and the swap is one atomic publish; writes queue
-// behind the rebuild on the writer lock. After ReconcileNow the
-// model's labels are exactly from-scratch DBSCAN's (the property tests
-// pin ARI == 1), which is what bounds the one-sided drift.
+// external ids), build a kd-tree and cluster it with the parallel
+// engine (pdsdbscan, whose labels, core flags and neighbourhood counts
+// are sequential DBSCAN's), and publish the result as a new frozen
+// base with an empty overlay.
+// Reads keep answering throughout — pinned epochs answer from their
+// snapshots and the swap is one atomic publish — but the clustering
+// runs on GOMAXPROCS goroutines, so concurrent reads share the cores
+// with it; writes queue behind the rebuild on the writer lock. After ReconcileNow the
+// model's labels are exactly from-scratch DBSCAN's (the tests pin them
+// byte for byte), which is what bounds the one-sided drift.
 func (m *Model) ReconcileNow() (ReconcileStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -87,7 +90,7 @@ func (m *Model) reconcileLocked() (ReconcileStats, error) {
 		k++
 	}
 	tree := kdtree.Build(ds)
-	res, err := dbscan.Run(ds, tree, m.p)
+	res, err := pdsdbscan.Run(ds, tree, pdsdbscan.Config{Params: m.p})
 	if err != nil {
 		return st, err
 	}
@@ -96,13 +99,12 @@ func (m *Model) reconcileLocked() (ReconcileStats, error) {
 	m.base = &baseSnap{ds: ds, tree: tree, n: n}
 	m.labels = res.Labels
 	m.core = res.Core
-	m.counts = make([]int32, n)
+	m.counts = res.Counts
 	m.tomb = make([]bool, n)
 	m.ids = ids
 	m.idx = make(map[int64]int32, n)
 	for i, id := range ids {
 		m.idx[id] = int32(i)
-		m.counts[i] = int32(tree.RadiusCount(ds.At(int32(i)), m.p.Eps, nil))
 	}
 	m.extra = nil
 	m.overlayN = 0

@@ -1,29 +1,35 @@
-// Package pdsdbscan implements the disjoint-set parallel DBSCAN of
-// Patwary et al. ("A new scalable parallel DBSCAN algorithm using the
-// disjoint-set data structure", SC 2012) — the shared-memory comparator
-// the paper validates its clustering output against ("After comparing
-// with the results from Patwary et al. we find that our results match
-// them").
+// Package pdsdbscan is the repository's exact shared-memory parallel
+// DBSCAN: the disjoint-set formulation of Patwary et al. ("A new
+// scalable parallel DBSCAN algorithm using the disjoint-set data
+// structure", SC 2012), the comparator the paper validates its
+// clustering output against, made deterministic with the core-flag
+// argument of Wang, Gu and Shun (arXiv:1912.06255). Its labels and core
+// flags equal sequential dbscan.Run's byte for byte at any worker
+// count, so the live layer's reconcile runs on it.
 //
-// The algorithm avoids the sequential BFS entirely: it computes core
-// flags for all points, then builds clusters as connected components in
-// a union-find forest — core-core edges union their trees, and each
-// border point attaches to the first core tree that claims it. Both
-// phases parallelize over point ranges with goroutines; the union phase
-// synchronizes through the lock-free concurrent disjoint-set of
-// internal/dsu (where Patwary et al. lock the two roots).
+// The engine makes one pass over the kd-tree's leaf order, in
+// fixed-size chunks that Workers goroutines pull from an atomic cursor.
+// Each point gets one Radius query; its result length is the point's
+// neighbourhood count. A core point publishes its flag, then unions
+// with every neighbour whose flag is already set. Go's atomics are
+// sequentially consistent, so of two adjacent cores that race, at
+// least one sees the other's flag: every core–core edge is unioned
+// exactly as if the cores had been processed one at a time.
 //
-// Its inclusion gives the repository a second, structurally different
-// parallel baseline: where the paper's Spark algorithm pays for
-// isolation with SEED bookkeeping and a driver merge, PDSDBSCAN pays
-// with fine-grained synchronization on shared memory. The comparison
-// bench quantifies the difference in metered work.
+// Numbering then follows the sequential BFS. dsu.Concurrent's
+// quiescent root is its set's minimum index, which for a core component
+// is its lowest core — the point where dbscan.Run starts that cluster —
+// so ranking roots by index reproduces its cluster ids. A border point
+// takes the lowest id among its adjacent clusters, the first cluster
+// whose expansion reaches it in the sequential run; that costs one more
+// Radius query per non-core point that has a neighbour at all.
 package pdsdbscan
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/dsu"
@@ -31,6 +37,12 @@ import (
 	"sparkdbscan/internal/kdtree"
 	"sparkdbscan/internal/simtime"
 )
+
+// chunkPts is how many consecutive leaf-order points a worker claims
+// per cursor step: two default-size leaves, so a claim keeps its
+// queries within one region of the tree while the cursor still hands
+// out hundreds of claims per 100k points to balance uneven density.
+const chunkPts = 256
 
 // Config configures a run.
 type Config struct {
@@ -41,143 +53,116 @@ type Config struct {
 
 // Result is a finished run.
 type Result struct {
+	// Labels, Core, NumClusters and NumNoise equal dbscan.Run's.
 	Labels      []int32
 	Core        []bool
 	NumClusters int
 	NumNoise    int
+	// Counts holds every point's eps-neighbourhood size, the point
+	// itself included.
+	Counts []int32
 	// Work meters the computation for cost-model comparisons.
 	Work simtime.Work
 	// Stats aggregates the index work.
 	Stats kdtree.SearchStats
 }
 
-// Run executes PDSDBSCAN over ds.
-func Run(ds *geom.Dataset, idx kdtree.Index, cfg Config) (*Result, error) {
+// shard is one worker's private tally, merged after the pass.
+type shard struct {
+	stats kdtree.SearchStats
+	work  simtime.Work
+	nbrs  []int32
+}
+
+// Run clusters ds, which tree must index.
+func Run(ds *geom.Dataset, tree *kdtree.Tree, cfg Config) (*Result, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
 	n := ds.Len()
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n && n > 0 {
-		workers = n
+	if tree.Size() != n {
+		return nil, fmt.Errorf("pdsdbscan: tree over %d points, dataset has %d", tree.Size(), n)
 	}
 	res := &Result{
 		Labels: make([]int32, n),
 		Core:   make([]bool, n),
+		Counts: make([]int32, n),
 	}
-	for i := range res.Labels {
-		res.Labels[i] = dbscan.Noise
-	}
-	if n == 0 {
-		return res, nil
-	}
-
 	eps, minPts := cfg.Params.Eps, cfg.Params.MinPts
+	order := tree.Order()
+	shards := make([]shard, workerCount(cfg.Workers, n))
 	forest := dsu.NewConcurrent(n)
-	// borderOwner[i] is the core point that claimed border i, or -1.
-	borderOwner := make([]int32, n)
-	for i := range borderOwner {
-		borderOwner[i] = -1
-	}
-	var ownerMu sync.Mutex
+	flags := make([]atomic.Bool, n)
 
-	type shard struct {
-		stats kdtree.SearchStats
-		work  simtime.Work
-	}
-	shards := make([]shard, workers)
-	parallelRanges := func(f func(sh *shard, lo, hi int32)) {
-		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
-			lo := int32(wi * n / workers)
-			hi := int32((wi + 1) * n / workers)
-			wg.Add(1)
-			go func(sh *shard, lo, hi int32) {
-				defer wg.Done()
-				f(sh, lo, hi)
-			}(&shards[wi], lo, hi)
-		}
-		wg.Wait()
-	}
-
-	// Phase 1: core flags, embarrassingly parallel (one counting query
-	// per point).
-	parallelRanges(func(sh *shard, lo, hi int32) {
-		for x := lo; x < hi; x++ {
-			if idx.RadiusCount(ds.At(x), eps, &sh.stats) >= minPts {
-				res.Core[x] = true
+	// Pass 1: count, flag cores, union core–core edges.
+	inChunks(shards, n, func(sh *shard, lo, hi int) {
+		for _, x := range order[lo:hi] {
+			sh.nbrs = tree.Radius(ds.At(x), eps, sh.nbrs[:0], &sh.stats)
+			res.Counts[x] = int32(len(sh.nbrs))
+			sh.work.QueueOps += int64(len(sh.nbrs))
+			if len(sh.nbrs) < minPts {
+				continue
+			}
+			flags[x].Store(true)
+			for _, y := range sh.nbrs {
+				sh.work.HashOps++
+				// Only successful unions are metered: their number is
+				// cores minus components whatever the thread timing.
+				if y != x && flags[y].Load() && forest.Union(x, y) {
+					sh.work.MergeOps++
+				}
 			}
 		}
 	})
 
-	// Phase 2: unions. Every core re-queries its neighbourhood; core
-	// neighbours union (each edge is attempted from both endpoints,
-	// which is idempotent), non-core neighbours are claimed as borders
-	// by the first core that reaches them.
-	parallelRanges(func(sh *shard, lo, hi int32) {
-		var neighbors []int32
-		for x := lo; x < hi; x++ {
-			if !res.Core[x] {
+	// Cluster ids in order of each component's lowest core, which is
+	// its root; a root precedes every other member, so its id is set
+	// by the time they look it up.
+	next := int32(0)
+	for i := range res.Labels {
+		res.Labels[i] = dbscan.Noise
+		if !flags[i].Load() {
+			continue
+		}
+		res.Core[i] = true
+		if r := forest.Find(int32(i)); int(r) == i {
+			res.Labels[i] = next
+			next++
+		} else {
+			res.Labels[i] = res.Labels[r]
+		}
+		res.Work.MergeOps++
+	}
+	res.NumClusters = int(next)
+
+	// Pass 2: each border joins its lowest-numbered adjacent cluster.
+	// Workers write only non-core labels and read only core ones.
+	inChunks(shards, n, func(sh *shard, lo, hi int) {
+		for _, x := range order[lo:hi] {
+			if res.Core[x] || res.Counts[x] < 2 {
 				continue
 			}
-			neighbors = idx.Radius(ds.At(x), eps, neighbors[:0], &sh.stats)
-			sh.work.QueueOps += int64(len(neighbors))
-			for _, y := range neighbors {
+			sh.nbrs = tree.Radius(ds.At(x), eps, sh.nbrs[:0], &sh.stats)
+			sh.work.QueueOps += int64(len(sh.nbrs))
+			best := dbscan.Noise
+			for _, y := range sh.nbrs {
 				sh.work.HashOps++
-				if y == x {
-					continue
-				}
-				if res.Core[y] {
-					forest.Union(x, y)
-					sh.work.MergeOps++
-				} else {
-					ownerMu.Lock()
-					if borderOwner[y] == -1 {
-						borderOwner[y] = x
-					}
-					ownerMu.Unlock()
+				if res.Core[y] && (best == dbscan.Noise || res.Labels[y] < best) {
+					best = res.Labels[y]
 				}
 			}
+			res.Labels[x] = best
 		}
 	})
 
 	for i := range shards {
-		res.Stats.Add(shards[i].stats)
+		st := shards[i].stats
+		res.Stats.Add(st)
 		res.Work.Add(shards[i].work)
-		res.Work.KDNodes += shards[i].stats.NodesVisited
-		res.Work.KDIncluded += shards[i].stats.NodesIncluded
-		res.Work.DistComps += shards[i].stats.DistComps
+		res.Work.KDNodes += st.NodesVisited
+		res.Work.KDIncluded += st.NodesIncluded
+		res.Work.DistComps += st.DistComps
 	}
-
-	// Relabel: every core tree becomes a cluster; borders inherit their
-	// claiming core's cluster.
-	next := int32(0)
-	rootLabel := make(map[int32]int32)
-	for i := int32(0); i < int32(n); i++ {
-		if !res.Core[i] {
-			continue
-		}
-		root := forest.Find(i)
-		lbl, ok := rootLabel[root]
-		if !ok {
-			lbl = next
-			rootLabel[root] = lbl
-			next++
-		}
-		res.Labels[i] = lbl
-		res.Work.MergeOps++
-	}
-	for i := int32(0); i < int32(n); i++ {
-		if res.Core[i] || borderOwner[i] == -1 {
-			continue
-		}
-		res.Labels[i] = res.Labels[borderOwner[i]]
-		res.Work.MergeOps++
-	}
-	res.NumClusters = int(next)
 	for _, l := range res.Labels {
 		if l == dbscan.Noise {
 			res.NumNoise++
@@ -186,7 +171,48 @@ func Run(ds *geom.Dataset, idx kdtree.Index, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// String describes the configuration compactly for reports.
-func (c Config) String() string {
-	return fmt.Sprintf("pdsdbscan(eps=%g,minpts=%d,workers=%d)", c.Params.Eps, c.Params.MinPts, c.Workers)
+// Census returns every point's eps-neighbourhood size, the point itself
+// included: RadiusCount per point, in tree's leaf order, split over
+// GOMAXPROCS goroutines. tree must index ds.
+func Census(ds *geom.Dataset, tree *kdtree.Tree, eps float64) []int32 {
+	n := ds.Len()
+	counts := make([]int32, n)
+	order := tree.Order()
+	inChunks(make([]shard, workerCount(0, n)), n, func(_ *shard, lo, hi int) {
+		for _, x := range order[lo:hi] {
+			counts[x] = int32(tree.RadiusCount(ds.At(x), eps, nil))
+		}
+	})
+	return counts
+}
+
+// workerCount resolves a Workers setting: GOMAXPROCS by default, never
+// more than there are chunks to hand out, and at least one.
+func workerCount(workers, n int) int {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, (n+chunkPts-1)/chunkPts))
+}
+
+// inChunks runs f over [0, n) in chunkPts-sized ranges, one goroutine
+// per shard pulling ranges from a shared cursor, and returns once every
+// range is done.
+func inChunks(shards []shard, n int, f func(sh *shard, lo, hi int)) {
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for i := range shards {
+		wg.Add(1)
+		go func(sh *shard) {
+			defer wg.Done()
+			for {
+				lo := int(cursor.Add(chunkPts)) - chunkPts
+				if lo >= n {
+					return
+				}
+				f(sh, lo, min(lo+chunkPts, n))
+			}
+		}(&shards[i])
+	}
+	wg.Wait()
 }

@@ -1,13 +1,15 @@
 package pdsdbscan
 
 import (
+	"slices"
 	"testing"
 
 	"sparkdbscan/internal/dbscan"
-	"sparkdbscan/internal/eval"
 	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
 	"sparkdbscan/internal/quest"
+	"sparkdbscan/internal/rng"
+	"sparkdbscan/internal/simtime"
 )
 
 var tableParams = dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts}
@@ -25,76 +27,144 @@ func questData(t *testing.T, name string, n int) *geom.Dataset {
 	return ds
 }
 
+func dataset2D(pts [][2]float64) *geom.Dataset {
+	ds := geom.NewDataset(len(pts), 2)
+	for i, p := range pts {
+		ds.Set(int32(i), []float64{p[0], p[1]})
+	}
+	return ds
+}
+
+// smallGeometry is two 4-point squares and one isolated point.
+func smallGeometry() *geom.Dataset {
+	return dataset2D([][2]float64{
+		{0, 0}, {1, 0}, {0, 1}, {1, 1},
+		{100, 100}, {101, 100}, {100, 101}, {101, 101},
+		{50, 50},
+	})
+}
+
+// borderFixture (eps 1, minPts 4) is two 4-point clusters bridged by
+// one border point, index 8, within eps of exactly one core of each.
+// Cluster 0 starts at point 0, but the lowest-index core next to the
+// border is point 1, in cluster 1: sequential DBSCAN reaches the
+// border from cluster 0 first and labels it 0, so a rule that hands a
+// border to the first core claiming it in index order gets it wrong.
+func borderFixture() *geom.Dataset {
+	return dataset2D([][2]float64{
+		{0, 0},      // 0: cluster 0
+		{2, 0},      // 1: cluster 1, 0.95 from the border
+		{0, 0.3},    // 2: cluster 0
+		{0, -0.3},   // 3: cluster 0
+		{0.1, 0},    // 4: cluster 0, 0.95 from the border
+		{2.1, 0},    // 5: cluster 1
+		{2.1, 0.3},  // 6: cluster 1
+		{2.1, -0.3}, // 7: cluster 1
+		{1.05, 0},   // 8: border
+	})
+}
+
+// lattice is a 30×30 unit grid with a seeded fifth of its nodes
+// removed and every tenth node doubled: with eps 1 every grid
+// neighbour lies at exactly eps, and duplicates sit at distance 0.
+func lattice() *geom.Dataset {
+	r := rng.New(9)
+	var pts [][2]float64
+	for i := 0; i < 900; i++ {
+		if r.Float64() < 0.2 {
+			continue
+		}
+		p := [2]float64{float64(i % 30), float64(i / 30)}
+		pts = append(pts, p)
+		if i%10 == 0 {
+			pts = append(pts, p)
+		}
+	}
+	return dataset2D(pts)
+}
+
+type fixture struct {
+	name   string
+	ds     *geom.Dataset
+	params dbscan.Params
+}
+
+func fixtures(t *testing.T) []fixture {
+	return []fixture{
+		{"c10k", questData(t, "c10k", 2500), tableParams},
+		{"r10k", questData(t, "r10k", 2500), tableParams},
+		{"small", smallGeometry(), dbscan.Params{Eps: 2, MinPts: 3}},
+		{"border", borderFixture(), dbscan.Params{Eps: 1, MinPts: 4}},
+		{"lattice", lattice(), dbscan.Params{Eps: 1, MinPts: 5}},
+	}
+}
+
+// TestMatchesSequentialAcrossWorkerCounts pins the engine to
+// dbscan.Run byte for byte, its counts (and Census's) to one
+// RadiusCount per point, and its Work ledger to the one-worker run's.
 func TestMatchesSequentialAcrossWorkerCounts(t *testing.T) {
-	for _, name := range []string{"c10k", "r10k"} {
-		ds := questData(t, name, 2500)
-		tree := kdtree.Build(ds)
-		ref, err := dbscan.Run(ds, tree, tableParams)
+	for _, fx := range fixtures(t) {
+		tree := kdtree.Build(fx.ds)
+		ref, err := dbscan.Run(fx.ds, tree, fx.params)
 		if err != nil {
 			t.Fatal(err)
 		}
+		counts := make([]int32, fx.ds.Len())
+		for i := range counts {
+			counts[i] = int32(tree.RadiusCount(fx.ds.At(int32(i)), fx.params.Eps, nil))
+		}
+		var work simtime.Work
 		for _, workers := range []int{1, 2, 4, 8} {
-			res, err := Run(ds, tree, Config{Params: tableParams, Workers: workers})
+			res, err := Run(fx.ds, tree, Config{Params: fx.params, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := eval.EquivCheck(ds, ref, res.Labels, tableParams, tree)
-			if err != nil {
-				t.Fatal(err)
+			if workers == 1 {
+				work = res.Work
+			} else if res.Work != work {
+				t.Fatalf("%s workers=%d: Work ledger %+v, one worker gave %+v", fx.name, workers, res.Work, work)
 			}
-			if !rep.Exact() {
-				t.Fatalf("%s workers=%d: %v", name, workers, rep)
+			if !slices.Equal(res.Labels, ref.Labels) {
+				t.Fatalf("%s workers=%d: labels differ from dbscan.Run", fx.name, workers)
+			}
+			if !slices.Equal(res.Core, ref.Core) {
+				t.Fatalf("%s workers=%d: core flags differ from dbscan.Run", fx.name, workers)
 			}
 			if res.NumClusters != ref.NumClusters || res.NumNoise != ref.NumNoise {
-				t.Fatalf("%s workers=%d: %d/%d vs sequential %d/%d",
-					name, workers, res.NumClusters, res.NumNoise, ref.NumClusters, ref.NumNoise)
+				t.Fatalf("%s workers=%d: %d clusters/%d noise vs sequential %d/%d",
+					fx.name, workers, res.NumClusters, res.NumNoise, ref.NumClusters, ref.NumNoise)
 			}
-			// Core flags identical to sequential by definition.
-			for i := range ref.Core {
-				if res.Core[i] != ref.Core[i] {
-					t.Fatalf("%s workers=%d: core flag %d differs", name, workers, i)
-				}
+			if !slices.Equal(res.Counts, counts) {
+				t.Fatalf("%s workers=%d: Counts differ from RadiusCount", fx.name, workers)
 			}
+		}
+		// Census runs at GOMAXPROCS; CI's -cpu and -race runs vary it.
+		if got := Census(fx.ds, tree, fx.params.Eps); !slices.Equal(got, counts) {
+			t.Fatalf("%s: Census differs from RadiusCount", fx.name)
 		}
 	}
 }
 
 func TestDeterministicClusterStructure(t *testing.T) {
-	// Border assignment may race between runs, but the core
-	// co-clustering (and so cluster/noise counts) must be stable.
 	ds := questData(t, "r10k", 2000)
 	tree := kdtree.Build(ds)
-	a, err := Run(ds, tree, Config{Params: tableParams, Workers: 4})
+	first, err := Run(ds, tree, Config{Params: tableParams, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(ds, tree, Config{Params: tableParams, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NumClusters != b.NumClusters || a.NumNoise != b.NumNoise {
-		t.Fatalf("unstable structure: %d/%d vs %d/%d",
-			a.NumClusters, a.NumNoise, b.NumClusters, b.NumNoise)
-	}
-	ri, err := eval.RandIndex(a.Labels, b.Labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri < 0.999 {
-		t.Fatalf("runs diverge: RI %.4f", ri)
+	for run := 0; run < 5; run++ {
+		res, err := Run(ds, tree, Config{Params: tableParams, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Labels, first.Labels) || !slices.Equal(res.Core, first.Core) {
+			t.Fatalf("run %d: labels or core flags differ from the first run", run)
+		}
 	}
 }
 
 func TestSmallGeometry(t *testing.T) {
-	pts := [][2]float64{
-		{0, 0}, {1, 0}, {0, 1}, {1, 1},
-		{100, 100}, {101, 100}, {100, 101}, {101, 101},
-		{50, 50},
-	}
-	ds := geom.NewDataset(len(pts), 2)
-	for i, p := range pts {
-		ds.Set(int32(i), []float64{p[0], p[1]})
-	}
+	ds := smallGeometry()
 	tree := kdtree.Build(ds)
 	res, err := Run(ds, tree, Config{Params: dbscan.Params{Eps: 2, MinPts: 3}, Workers: 3})
 	if err != nil {
@@ -117,6 +187,9 @@ func TestEmptyAndValidation(t *testing.T) {
 	}
 	if _, err := Run(ds, tree, Config{Params: dbscan.Params{Eps: 0, MinPts: 2}}); err == nil {
 		t.Fatal("bad params accepted")
+	}
+	if _, err := Run(smallGeometry(), tree, Config{Params: dbscan.Params{Eps: 1, MinPts: 2}}); err == nil {
+		t.Fatal("tree over another dataset accepted")
 	}
 }
 

@@ -21,8 +21,8 @@
 // an atomic pointer with a generation counter surfaced in responses.
 //
 // The offline clustering path never imports this package; the
-// dependency points one way (serve → dbscan/kdtree/geom), so serving
-// can never perturb offline results.
+// dependency points one way (serve → dbscan/pdsdbscan/kdtree/geom), so
+// serving can never perturb offline results.
 package serve
 
 import (
@@ -31,6 +31,7 @@ import (
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
+	"sparkdbscan/internal/pdsdbscan"
 )
 
 // Noise is returned by Assign for points that would join no cluster.
@@ -57,10 +58,11 @@ type Model struct {
 // hold one entry per dataset point (cluster id or dbscan.Noise).
 //
 // core marks the core points; pass nil to have Freeze derive the
-// bitset from the tree (one RadiusCount per point — the core property
-// is |eps-neighbourhood| >= minPts, independent of labels), which is
-// what distributed runs do since the driver-side merge only keeps
-// labels. tree may be nil, in which case Freeze builds one.
+// bitset from the tree (pdsdbscan.Census, one parallel RadiusCount per
+// point — the core property is |eps-neighbourhood| >= minPts,
+// independent of labels), which is what distributed runs do since the
+// driver-side merge only keeps labels. tree may be nil, in which case
+// Freeze builds one.
 //
 // The labels (and core flags, when given) are copied; the dataset and
 // tree are shared with the caller and must not be mutated afterwards —
@@ -107,8 +109,8 @@ func Freeze(ds *geom.Dataset, labels []int32, core []bool, tree *kdtree.Tree, p 
 			}
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			if tree.RadiusCount(ds.At(int32(i)), p.Eps, nil) >= p.MinPts {
+		for i, c := range pdsdbscan.Census(ds, tree, p.Eps) {
+			if int(c) >= p.MinPts {
 				m.core[i/64] |= 1 << (i % 64)
 				m.numCore++
 			}
