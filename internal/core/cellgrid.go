@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"sparkdbscan/internal/geom"
 )
@@ -108,14 +107,7 @@ func PlanCellGrid(ds *geom.Dataset, eps, cellSide float64, targetPerCell int) (*
 		// 2, ... and stop at the first k that can meet the occupancy
 		// target with side >= eps; then take the largest such side
 		// (bigger cells mean fewer boundary crossings, hence less halo).
-		order := make([]int, dim)
-		for j := range order {
-			order[j] = j
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return bounds.Max[order[a]]-bounds.Min[order[a]] >
-				bounds.Max[order[b]]-bounds.Min[order[b]]
-		})
+		order := bounds.WidestAxes()
 
 		stride := (n + planSampleCap - 1) / planSampleCap
 		sampled := (n + stride - 1) / stride
@@ -134,7 +126,7 @@ func PlanCellGrid(ds *geom.Dataset, eps, cellSide float64, targetPerCell int) (*
 			for i := 0; i < n; i += stride {
 				p := ds.At(int32(i))
 				for j := 0; j < dim; j++ {
-					coords[j] = int32(math.Floor((p[j] - bounds.Min[j]) / sides[j]))
+					coords[j] = int32(geom.CellCoord(p[j], bounds.Min[j], sides[j]))
 				}
 				g.PlanOps++
 				key := packKey(coords)
@@ -212,14 +204,14 @@ func (g *CellGrid) NumCells() int64 {
 // coordOf returns the per-axis cell coordinate of v along axis j,
 // clamped into the grid (boundary points land in the last cell).
 func (g *CellGrid) coordOf(v float64, j int) int32 {
-	c := int32(math.Floor((v - g.Min[j]) / g.Sides[j]))
+	c := geom.CellCoord(v, g.Min[j], g.Sides[j])
 	if c < 0 {
 		c = 0
 	}
-	if c >= g.Dims[j] {
-		c = g.Dims[j] - 1
+	if c >= int64(g.Dims[j]) {
+		c = int64(g.Dims[j]) - 1
 	}
-	return c
+	return int32(c)
 }
 
 // packKey encodes per-axis coordinates into the grid's string key.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -347,5 +348,34 @@ func TestSqDistDFiltered(t *testing.T) {
 				t.Fatalf("dim %d: scan aborted at limit == true distance", dim)
 			}
 		}
+	}
+}
+
+func TestCellCoord(t *testing.T) {
+	for _, tc := range []struct {
+		v, origin, side float64
+		want            int64
+	}{
+		{0, 0, 1, 0},
+		{0.999, 0, 1, 0},
+		{1, 0, 1, 1},
+		{-0.5, 0, 1, -1},
+		{-1e9, 0, 2.5, -4e8},
+		{1e9 + 3.75, 1e9, 1.25, 3},
+		{math.MaxFloat64, -math.MaxFloat64, 1e-300, MaxCell},
+		{math.Inf(1), 0, 1, MaxCell},
+		{math.Inf(-1), 0, 1, -MaxCell},
+		{math.NaN(), 0, 1, -MaxCell},
+	} {
+		if got := CellCoord(tc.v, tc.origin, tc.side); got != tc.want {
+			t.Errorf("CellCoord(%g, %g, %g) = %d, want %d", tc.v, tc.origin, tc.side, got, tc.want)
+		}
+	}
+}
+
+func TestWidestAxes(t *testing.T) {
+	r := Rect{Min: []float64{0, 0, -5, 1, 0}, Max: []float64{1, 3, 5, 4, 1}}
+	if got, want := r.WidestAxes(), []int{2, 1, 3, 0, 4}; !slices.Equal(got, want) {
+		t.Fatalf("WidestAxes = %v, want %v", got, want)
 	}
 }

@@ -58,7 +58,8 @@ func (s *SearchStats) Add(other SearchStats) {
 //   - *BruteForce: the O(n)-per-query linear scan reference.
 //   - live.DeltaIndex: the append-only overlay of a mutable live
 //     model — the delta points inserted since the last reconcile,
-//     scanned brute-force and queried alongside the frozen Tree.
+//     searched through an eps-side cell grid and queried alongside
+//     the frozen Tree.
 //
 // Contract details shared by all implementations: neighbourhoods are
 // closed balls (distance <= eps), a dataset point within eps of q is

@@ -1,23 +1,23 @@
 package live
 
 import (
-	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
 )
 
 // DeltaIndex is the third implementation of the kdtree.Index contract
-// (after *kdtree.Tree and *kdtree.BruteForce): a brute-force scan over
-// one epoch's overlay — the points inserted since the last reconcile,
-// minus tombstones. Its index space is the model's *global* space
-// (base.n + overlay slot), so results compose directly with base-tree
-// results in one neighbour list. Obtain one from Guard.Delta; it is
+// (after *kdtree.Tree and *kdtree.BruteForce): one epoch's overlay —
+// the points inserted since the last reconcile, minus tombstones —
+// searched through the base's overlay grid. Its index space is the
+// model's *global* space (base.n + overlay slot), so results compose
+// directly with base-tree results in one neighbour list; overlay hits
+// come back in ascending index. Obtain one from Guard.Delta; it is
 // valid while the Guard is open.
 //
-// Brute force is the right structure here, not a second tree: the
-// overlay is bounded by the reconcile threshold (thousands of points,
-// scanned with the early-exit distance kernel), rebuilt-on-insert
-// trees would serialize writers, and reconciliation folds the overlay
-// back into the packed tree before the scan could matter.
+// The grid is an eps-side hash of cells over a few axes, not a second
+// tree: a query visits only the buckets of the cells its eps-box
+// touches (any eps, not just the model's), and the writer extends the
+// buckets in place — append-only, so readers on older epochs stay
+// wait-free and publish copies nothing.
 type DeltaIndex struct {
 	v *view
 }
@@ -34,54 +34,12 @@ func (d *DeltaIndex) Radius(q []float64, eps float64, out []int32, stats *kdtree
 
 // RadiusLimit implements kdtree.Index.
 func (d *DeltaIndex) RadiusLimit(q []float64, eps float64, max int, out []int32, stats *kdtree.SearchStats) []int32 {
-	if max == 0 {
-		return out
-	}
 	v := d.v
-	eps2 := eps * eps
-	var local kdtree.SearchStats
-	before := len(out)
-	for j := 0; j < v.extraN; j++ {
-		g := int32(v.base.n + j)
-		if v.tombAt(g) {
-			continue
-		}
-		local.DistComps++
-		d2, ok := geom.SqDistDFiltered(q, v.at(g), eps2)
-		if ok && d2 <= eps2 {
-			out = append(out, g)
-			if max > 0 && len(out)-before >= max {
-				break
-			}
-		}
-	}
-	local.Reported = int64(len(out) - before)
-	if stats != nil {
-		stats.Add(local)
-	}
-	return out
+	return v.base.grid.search(q, eps, max, v.extra, v.extraN, v.tombAt, out, stats)
 }
 
 // RadiusCount implements kdtree.Index.
 func (d *DeltaIndex) RadiusCount(q []float64, eps float64, stats *kdtree.SearchStats) int {
-	v := d.v
-	eps2 := eps * eps
-	var local kdtree.SearchStats
-	c := 0
-	for j := 0; j < v.extraN; j++ {
-		g := int32(v.base.n + j)
-		if v.tombAt(g) {
-			continue
-		}
-		local.DistComps++
-		d2, ok := geom.SqDistDFiltered(q, v.at(g), eps2)
-		if ok && d2 <= eps2 {
-			c++
-		}
-	}
-	local.Reported = int64(c)
-	if stats != nil {
-		stats.Add(local)
-	}
-	return c
+	var buf [64]int32
+	return len(d.RadiusLimit(q, eps, -1, buf[:0], stats))
 }

@@ -13,11 +13,16 @@
 // the affected border points — a bounded local re-expansion instead of
 // a full recluster.
 //
-// Three structures make reads wait-free while writes mutate:
+// Four structures make reads wait-free while writes mutate:
 //
 //   - an append-only point arena (fixed-size coordinate chunks; a slot
 //     is written once, before the view exposing it is published, and
 //     never rewritten),
+//   - an append-only overlay grid (an eps-side cell hash over the
+//     arena's slots, one per base; the writer appends a slot to its
+//     cell's bucket before publishing it, and a reader stops at the
+//     first slot its view does not cover), which bounds both the
+//     writer's and the readers' overlay search to nearby cells,
 //   - chunked copy-on-write label state (label / core / tombstone bits
 //     in 256-point chunks; a write copies the dirty chunks and the
 //     spine, never touching chunks a published view can see),
@@ -83,7 +88,12 @@ type coordChunk struct {
 type baseSnap struct {
 	ds   *geom.Dataset
 	tree *kdtree.Tree
-	n    int // ds.Len(), the number of base points
+	n    int          // ds.Len(), the number of base points
+	grid *overlayGrid // the spatial index over this base's overlay slots
+}
+
+func newBaseSnap(ds *geom.Dataset, tree *kdtree.Tree, eps float64) *baseSnap {
+	return &baseSnap{ds: ds, tree: tree, n: ds.Len(), grid: newOverlayGrid(ds, eps)}
 }
 
 // view is one immutable epoch of the model. Everything reachable from
@@ -220,7 +230,7 @@ func NewModel(ds *geom.Dataset, labels []int32, tree *kdtree.Tree, p dbscan.Para
 	m := &Model{
 		p:      p,
 		opts:   opts.withDefaults(),
-		base:   &baseSnap{ds: ds, tree: tree, n: n},
+		base:   newBaseSnap(ds, tree, p.Eps),
 		labels: append([]int32(nil), labels...),
 		counts: pdsdbscan.Census(ds, tree, p.Eps),
 		core:   make([]bool, n),
@@ -433,9 +443,9 @@ func (g *Guard) Deleted(i int32) bool { return g.v.tombAt(i) }
 func (g *Guard) At(i int32) []float64 { return g.v.at(i) }
 
 // Delta returns the snapshot's overlay index: the points inserted
-// since the last reconcile, scanned brute-force, reporting global
-// indices. It implements kdtree.Index and stays valid as long as the
-// Guard is open.
+// since the last reconcile, searched through the overlay grid,
+// reporting global indices. It implements kdtree.Index and stays
+// valid as long as the Guard is open.
 func (g *Guard) Delta() kdtree.Index { return &DeltaIndex{v: g.v} }
 
 // Survivors materializes the snapshot's live points as a compact

@@ -404,50 +404,123 @@ func TestGuardSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestDeltaIndexContract checks the published overlay index against a
+// brute-force scan of the pinned epoch: the same hits in ascending
+// global index, for query eps below, at and 2.5x above the model's,
+// over duplicate points, pairs exactly eps apart on cell walls (eps is
+// dyadic there and the base's lower corner is a point, so walls sit at
+// exact multiples of eps), coordinates offset by ±1e9, and d=1 and 16.
 func TestDeltaIndexContract(t *testing.T) {
-	m := newTestModel(t, 100, 71, live.Options{MaxOverlay: -1, MaxDrift: -1})
-	r := rng.New(72)
-	for i := 0; i < 60; i++ {
-		if err := m.Insert(int64(1000+i), []float64{r.Float64() * 20, r.Float64() * 20}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		if err := m.Delete(int64(1000 + i*3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := m.Pin()
-	defer g.Close()
-	delta := g.Delta()
-	eps := 3.0
-	for qi := 0; qi < 10; qi++ {
-		q := []float64{r.Float64() * 20, r.Float64() * 20}
-		got := delta.Radius(q, eps, nil, nil)
-		want := map[int32]bool{}
-		for i := int32(100); int(i) < g.NumPoints(); i++ {
-			if g.Deleted(i) {
-				continue
+	for _, c := range []struct {
+		name   string
+		dim    int
+		eps    float64 // the model's
+		offset float64
+		extent float64
+	}{
+		{"d2", 2, testParams.Eps, 0, 20},
+		{"d1", 1, 1.25, 0, 40},
+		{"d16", 16, 1.25, 0, 2.5},
+		{"offset-1e9", 2, 1.25, -1e9, 20},
+		{"offset+1e9", 3, 1.25, 1e9, 12},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := rng.New(71)
+			point := func() []float64 {
+				p := make([]float64, c.dim)
+				for j := range p {
+					p[j] = c.offset + r.Float64()*c.extent
+				}
+				return p
 			}
-			if geom.SqDist(q, g.At(i)) <= eps*eps {
-				want[i] = true
+			const baseN = 100
+			ds := geom.NewDataset(baseN, c.dim)
+			pts := [][]float64{make([]float64, c.dim)}
+			for j := range pts[0] {
+				pts[0][j] = c.offset
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: delta reported %d, manual scan %d", qi, len(got), len(want))
-		}
-		for _, nb := range got {
-			if !want[nb] {
-				t.Fatalf("query %d: spurious neighbour %d", qi, nb)
+			for len(pts) < baseN {
+				pts = append(pts, point())
 			}
-		}
-		if c := delta.RadiusCount(q, eps, nil); c != len(want) {
-			t.Fatalf("query %d: RadiusCount %d != %d", qi, c, len(want))
-		}
-		lim := delta.RadiusLimit(q, eps, 2, nil, nil)
-		if len(want) >= 2 && len(lim) != 2 {
-			t.Fatalf("query %d: RadiusLimit(2) returned %d", qi, len(lim))
-		}
+			for i, p := range pts {
+				ds.Set(int32(i), p)
+			}
+			p := dbscan.Params{Eps: c.eps, MinPts: testParams.MinPts}
+			tree := kdtree.Build(ds)
+			res, err := dbscan.Run(ds, tree, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := live.NewModel(ds, res.Labels, tree, p, live.Options{MaxOverlay: -1, MaxDrift: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var queries [][]float64
+			id := int64(1000)
+			insert := func(p []float64) {
+				if err := m.Insert(id, p); err != nil {
+					t.Fatal(err)
+				}
+				id++
+				pts = append(pts, p)
+			}
+			for i := 0; i < 60; i++ {
+				switch i % 4 {
+				case 1:
+					insert(slices.Clone(pts[r.Intn(len(pts))])) // duplicate
+				case 2:
+					a := point()
+					ax := r.Intn(c.dim)
+					k := math.Floor((a[ax] - c.offset) / c.eps)
+					a[ax] = c.offset + k*c.eps
+					b := slices.Clone(a)
+					b[ax] = c.offset + (k+1)*c.eps
+					insert(a)
+					insert(b)
+					queries = append(queries, a, b)
+				default:
+					insert(point())
+				}
+			}
+			for i := 0; i < 20; i++ {
+				if err := m.Delete(int64(1000 + i*3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 10; i++ {
+				queries = append(queries, point())
+			}
+
+			g := m.Pin()
+			defer g.Close()
+			delta := g.Delta()
+			for _, eps := range []float64{c.eps / 2, c.eps, 2.5 * c.eps} {
+				for qi, q := range queries {
+					var want []int32
+					for i := int32(baseN); int(i) < g.NumPoints(); i++ {
+						if !g.Deleted(i) && geom.SqDistD(q, g.At(i)) <= eps*eps {
+							want = append(want, i)
+						}
+					}
+					if got := delta.Radius(q, eps, nil, nil); !slices.Equal(got, want) {
+						t.Fatalf("eps %g query %d: delta %v, manual scan %v", eps, qi, got, want)
+					}
+					if n := delta.RadiusCount(q, eps, nil); n != len(want) {
+						t.Fatalf("eps %g query %d: RadiusCount %d != %d", eps, qi, n, len(want))
+					}
+					lim := delta.RadiusLimit(q, eps, 2, nil, nil)
+					if len(lim) != min(2, len(want)) {
+						t.Fatalf("eps %g query %d: RadiusLimit(2) returned %d of %d", eps, qi, len(lim), len(want))
+					}
+					for _, nb := range lim {
+						if !slices.Contains(want, nb) {
+							t.Fatalf("eps %g query %d: RadiusLimit reported non-neighbour %d", eps, qi, nb)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -96,7 +96,7 @@ func (m *Model) reconcileLocked() (ReconcileStats, error) {
 	}
 	st.Clusters = res.NumClusters
 
-	m.base = &baseSnap{ds: ds, tree: tree, n: n}
+	m.base = newBaseSnap(ds, tree, m.p.Eps)
 	m.labels = res.Labels
 	m.core = res.Core
 	m.counts = res.Counts

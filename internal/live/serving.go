@@ -59,7 +59,7 @@ func (g *Guard) Assign(q []float64) serve.Assignment {
 }
 
 // assign merges the base-tree neighbourhood (minus tombstones) with
-// the overlay scan, then classifies exactly like serve.Model: minimum
+// the overlay's, then classifies exactly like serve.Model: minimum
 // canonical label among live core neighbours, deterministic in the
 // neighbour *set*. The epoch is stamped on the answer.
 func (v *view) assign(q []float64, nbrs []int32) (serve.Assignment, []int32) {

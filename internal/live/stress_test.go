@@ -189,6 +189,130 @@ func TestConcurrentReadersAcrossEpochs(t *testing.T) {
 	w.drain()
 }
 
+// overlayWant counts, per query, the pinned epoch's surviving overlay
+// points within eps, from Survivors (which lists the base's survivors
+// first, then the overlay's, in global order).
+func overlayWant(g *Guard, qs [][]float64, eps float64) []int {
+	ds, _ := g.Survivors()
+	first := 0
+	for i := int32(0); int(i) < g.v.base.n; i++ {
+		if !g.Deleted(i) {
+			first++
+		}
+	}
+	want := make([]int, len(qs))
+	for qi, q := range qs {
+		for s := first; s < ds.Len(); s++ {
+			if geom.SqDistD(q, ds.At(int32(s))) <= eps*eps {
+				want[qi]++
+			}
+		}
+	}
+	return want
+}
+
+// checkDelta verifies a pinned epoch's Delta answers against want: as
+// many hits, each a live overlay point of that epoch within eps, in
+// ascending order. It returns "" or the first mismatch.
+func checkDelta(g *Guard, qs [][]float64, want []int, eps float64) string {
+	d := g.Delta()
+	for qi, q := range qs {
+		got := d.Radius(q, eps, nil, nil)
+		if len(got) != want[qi] {
+			return "epoch " + strconv.FormatUint(g.Epoch(), 10) + ": " + strconv.Itoa(len(got)) +
+				" overlay hits, survivors hold " + strconv.Itoa(want[qi])
+		}
+		for k, nb := range got {
+			if int(nb) < g.v.base.n || int(nb) >= g.NumPoints() || g.Deleted(nb) ||
+				(k > 0 && got[k-1] >= nb) || geom.SqDistD(q, g.At(nb)) > eps*eps {
+				return "epoch " + strconv.FormatUint(g.Epoch(), 10) + ": bad overlay hit " + strconv.Itoa(int(nb))
+			}
+		}
+		if n := d.RadiusCount(q, eps, nil); n != want[qi] {
+			return "epoch " + strconv.FormatUint(g.Epoch(), 10) + ": RadiusCount " + strconv.Itoa(n)
+		}
+	}
+	return ""
+}
+
+// TestDeltaPinnedWhileWriterAppends: a reader pinned at epoch k keeps
+// seeing exactly epoch k's overlay while the writer appends into the
+// same grid buckets (every insert lands in one small square, a few
+// cells wide). One guard is pinned before the storm and checked after
+// it; concurrent readers pin, check, and re-check while it runs.
+func TestDeltaPinnedWhileWriterAppends(t *testing.T) {
+	m := stressModel(t, 300, 19)
+	eps := stressParams.Eps
+	square := func(r *rng.RNG) []float64 { return []float64{6 + 3*r.Float64(), 6 + 3*r.Float64()} }
+	queries := func(r *rng.RNG) [][]float64 {
+		qs := make([][]float64, 8)
+		for i := range qs {
+			qs[i] = square(r)
+		}
+		return qs
+	}
+	r := rng.New(23)
+	var ids []int64
+	write := func(i int) {
+		if i%4 == 3 {
+			k := r.Intn(len(ids))
+			if err := m.Delete(ids[k]); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids[:k], ids[k+1:]...)
+			return
+		}
+		id := int64(1<<20 + i)
+		if err := m.Insert(id, square(r)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for i := 0; i < 40; i++ {
+		write(i)
+	}
+	early := m.Pin()
+	earlyQs := queries(rng.New(24))
+	earlyWant := overlayWant(early, earlyQs, eps)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rng.New(uint64(500 + g))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				guard := m.Pin()
+				qs := queries(r)
+				want := overlayWant(guard, qs, eps)
+				for rep := 0; rep < 4; rep++ {
+					if e := checkDelta(guard, qs, want, eps); e != "" {
+						t.Error(e)
+						guard.Close()
+						return
+					}
+				}
+				guard.Close()
+			}
+		}(g)
+	}
+	for i := 40; i < 640; i++ {
+		write(i)
+	}
+	close(done)
+	wg.Wait()
+	if e := checkDelta(early, earlyQs, earlyWant, eps); e != "" {
+		t.Fatal(e)
+	}
+	early.Close()
+}
+
 // TestReclamationWaitsForReaders pins one epoch through a mutation
 // storm and checks the protocol end to end: while the pin is held no
 // retired view is swept past it (the guard's snapshot stays intact and

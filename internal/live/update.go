@@ -222,8 +222,8 @@ func (m *Model) canonOf(h int32) int32 { return m.compMin[m.handles.Find(h)] }
 
 // queryLive returns the global indices of every live (non-tombstoned)
 // point within the closed eps-ball of q: base points through the
-// frozen kd-tree, overlay points by brute-force scan — the writer-side
-// twin of the published DeltaIndex.
+// frozen kd-tree, then overlay points in ascending index through the
+// overlay grid — the same search the published DeltaIndex runs.
 func (m *Model) queryLive(q []float64, out []int32) []int32 {
 	out = m.base.tree.Radius(q, m.p.Eps, out[:0], nil)
 	k := 0
@@ -233,19 +233,8 @@ func (m *Model) queryLive(q []float64, out []int32) []int32 {
 			k++
 		}
 	}
-	out = out[:k]
-	eps2 := m.p.Eps * m.p.Eps
-	for j := 0; j < m.overlayN; j++ {
-		g := int32(m.base.n + j)
-		if m.tomb[g] {
-			continue
-		}
-		d2, ok := geom.SqDistDFiltered(q, m.at(g), eps2)
-		if ok && d2 <= eps2 {
-			out = append(out, g)
-		}
-	}
-	return out
+	dead := func(g int32) bool { return m.tomb[g] }
+	return m.base.grid.search(q, m.p.Eps, -1, m.extra, m.overlayN, dead, out[:k], nil)
 }
 
 // at returns the coordinates of global point g from the writer's state.
@@ -259,9 +248,10 @@ func (m *Model) at(g int32) []float64 {
 	return m.extra[j/chunkPts].pts[off : off+dim : off+dim]
 }
 
-// appendPoint writes p into the next overlay arena slot and grows the
-// flat state. The slot is not visible to readers until the next
-// publish makes extraN cover it, so writing it here is race-free.
+// appendPoint writes p into the next overlay arena slot, adds the slot
+// to the overlay grid and grows the flat state. The slot is not
+// visible to readers until the next publish makes extraN cover it, so
+// writing it here is race-free.
 func (m *Model) appendPoint(id int64, p []float64) int32 {
 	dim := m.base.ds.Dim
 	j := m.overlayN
@@ -269,6 +259,7 @@ func (m *Model) appendPoint(id int64, p []float64) int32 {
 		m.extra = append(m.extra, &coordChunk{pts: make([]float64, chunkPts*dim)})
 	}
 	copy(m.extra[j/chunkPts].pts[(j%chunkPts)*dim:(j%chunkPts+1)*dim], p)
+	m.base.grid.add(int32(j), p)
 	g := int32(m.base.n + j)
 	m.overlayN++
 	m.labels = append(m.labels, Noise)
