@@ -327,8 +327,8 @@ func TestHotSwapUnderChaos(t *testing.T) {
 			StallTimeout: 10 * time.Millisecond, SupervisorInterval: time.Millisecond,
 			Hedge: true, HedgeDelay: 2 * time.Millisecond,
 			Chaos: &ChaosProfile{
-				Seed:     seed,
-				KillRate: 0.01,
+				Seed:      seed,
+				KillRate:  0.01,
 				StallRate: 0.01, StallFor: 15 * time.Millisecond,
 				SlowRate: 0.05, SlowFor: 2 * time.Millisecond,
 				PanicRate: 0.02,

@@ -246,7 +246,7 @@ func stageEvents(s *StageRecord) []chromeEvent {
 			}
 			evs = append(evs, chromeEvent{
 				Name: "acc commit", Cat: "accumulator", Ph: "i",
-				Ts: (base + a.Finish) * usec,
+				Ts:  (base + a.Finish) * usec,
 				Pid: pidExecutors, Tid: a.Core, S: "t",
 				Args: map[string]any{"task": task, "updates": n},
 			})

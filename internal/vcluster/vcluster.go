@@ -245,7 +245,7 @@ func Run(tasks []Task, opts Options) Schedule {
 			blocked[e] = true
 		}
 	}
-	var usable []int           // usable core ids, ascending
+	var usable []int                 // usable core ids, ascending
 	usableIn := make([]int, numExec) // usable cores per executor
 	for c := 0; c < opts.Cores; c++ {
 		if !blocked[c/cpe] {
