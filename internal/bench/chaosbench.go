@@ -263,7 +263,8 @@ func runChaosBench(w io.Writer, c Config) (Report, error) {
 	// Brownout: every batch slow, and more high-priority clients alone
 	// (12) than the pool has batch slots (2 workers x 4). The queue of
 	// high-priority work never empties, so the queue-delay EWMA crosses
-	// DegradeAt and stays past it on any host, however the scheduler
+	// the ladder's degrade threshold (half of MaxQueueDelay) and stays
+	// past it on any host, however the scheduler
 	// interleaves the clients; an overload that needed the low-priority
 	// load to keep the queue full let CPU contention decide whether the
 	// ladder engaged. The ladder must engage and trade low-priority work

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
 	"sparkdbscan/internal/simtime"
@@ -36,17 +35,12 @@ type cellPlan struct {
 	Starts []int32 // task t owns dense cells [Starts[t], Starts[t+1])
 }
 
-// cellPartitioner implements eps-halo cell partitioning: a map stage
-// assigns every point to its home cell and replicates it into each
-// neighbor cell whose envelope is within eps, a shuffle groups the
-// emissions by cell, and a second stage clusters each cell against a
-// kd-tree built over just that cell's points. No full-dataset
-// broadcast ever happens.
-type cellPartitioner struct{}
-
-func (cellPartitioner) Mode() PartitionMode { return PartCell }
-
-func (cellPartitioner) distributeAndCluster(env *stageEnv, ds *geom.Dataset) error {
+// cellStage implements eps-halo cell partitioning: a map stage assigns
+// every point to its home cell and replicates it into each neighbor
+// cell whose envelope is within eps, a shuffle groups the emissions by
+// cell, and a second stage clusters each cell against a kd-tree built
+// over just that cell's points. No full-dataset broadcast ever happens.
+func cellStage(env *stageEnv, ds *geom.Dataset) error {
 	sctx, cfg := env.sctx, env.cfg
 	n := ds.Len()
 	env.res.Dist = DistStats{Mode: PartCell.String()}
@@ -221,15 +215,11 @@ func (cellPartitioner) distributeAndCluster(env *stageEnv, ds *geom.Dataset) err
 			nLocal := int64(len(cell.home) + len(cell.halo))
 			w.ShuffleBytes += pointBytes * nLocal // shuffle read leg
 			w.HashOps += nLocal                   // group records by cell
-			lr, err := cellLocalDBSCAN(ds, cell, int32(ci), plan.Opts, cfg.LeafSize)
+			lr, err := cellLocalDBSCAN(ds, cell, int32(ci), plan.Opts)
 			if err != nil {
 				return err
 			}
-			chargeClusterTransfer(&w, lr.Clusters)
-			w.Add(lr.Work)
-			env.acc.Add(tc, lr.Clusters)
-			env.noise.Add(tc, int64(lr.LocalNoise))
-			env.stats.Add(tc, lr.Stats)
+			env.collect(tc, &w, lr)
 		}
 		tc.Charge(w)
 		return nil
@@ -256,12 +246,11 @@ func (cellPartitioner) distributeAndCluster(env *stageEnv, ds *geom.Dataset) err
 
 // cellLocalDBSCAN clusters one cell: it assembles the cell's local
 // dataset (home points first, then halo replicas), builds a kd-tree
-// over it, and runs the SeedExact expansion over home points only.
+// over it, and runs the shared SeedExact expansion over the home range.
 // Halo points are never expanded — a home core within eps of a foreign
 // core records it as a Seed, and the driver's canonical merge unions
 // the two cells' clusters through it. Emitted indices are global.
-func cellLocalDBSCAN(ds *geom.Dataset, cell cellInput, rank int32,
-	opts LocalOptions, leafSize int) (*LocalResult, error) {
+func cellLocalDBSCAN(ds *geom.Dataset, cell cellInput, rank int32, opts LocalOptions) (*LocalResult, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -270,142 +259,29 @@ func cellLocalDBSCAN(ds *geom.Dataset, cell cellInput, rank int32,
 	if nHome == 0 {
 		return res, nil
 	}
-	nLocal := nHome + len(cell.halo)
-	w := &res.Work
 
 	// Assemble the local dataset; local index k maps to global ids[k],
 	// home points occupy [0, nHome).
-	local := geom.NewDataset(nLocal, ds.Dim)
-	ids := make([]int32, nLocal)
-	for k, gi := range cell.home {
+	ids := make([]int32, 0, nHome+len(cell.halo))
+	ids = append(append(ids, cell.home...), cell.halo...)
+	local := geom.NewDataset(len(ids), ds.Dim)
+	for k, gi := range ids {
 		local.Set(int32(k), ds.At(gi))
-		ids[k] = gi
 	}
-	for k, gi := range cell.halo {
-		local.Set(int32(nHome+k), ds.At(gi))
-		ids[nHome+k] = gi
-	}
-	w.Elems += int64(nLocal)
+	res.Work.Elems += int64(len(ids))
 
 	// The per-cell tree: built executor-side, over this cell only.
-	var tree *kdtree.Tree
-	if leafSize > 0 {
-		tree = kdtree.BuildLeafSize(local, leafSize)
-	} else {
-		tree = kdtree.Build(local)
-	}
-	w.TreeBuildOps += tree.BuildOps()
+	tree := kdtree.Build(local)
+	res.Work.TreeBuildOps += tree.BuildOps()
 
-	eps, minPts := opts.Params.Eps, opts.Params.MinPts
-	visited := make([]bool, nHome)
-	isCore := make([]bool, nHome)
-	clusterOf := make([]int32, nHome)
-	for i := range clusterOf {
-		clusterOf[i] = -1
-	}
-	// Per-cluster dedup stamps for Seeds and Borders (epoch = Seq+1).
-	seen := make([]int32, nLocal)
-
-	var queue dbscan.Queue
-	var neighbors []int32
-	query := func(q []float64) []int32 {
-		if opts.MaxNeighbors > 0 {
-			return tree.RadiusLimit(q, eps, opts.MaxNeighbors, neighbors[:0], &res.Stats)
-		}
-		return tree.Radius(q, eps, neighbors[:0], &res.Stats)
-	}
-
-	for i := 0; i < nHome; i++ {
-		if visited[i] {
-			continue
-		}
-		visited[i] = true
-		w.HashOps++
-		neighbors = query(local.At(int32(i)))
-		if len(neighbors) < minPts {
-			continue
-		}
-		isCore[i] = true
-		pc := PartialCluster{Partition: rank, Seq: int32(len(res.Clusters))}
-		clusterOf[i] = pc.Seq
-		pc.Members = append(pc.Members, ids[i])
-		epoch := pc.Seq + 1
-
-		queue.Reset()
-		for _, nb := range neighbors {
-			queue.Push(nb)
-		}
-		w.QueueOps += int64(len(neighbors))
-
-		for !queue.Empty() {
-			p := queue.Pop()
-			w.QueueOps++
-			if int(p) >= nHome {
-				// Halo replica: record as a Seed. The driver resolves
-				// its coreness — a seed that is a Member in its own
-				// cell is core and drives a union; one that is not
-				// becomes a border of the lowest claiming cluster.
-				w.HashOps++
-				if seen[p] != epoch {
-					seen[p] = epoch
-					pc.Seeds = append(pc.Seeds, ids[p])
-				}
-				continue
-			}
-			if !visited[p] {
-				visited[p] = true
-				w.HashOps++
-				neighbors = query(local.At(p))
-				if len(neighbors) >= minPts {
-					isCore[p] = true
-					for _, nb := range neighbors {
-						queue.Push(nb)
-					}
-					w.QueueOps += int64(len(neighbors))
-				}
-			}
-			if isCore[p] {
-				if clusterOf[p] < 0 {
-					clusterOf[p] = pc.Seq
-					pc.Members = append(pc.Members, ids[p])
-				}
-			} else if seen[p] != epoch {
-				seen[p] = epoch
-				pc.Borders = append(pc.Borders, ids[p])
-				if clusterOf[p] < 0 {
-					clusterOf[p] = pc.Seq // claimed: not local noise
-				}
-			}
-			w.HashOps++
-		}
-		res.Clusters = append(res.Clusters, pc)
-	}
-
-	if opts.MinClusterSize > 1 {
-		kept := res.Clusters[:0:0]
-		for _, pc := range res.Clusters {
-			if pc.Size() >= opts.MinClusterSize {
-				kept = append(kept, pc)
-				continue
-			}
-			res.DroppedClusters++
-			for _, m := range pc.Members {
-				// home is sorted ascending, so the global id maps back
-				// to its local slot by binary search.
-				li := sort.Search(nHome, func(k int) bool { return cell.home[k] >= m })
-				clusterOf[li] = -1
+	clusterRange(local, tree, 0, int32(nHome), Partitioner{}, opts, res)
+	for i := range res.Clusters {
+		pc := &res.Clusters[i]
+		for _, s := range [][]int32{pc.Members, pc.Seeds, pc.Borders} {
+			for j, k := range s {
+				s[j] = ids[k]
 			}
 		}
-		res.Clusters = kept
 	}
-
-	for _, c := range clusterOf {
-		if c < 0 {
-			res.LocalNoise++
-		}
-	}
-	w.KDNodes += res.Stats.NodesVisited
-	w.KDIncluded += res.Stats.NodesIncluded
-	w.DistComps += res.Stats.DistComps
 	return res, nil
 }

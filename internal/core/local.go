@@ -56,9 +56,22 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 	}
 	lo, hi := part.Range(split)
 	res := &LocalResult{Partition: split}
+	clusterRange(ds, idx, lo, hi, part, opts, res)
+	return res, nil
+}
+
+// clusterRange is the one partition-local DBSCAN both partitioning
+// modes run: it clusters the owned points [lo, hi) of ds against idx
+// (an index over all of ds), treats every other point as foreign and
+// fills res with the partial clusters, local noise, search stats and
+// metered work. Partial clusters carry res.Partition and hold indices
+// into ds. part is read only by SeedSingle, to place one SEED per
+// foreign partition.
+func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partitioner,
+	opts LocalOptions, res *LocalResult) {
 	local := hi - lo
 	if local == 0 {
-		return res, nil
+		return
 	}
 
 	// Seed-placement charge per (partial cluster, partition) pair: the
@@ -136,7 +149,7 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 			continue
 		}
 		pc := PartialCluster{
-			Partition: int32(split),
+			Partition: int32(res.Partition),
 			Seq:       int32(len(res.Clusters)),
 		}
 		clusterOf[li] = pc.Seq
@@ -240,5 +253,4 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 	w.KDNodes += res.Stats.NodesVisited
 	w.KDIncluded += res.Stats.NodesIncluded
 	w.DistComps += res.Stats.DistComps
-	return res, nil
 }

@@ -44,8 +44,6 @@ type Config struct {
 	Partitioning PartitionMode
 	// Cell tunes PartCell; ignored under PartRange.
 	Cell CellOptions
-	// LeafSize overrides the kd-tree bucket size (0 = default).
-	LeafSize int
 	// Storage, when set with a non-nil FS, journals committed partial
 	// clusters to HDFS and makes the run recoverable from storage
 	// faults and a simulated driver crash mid-merge. Nil (or a nil FS)
@@ -175,15 +173,16 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 	}
 	res.Phases.ReadTransform = driverBefore() - d0
 
-	// Phases 2–4: hand the dataset to the selected spatial partitioner,
-	// which distributes points to executors (broadcast or shuffle),
-	// runs the local clustering and returns partial clusters through
-	// the accumulator.
+	// Phases 2–4: the partitioning stage distributes points to
+	// executors (broadcast or shuffle), runs the local clustering and
+	// returns partial clusters through the accumulator.
+	stage := rangeStage
 	if cfg.Partitioning == PartCell {
 		// Cell mode pins the exact pair: labels become a pure function
 		// of the point set and parameters, independent of grid shape
 		// and accumulator commit order.
 		cfg.Merge.Algo = MergeParallel
+		stage = cellStage
 	}
 	// The merge fixes the seed mode: canonical labeling assumes the
 	// SeedExact partial-cluster contract (Members hold only owned cores,
@@ -221,7 +220,7 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 		stats: statsAcc,
 		res:   res,
 	}
-	if err := newSpatialPartitioner(cfg.Partitioning).distributeAndCluster(env, ds); err != nil {
+	if err := stage(env, ds); err != nil {
 		return nil, err
 	}
 

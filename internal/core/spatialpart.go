@@ -9,7 +9,7 @@ import (
 	"sparkdbscan/internal/spark"
 )
 
-// PartitionMode selects the SpatialPartitioner implementation.
+// PartitionMode selects how Run distributes points to executors.
 type PartitionMode int
 
 const (
@@ -90,10 +90,10 @@ type DistStats struct {
 	Ring      int     `json:"ring,omitempty"`
 }
 
-// stageEnv bundles the run state a SpatialPartitioner needs: the Spark
-// context, the (defaulted) config, local options, the accumulators the
-// driver reads afterwards, and the Result whose Phases/Dist fields the
-// implementation fills in.
+// stageEnv bundles the run state a partitioning stage (rangeStage or
+// cellStage) needs: the Spark context, the (defaulted) config, local
+// options, the accumulators the driver reads afterwards, and the Result
+// whose Phases/Dist fields the stage fills in.
 type stageEnv struct {
 	sctx  *spark.Context
 	cfg   *Config
@@ -107,41 +107,25 @@ type stageEnv struct {
 func (e *stageEnv) driverSeconds() float64   { return e.sctx.Report().DriverSeconds }
 func (e *stageEnv) executorSeconds() float64 { return e.sctx.Report().ExecutorSeconds }
 
-// chargeClusterTransfer prices the accumulator's executor→driver
-// transfer of one task's partial clusters (Algorithm 2 lines 26–28).
-func chargeClusterTransfer(w *simtime.Work, clusters []PartialCluster) {
-	for i := range clusters {
-		sz := clusters[i].SizeBytes()
+// collect sends one local result to the driver through the accumulators
+// (Algorithm 2 lines 26–28). It charges the transfer of the partial
+// clusters and the local clustering's metered work to w.
+func (e *stageEnv) collect(tc *spark.TaskContext, w *simtime.Work, lr *LocalResult) {
+	for i := range lr.Clusters {
+		sz := lr.Clusters[i].SizeBytes()
 		w.SerBytes += sz
 		w.NetBytes += sz
 	}
+	w.Add(lr.Work)
+	e.acc.Add(tc, lr.Clusters)
+	e.noise.Add(tc, int64(lr.LocalNoise))
+	e.stats.Add(tc, lr.Stats)
 }
 
-// SpatialPartitioner runs everything between driver ingestion and the
-// driver merge: getting points to executors and producing partial
-// clusters through the environment's accumulator. Implementations are
-// sealed into this package (the stage environment is internal); select
-// one with Config.Partitioning.
-type SpatialPartitioner interface {
-	Mode() PartitionMode
-	distributeAndCluster(env *stageEnv, ds *geom.Dataset) error
-}
-
-func newSpatialPartitioner(mode PartitionMode) SpatialPartitioner {
-	if mode == PartCell {
-		return cellPartitioner{}
-	}
-	return rangePartitioner{}
-}
-
-// rangePartitioner is the paper-faithful baseline: driver kd-tree over
-// the full dataset, full-payload broadcast, one LocalDBSCAN task per
-// index range.
-type rangePartitioner struct{}
-
-func (rangePartitioner) Mode() PartitionMode { return PartRange }
-
-func (rangePartitioner) distributeAndCluster(env *stageEnv, ds *geom.Dataset) error {
+// rangeStage is the paper-faithful baseline: driver kd-tree over the
+// full dataset, full-payload broadcast, one LocalDBSCAN task per index
+// range.
+func rangeStage(env *stageEnv, ds *geom.Dataset) error {
 	sctx, cfg := env.sctx, env.cfg
 	n := ds.Len()
 	part, err := NewPartitioner(n, cfg.Partitions)
@@ -153,11 +137,7 @@ func (rangePartitioner) distributeAndCluster(env *stageEnv, ds *geom.Dataset) er
 	var tree *kdtree.Tree
 	d0 := env.driverSeconds()
 	err = sctx.RunInDriver("kdtree build", func(w *simtime.Work) error {
-		if cfg.LeafSize > 0 {
-			tree = kdtree.BuildLeafSize(ds, cfg.LeafSize)
-		} else {
-			tree = kdtree.Build(ds)
-		}
+		tree = kdtree.Build(ds)
 		w.TreeBuildOps += tree.BuildOps()
 		return nil
 	})
@@ -200,15 +180,9 @@ func (rangePartitioner) distributeAndCluster(env *stageEnv, ds *geom.Dataset) er
 		if err != nil {
 			return err
 		}
-		// Send partial clusters to the driver through the accumulator
-		// (Algorithm 2 lines 26–28); charge the transfer.
 		var w simtime.Work
-		chargeClusterTransfer(&w, lr.Clusters)
-		w.Add(lr.Work)
+		env.collect(tc, &w, lr)
 		tc.Charge(w)
-		env.acc.Add(tc, lr.Clusters)
-		env.noise.Add(tc, int64(lr.LocalNoise))
-		env.stats.Add(tc, lr.Stats)
 		return nil
 	})
 	if err != nil {

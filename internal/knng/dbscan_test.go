@@ -65,9 +65,9 @@ func TestExactGraphModeReproducesExactDBSCAN(t *testing.T) {
 	}
 }
 
-// Labels must be byte-identical across DSU worker counts (sequential
-// DSU at 1, dsu.Concurrent beyond) and across repeated runs — for both
-// edge rules, on both exact and approximate graphs.
+// Labels must be byte-identical across DSU worker counts (dsu.Concurrent
+// unioned inline at 1, sharded beyond) and across repeated runs — for
+// both edge rules, on both exact and approximate graphs.
 func TestLabelsIdenticalAcrossDSUWorkers(t *testing.T) {
 	ds := clusteredDataset(t, 1200)
 	p := dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts}

@@ -92,14 +92,6 @@ type Options struct {
 	// Default 32.
 	HedgeBurst int
 
-	// DegradeAt and BrownoutAt are the queue-delay EWMA thresholds of
-	// the health ladder, as fractions of MaxQueueDelay. Defaults 0.5
-	// and 0.9. Degraded halves the effective queue-delay budget and
-	// sheds PriorityLow at admission; BrownedOut quarters it and
-	// serves only PriorityHigh.
-	DegradeAt  float64
-	BrownoutAt float64
-
 	// Chaos injects deterministic faults into the workers (nil: none).
 	// See ChaosProfile; meant for tests and BENCH_chaos, never
 	// production.
@@ -133,12 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HedgeBurst <= 0 {
 		o.HedgeBurst = 32
-	}
-	if o.DegradeAt <= 0 {
-		o.DegradeAt = 0.5
-	}
-	if o.BrownoutAt <= 0 {
-		o.BrownoutAt = 0.9
 	}
 	if o.Chaos != nil {
 		o.Chaos = o.Chaos.withDefaults()

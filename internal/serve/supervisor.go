@@ -149,20 +149,28 @@ func (s *Server) queueDelayEWMA() time.Duration {
 	return time.Duration(math.Float64frombits(s.qdelay.Load()))
 }
 
+// degradeAt and brownoutAt are the queue-delay EWMA thresholds of the
+// health ladder, as fractions of MaxQueueDelay. Degraded halves the
+// effective queue-delay budget and sheds PriorityLow at admission;
+// BrownedOut quarters it and serves only PriorityHigh.
+const (
+	degradeAt  = 0.5
+	brownoutAt = 0.9
+)
+
 // updateHealth walks the Healthy → Degraded → BrownedOut ladder from
-// the queue-delay EWMA. Upward transitions trigger at DegradeAt and
-// BrownoutAt (fractions of MaxQueueDelay); downward ones at half the
-// entry threshold, the hysteresis that keeps the state from
-// oscillating at a boundary. With deadline shedding disabled
-// (MaxQueueDelay <= 0) there is no budget to protect and the server
-// stays Healthy.
+// the queue-delay EWMA. Upward transitions trigger at degradeAt and
+// brownoutAt; downward ones at half the entry threshold, the
+// hysteresis that keeps the state from oscillating at a boundary. With
+// deadline shedding disabled (MaxQueueDelay <= 0) there is no budget
+// to protect and the server stays Healthy.
 func (s *Server) updateHealth() {
 	if s.opts.MaxQueueDelay <= 0 {
 		return
 	}
 	ew := s.queueDelayEWMA()
-	degrade := time.Duration(s.opts.DegradeAt * float64(s.opts.MaxQueueDelay))
-	brownout := time.Duration(s.opts.BrownoutAt * float64(s.opts.MaxQueueDelay))
+	degrade := time.Duration(degradeAt * float64(s.opts.MaxQueueDelay))
+	brownout := time.Duration(brownoutAt * float64(s.opts.MaxQueueDelay))
 	cur := Health(s.health.Load())
 	next := cur
 	switch cur {
