@@ -1,9 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"sparkdbscan/internal/dbscan"
@@ -31,7 +35,7 @@ func TestPlanCellGridDerivation(t *testing.T) {
 	}
 	// Occupancy is the planning criterion: the most loaded cell must
 	// hold roughly the target (4x slack covers the sampling estimate).
-	occ := map[string]int{}
+	occ := map[int64]int{}
 	most := 0
 	for i := int32(0); i < int32(ds.Len()); i++ {
 		k := g.KeyOf(ds.At(i))
@@ -63,19 +67,28 @@ func TestPlanCellGridDerivation(t *testing.T) {
 	}
 }
 
+// coordsOfRank decodes a cell rank into per-axis coordinates.
+func coordsOfRank(g *CellGrid, rank int64) []int32 {
+	coords := make([]int32, g.Dim)
+	for j := g.Dim - 1; j >= 0; j-- {
+		coords[j] = int32(rank % int64(g.Dims[j]))
+		rank /= int64(g.Dims[j])
+	}
+	return coords
+}
+
 func TestCellOfCoordsRoundTrip(t *testing.T) {
 	ds := testDataset(t, "r10k", 1000)
 	g, err := PlanCellGrid(ds, tableParams.Eps, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coords := make([]int32, g.Dim)
 	for i := int32(0); i < int32(ds.Len()); i++ {
-		key := g.KeyOf(ds.At(i))
-		if len(key) != 4*g.Dim {
-			t.Fatalf("point %d: key length %d, want %d", i, len(key), 4*g.Dim)
+		rank := g.KeyOf(ds.At(i))
+		if rank < 0 || rank >= g.NumCells() {
+			t.Fatalf("point %d: rank %d out of [0,%d)", i, rank, g.NumCells())
 		}
-		coords = g.CoordsOfKey(key, coords)
+		coords := coordsOfRank(g, rank)
 		for j, c := range coords {
 			if c < 0 || c >= g.Dims[j] {
 				t.Fatalf("point %d: coord %d out of [0,%d) on axis %d", i, c, g.Dims[j], j)
@@ -83,6 +96,54 @@ func TestCellOfCoordsRoundTrip(t *testing.T) {
 		}
 		if !g.Envelope(coords).Contains(ds.At(i)) {
 			t.Fatalf("point %d not inside its home cell envelope", i)
+		}
+	}
+}
+
+// TestCellRankOrderIsCoordOrder: rank order is lexicographic
+// coordinate order. Cell order, the LPT tie-breaks and the task
+// assignment all rest on it.
+func TestCellRankOrderIsCoordOrder(t *testing.T) {
+	ds := testDataset(t, "c10k", 2000)
+	planned, err := PlanCellGrid(ds, tableParams.Eps, 3*tableParams.Eps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned.NumCells() == math.MaxInt64 {
+		t.Fatalf("grid %v has no int64 ranks", planned.Dims)
+	}
+	unit := &CellGrid{ // unsplit axes (Dims 1) between split ones
+		Dim:   5,
+		Min:   []float64{0, 0, 0, 0, 0},
+		Sides: []float64{1, 1, 1, 1, 1},
+		Dims:  []int32{7, 1, 300, 1, 2},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, g := range []*CellGrid{planned, unit} {
+		randomCell := func() ([]int32, int64) {
+			coords := make([]int32, g.Dim)
+			for j := range coords {
+				coords[j] = int32(rng.Intn(int(g.Dims[j])))
+				if rng.Intn(4) == 0 { // share prefixes often
+					coords[j] = 0
+				}
+			}
+			env := g.Envelope(coords)
+			center := make([]float64, g.Dim)
+			for j := range center {
+				center[j] = (env.Min[j] + env.Max[j]) / 2
+			}
+			return coords, g.KeyOf(center)
+		}
+		for trial := 0; trial < 20000; trial++ {
+			a, ra := randomCell()
+			b, rb := randomCell()
+			want := slices.Compare(a, b)
+			got := cmp.Compare(ra, rb)
+			if got != want {
+				t.Fatalf("dims %v: cells %v (rank %d) and %v (rank %d) compare %d, coords compare %d",
+					g.Dims, a, ra, b, rb, got, want)
+			}
 		}
 	}
 }
@@ -108,7 +169,8 @@ func TestHaloSupersetProperty(t *testing.T) {
 		var stats kdtree.SearchStats
 		var buf []int32
 		rng := rand.New(rand.NewSource(7))
-		halo := make(map[string]bool)
+		halo := make(map[int64]bool)
+		scratch := make([]int32, g.Dim)
 		for trial := 0; trial < 300; trial++ {
 			i := int32(rng.Intn(ds.Len()))
 			p := ds.At(i)
@@ -116,12 +178,12 @@ func TestHaloSupersetProperty(t *testing.T) {
 			for k := range halo {
 				delete(halo, k)
 			}
-			g.HaloCells(p, func(key string) { halo[key] = true })
+			g.HaloCells(p, scratch, func(rank int64) { halo[rank] = true })
 			buf = tree.Radius(p, eps, buf[:0], &stats)
 			for _, q := range buf {
 				qc := g.KeyOf(ds.At(q))
 				if qc != home && !halo[qc] {
-					t.Fatalf("side=%g: neighbor %d (cell %x) of point %d (cell %x) missed by halo",
+					t.Fatalf("side=%g: neighbor %d (cell %d) of point %d (cell %d) missed by halo",
 						side, q, qc, i, home)
 				}
 			}
@@ -161,22 +223,152 @@ func TestHaloSupersetProperty2D(t *testing.T) {
 		tree := kdtree.Build(ds)
 		var stats kdtree.SearchStats
 		var buf []int32
-		halo := make(map[string]bool)
+		halo := make(map[int64]bool)
+		scratch := make([]int32, g.Dim)
 		for i := int32(0); i < int32(ds.Len()); i++ {
 			p := ds.At(i)
 			home := g.KeyOf(p)
 			for k := range halo {
 				delete(halo, k)
 			}
-			g.HaloCells(p, func(key string) { halo[key] = true })
+			last := int64(-1)
+			g.HaloCells(p, scratch, func(rank int64) {
+				if rank <= last || rank == home {
+					t.Fatalf("side=%g: point %d: halo rank %d after %d (home %d)", side, i, rank, last, home)
+				}
+				last = rank
+				halo[rank] = true
+			})
 			buf = tree.Radius(p, eps, buf[:0], &stats)
 			for _, q := range buf {
 				qc := g.KeyOf(ds.At(q))
 				if qc != home && !halo[qc] {
-					t.Fatalf("side=%g: neighbor %d (cell %x) of point %d (cell %x) missed by halo",
+					t.Fatalf("side=%g: neighbor %d (cell %d) of point %d (cell %d) missed by halo",
 						side, q, qc, i, home)
 				}
 			}
+		}
+		// A caller that reuses its scratch enumerates without allocating.
+		p := ds.At(0)
+		for i := int32(1); g.HaloCells(p, scratch, func(int64) {}) == 0; i++ {
+			p = ds.At(i) // find a point off the interior fast path
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			g.HaloCells(p, scratch, func(int64) {})
+		}); allocs != 0 {
+			t.Fatalf("side=%g: HaloCells allocates %v times per point", side, allocs)
+		}
+	}
+}
+
+// TestGroupCellsMatchesSortedShuffle: bucketing the map emissions in
+// split order gives exactly the per-cell inputs a sort of all
+// emissions by (cell, index) gives, and every home and halo list is
+// strictly ascending.
+func TestGroupCellsMatchesSortedShuffle(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		ds          *geom.Dataset
+		eps, side   float64
+		targetPerCl int
+	}{
+		{"c10k/derived", testDataset(t, "c10k", 2000), tableParams.Eps, 0, 250},
+		{"2d/ring3", dataset2D(1500, 11), 3, 1, 0},
+	} {
+		g, err := PlanCellGrid(tc.ds, tc.eps, tc.side, tc.targetPerCl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := tc.ds.Len()
+		for _, parts := range []int{1, 3, 8} {
+			part, err := NewPartitioner(n, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bySplit := make([][]cellEmit, parts)
+			var all []cellEmit
+			for s := range bySplit {
+				lo, hi := part.Range(s)
+				var in []int32
+				for i := lo; i < hi; i++ {
+					in = append(in, i)
+				}
+				var w simtime.Work
+				bySplit[s] = emitCells(g, tc.ds, in, 1, &w)
+				all = append(all, bySplit[s]...)
+			}
+			cells, emitted := groupCells(bySplit)
+
+			sort.Slice(all, func(i, j int) bool {
+				if all[i].cell != all[j].cell {
+					return all[i].cell < all[j].cell
+				}
+				return all[i].idx < all[j].idx
+			})
+			var want []cellInput
+			for i := 0; i < len(all); {
+				var ci cellInput
+				j := i
+				for ; j < len(all) && all[j].cell == all[i].cell; j++ {
+					if all[j].halo {
+						ci.halo = append(ci.halo, all[j].idx)
+					} else {
+						ci.home = append(ci.home, all[j].idx)
+					}
+				}
+				if len(ci.home) > 0 {
+					want = append(want, ci)
+				}
+				i = j
+			}
+
+			what := fmt.Sprintf("%s/parts=%d", tc.name, parts)
+			if emitted != len(all) {
+				t.Fatalf("%s: %d emissions counted, %d emitted", what, emitted, len(all))
+			}
+			if len(cells) != len(want) {
+				t.Fatalf("%s: %d cells, want %d", what, len(cells), len(want))
+			}
+			for c := range want {
+				if !slices.Equal(cells[c].home, want[c].home) || !slices.Equal(cells[c].halo, want[c].halo) {
+					t.Fatalf("%s: cell %d differs from the sorted grouping", what, c)
+				}
+				for _, list := range [][]int32{cells[c].home, cells[c].halo} {
+					for k := 1; k < len(list); k++ {
+						if list[k] <= list[k-1] {
+							t.Fatalf("%s: cell %d list not strictly ascending at %d: %v", what, c, k, list)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCellGridTooFineRejected: a grid whose cells outnumber int64
+// ranks is refused by the cell stage, naming the options that coarsen
+// it, while PlanCellGrid itself still plans it.
+func TestCellGridTooFineRejected(t *testing.T) {
+	ds := testDataset(t, "c10k", 2000)
+	side := tableParams.Eps / 1000
+	g, err := PlanCellGrid(ds, tableParams.Eps, side, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumCells() != math.MaxInt64 {
+		t.Fatalf("side eps/1000 gives %d cells; want a saturated count", g.NumCells())
+	}
+	sctx := spark.NewContext(spark.Config{Cores: 4, Seed: 42})
+	_, err = Run(sctx, ds, Config{
+		Params: tableParams, Partitions: 4, Partitioning: PartCell,
+		Cell: CellOptions{CellSide: side},
+	})
+	if err == nil {
+		t.Fatal("cell stage accepted a grid too fine for int64 ranks")
+	}
+	for _, opt := range []string{"CellSide", "TargetPointsPerCell"} {
+		if !strings.Contains(err.Error(), opt) {
+			t.Fatalf("error %q does not name %s", err, opt)
 		}
 	}
 }

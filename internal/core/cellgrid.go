@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -21,11 +20,12 @@ import (
 // eps-scale sides replicates each point dozens to thousands of times,
 // while two or three split axes bound the factor at a handful.
 //
-// Cells are identified by a *key*: the per-axis cell coordinates packed
-// big-endian, 4 bytes each, into a string. Keys compare
-// lexicographically in row-major coordinate order, and — unlike a
-// mixed-radix integer rank — they cannot overflow; only non-empty
-// cells ever materialize driver-side state.
+// Cells are identified by their *rank*: the row-major mixed-radix
+// number of their per-axis coordinates over Dims, axis 0 most
+// significant. Unsplit axes have Dims 1 and add nothing. Rank order is
+// lexicographic coordinate order. A rank is an int64, so it exists only
+// for grids whose NumCells does not saturate; the cell stage rejects
+// the others. Only non-empty cells ever materialize driver-side state.
 type CellGrid struct {
 	Dim   int
 	Min   []float64 // lower corner of the bounding box
@@ -111,29 +111,34 @@ func PlanCellGrid(ds *geom.Dataset, eps, cellSide float64, targetPerCell int) (*
 
 		stride := (n + planSampleCap - 1) / planSampleCap
 		sampled := (n + stride - 1) / stride
-		coords := make([]int32, dim)
-		sides := make([]float64, dim)
 		// estMaxLoad estimates the most loaded cell's home-point count
 		// when the first k axes of order are split at the given side:
 		// max bucket over the sample, scaled back by the sampling ratio.
+		// Unsplit axes put every point at coordinate 0, so a bucket is
+		// a path through a trie over the split axes' coordinates. Trie
+		// node ids are dense, so a trial grid too fine for an int64
+		// rank is still counted exactly.
 		estMaxLoad := func(k int, side float64) int {
-			copy(sides, whole)
-			for _, a := range order[:k] {
-				sides[a] = side
-			}
-			buckets := make(map[string]int, sampled)
+			child := make(map[[2]int64]int32, sampled)
+			var load []int // per trie node; only leaves count
 			most := 0
 			for i := 0; i < n; i += stride {
 				p := ds.At(int32(i))
-				for j := 0; j < dim; j++ {
-					coords[j] = int32(geom.CellCoord(p[j], bounds.Min[j], sides[j]))
-				}
 				g.PlanOps++
-				key := packKey(coords)
-				b := buckets[key] + 1
-				buckets[key] = b
-				if b > most {
-					most = b
+				node := int64(-1)
+				for _, a := range order[:k] {
+					edge := [2]int64{node, geom.CellCoord(p[a], bounds.Min[a], side)}
+					id, ok := child[edge]
+					if !ok {
+						id = int32(len(load))
+						child[edge] = id
+						load = append(load, 0)
+					}
+					node = int64(id)
+				}
+				load[node]++
+				if load[node] > most {
+					most = load[node]
 				}
 			}
 			return int(int64(most) * int64(n) / int64(sampled))
@@ -189,7 +194,8 @@ func PlanCellGrid(ds *geom.Dataset, eps, cellSide float64, targetPerCell int) (*
 }
 
 // NumCells returns the nominal grid size (product of Dims), saturating
-// at MaxInt64 — diagnostics only, the grid is never materialized.
+// at MaxInt64. The grid is never materialized; a saturated count means
+// its cells have no int64 rank.
 func (g *CellGrid) NumCells() int64 {
 	total := int64(1)
 	for _, k := range g.Dims {
@@ -214,34 +220,13 @@ func (g *CellGrid) coordOf(v float64, j int) int32 {
 	return int32(c)
 }
 
-// packKey encodes per-axis coordinates into the grid's string key.
-func packKey(coords []int32) string {
-	buf := make([]byte, 4*len(coords))
-	for j, c := range coords {
-		binary.BigEndian.PutUint32(buf[4*j:], uint32(c))
-	}
-	return string(buf)
-}
-
-// KeyOf returns the home cell key of point p.
-func (g *CellGrid) KeyOf(p []float64) string {
-	coords := make([]int32, g.Dim)
+// KeyOf returns the rank of point p's home cell.
+func (g *CellGrid) KeyOf(p []float64) int64 {
+	var rank int64
 	for j := 0; j < g.Dim; j++ {
-		coords[j] = g.coordOf(p[j], j)
+		rank = rank*int64(g.Dims[j]) + int64(g.coordOf(p[j], j))
 	}
-	return packKey(coords)
-}
-
-// CoordsOfKey decodes a cell key back into per-axis coordinates.
-func (g *CellGrid) CoordsOfKey(key string, out []int32) []int32 {
-	if cap(out) < g.Dim {
-		out = make([]int32, g.Dim)
-	}
-	out = out[:g.Dim]
-	for j := 0; j < g.Dim; j++ {
-		out[j] = int32(binary.BigEndian.Uint32([]byte(key[4*j : 4*j+4])))
-	}
-	return out
+	return rank
 }
 
 // Envelope returns the closed axis-aligned box of the cell with the
@@ -258,16 +243,16 @@ func (g *CellGrid) Envelope(coords []int32) geom.Rect {
 // HaloCells enumerates every cell other than p's home cell whose
 // envelope lies within eps of p — the cells that must receive a halo
 // replica of p so their local clustering sees p's entire
-// eps-neighborhood. yield is called once per such cell with its key.
-// The return value counts candidate interval evaluations (for
-// metering): the enumeration walks the ring-layer neighborhood with a
-// per-axis running squared distance, pruning subtrees of the coordinate
-// odometer as soon as the partial distance exceeds eps.
-func (g *CellGrid) HaloCells(p []float64, yield func(key string)) int64 {
+// eps-neighborhood. yield is called once per such cell with its rank,
+// in ascending rank order. home is scratch of length g.Dim that
+// receives p's home coordinates; a caller that reuses it across points
+// enumerates without allocating. The return value counts candidate
+// interval evaluations (for metering): the enumeration walks the
+// ring-layer neighborhood with a per-axis running squared distance,
+// pruning subtrees of the coordinate odometer as soon as the partial
+// distance exceeds eps.
+func (g *CellGrid) HaloCells(p []float64, home []int32, yield func(rank int64)) int64 {
 	eps := g.Eps * (1 + epsInflate)
-	eps2 := eps * eps
-
-	home := make([]int32, g.Dim)
 	interior := true
 	for j := 0; j < g.Dim; j++ {
 		home[j] = g.coordOf(p[j], j)
@@ -282,50 +267,57 @@ func (g *CellGrid) HaloCells(p []float64, yield func(key string)) int64 {
 		// shares with a neighbor cell, so no other cell is within eps.
 		return 0
 	}
+	h := haloWalk{g: g, p: p, home: home, eps: eps, eps2: eps * eps, yield: yield}
+	h.walk(0, 0, 0, false)
+	return h.evals
+}
 
-	var evals int64
-	coords := make([]int32, g.Dim)
-	// walk enumerates axis j onward given the partial squared distance
-	// accumulated over axes < j.
-	var walk func(j int, partial float64)
-	walk = func(j int, partial float64) {
-		if j == g.Dim {
-			for k := 0; k < g.Dim; k++ {
-				if coords[k] != home[k] {
-					yield(packKey(coords))
-					return
-				}
-			}
-			return // the home cell itself
+// haloWalk is one HaloCells enumeration's state, kept on the caller's
+// stack.
+type haloWalk struct {
+	g         *CellGrid
+	p         []float64
+	home      []int32
+	eps, eps2 float64
+	evals     int64
+	yield     func(rank int64)
+}
+
+// walk enumerates axis j onward given the squared distance accumulated
+// over axes < j, the rank prefix of the coordinates chosen on them, and
+// whether any of those differs from the home cell's.
+func (h *haloWalk) walk(j int, partial float64, rank int64, away bool) {
+	g, p := h.g, h.p
+	if j == g.Dim {
+		if away {
+			h.yield(rank)
 		}
-		ring := int32(math.Ceil(eps / g.Sides[j]))
-		lo := home[j] - ring
-		if lo < 0 {
-			lo = 0
-		}
-		hi := home[j] + ring
-		if hi > g.Dims[j]-1 {
-			hi = g.Dims[j] - 1
-		}
-		for c := lo; c <= hi; c++ {
-			evals++
-			cellLo := g.Min[j] + float64(c)*g.Sides[j]
-			d := 0.0
-			if p[j] < cellLo {
-				d = cellLo - p[j]
-			} else if p[j] > cellLo+g.Sides[j] {
-				d = p[j] - (cellLo + g.Sides[j])
-			}
-			next := partial + d*d
-			if next > eps2 {
-				continue
-			}
-			coords[j] = c
-			walk(j+1, next)
-		}
+		return
 	}
-	walk(0, 0)
-	return evals
+	ring := int32(math.Ceil(h.eps / g.Sides[j]))
+	lo := h.home[j] - ring
+	if lo < 0 {
+		lo = 0
+	}
+	hi := h.home[j] + ring
+	if hi > g.Dims[j]-1 {
+		hi = g.Dims[j] - 1
+	}
+	for c := lo; c <= hi; c++ {
+		h.evals++
+		cellLo := g.Min[j] + float64(c)*g.Sides[j]
+		d := 0.0
+		if p[j] < cellLo {
+			d = cellLo - p[j]
+		} else if p[j] > cellLo+g.Sides[j] {
+			d = p[j] - (cellLo + g.Sides[j])
+		}
+		next := partial + d*d
+		if next > h.eps2 {
+			continue
+		}
+		h.walk(j+1, next, rank*int64(g.Dims[j])+int64(c), away || c != h.home[j])
+	}
 }
 
 // SizeBytes estimates the serialized size of the grid itself (bounds,

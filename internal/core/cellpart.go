@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"sparkdbscan/internal/geom"
@@ -9,19 +11,27 @@ import (
 	"sparkdbscan/internal/spark"
 )
 
-// cellEmit is one map-side shuffle record: point idx goes to cell
-// (either as its home point or as an eps-halo replica).
+// cellEmit is one map-side shuffle record: point idx goes to the cell
+// of the given rank (either as its home point or as an eps-halo
+// replica).
 type cellEmit struct {
-	cell string // packed-coords cell key (CellGrid.KeyOf)
+	cell int64 // CellGrid rank
 	idx  int32
 	halo bool
+}
+
+// splitEmits is one map task's output, tagged with its split: the
+// accumulator commits tasks in any order, the grouping reads them back
+// in split order.
+type splitEmits struct {
+	split int
+	emits []cellEmit
 }
 
 // cellInput is one non-empty cell's materialized reduce-side input:
 // the points homed there plus the halo replicas it received, both in
 // ascending global index order.
 type cellInput struct {
-	key  string // grid cell key (diagnostics; tasks use the dense index)
 	home []int32
 	halo []int32
 }
@@ -66,6 +76,10 @@ func cellStage(env *stageEnv, ds *geom.Dataset) error {
 	if err != nil {
 		return err
 	}
+	if grid.NumCells() == math.MaxInt64 {
+		return fmt.Errorf("core: cell side %g gives more grid cells than an int64 rank can number; "+
+			"raise Cell.CellSide or Cell.TargetPointsPerCell", grid.SplitSide)
+	}
 	env.res.Phases.Plan = env.driverSeconds() - d0
 
 	// Map stage: each task quantizes its slice of points and emits one
@@ -80,27 +94,14 @@ func cellStage(env *stageEnv, ds *geom.Dataset) error {
 	}
 	rdd := spark.Parallelize(sctx, indices, cfg.Partitions)
 	rdd.SetSizeFunc(func(int32) int64 { return pointBytes })
-	emitAcc := spark.SliceAccumulator[cellEmit](sctx)
+	emitAcc := spark.SliceAccumulator[splitEmits](sctx)
 
 	e0 := env.executorSeconds()
 	err = rdd.ForeachPartition(func(split int, in []int32, tc *spark.TaskContext) error {
 		var w simtime.Work
-		emits := make([]cellEmit, 0, len(in))
-		for _, idx := range in {
-			p := ds.At(idx)
-			w.Elems++ // quantize to the home cell
-			emits = append(emits, cellEmit{grid.KeyOf(p), idx, false})
-			w.HashOps++
-			w.ShuffleBytes += pointBytes
-			w.Elems += grid.HaloCells(p, func(key string) {
-				emits = append(emits, cellEmit{key, idx, true})
-				w.HashOps++
-				w.ShuffleBytes += pointBytes
-				w.HaloPoints++
-			})
-		}
+		emits := emitCells(grid, ds, in, pointBytes, &w)
 		tc.Charge(w)
-		emitAcc.Add(tc, emits)
+		emitAcc.Add(tc, []splitEmits{{split, emits}})
 		return nil
 	})
 	if err != nil {
@@ -111,40 +112,13 @@ func cellStage(env *stageEnv, ds *geom.Dataset) error {
 	// Group the emissions into per-cell inputs. This stands in for the
 	// shuffle files on executor-local disk: the write leg was charged
 	// to the map tasks above, the read leg is charged to the cell tasks
-	// below, and the grouping itself is deterministic — sorted by
-	// (cell, index), independent of commit order.
-	emits := emitAcc.Value()
-	sort.Slice(emits, func(i, j int) bool {
-		if emits[i].cell != emits[j].cell {
-			return emits[i].cell < emits[j].cell
-		}
-		return emits[i].idx < emits[j].idx
-	})
-	var cells []cellInput
-	var readBytes int64
-	var haloCount int64
-	for i := 0; i < len(emits); {
-		j := i
-		for j < len(emits) && emits[j].cell == emits[i].cell {
-			j++
-		}
-		ci := cellInput{key: emits[i].cell}
-		for _, e := range emits[i:j] {
-			if e.halo {
-				ci.halo = append(ci.halo, e.idx)
-				haloCount++
-			} else {
-				ci.home = append(ci.home, e.idx)
-			}
-		}
-		// A cell that received only halo replicas owns nothing and gets
-		// no task; the map side already paid for the wasted copies.
-		if len(ci.home) > 0 {
-			readBytes += pointBytes * int64(len(ci.home)+len(ci.halo))
-			cells = append(cells, ci)
-		}
-		i = j
+	// below, and the grouping itself is unpriced driver work whose
+	// result is independent of commit order.
+	bySplit := make([][]cellEmit, rdd.NumPartitions())
+	for _, se := range emitAcc.Value() {
+		bySplit[se.split] = se.emits
 	}
+	cells, emitted := groupCells(bySplit)
 
 	// Assign cells to tasks with longest-processing-time-first over a
 	// quadratic work proxy: a cell's clustering cost is dominated by
@@ -159,10 +133,12 @@ func cellStage(env *stageEnv, ds *geom.Dataset) error {
 	}
 	order := make([]int, len(cells))
 	proxy := make([]int64, len(cells))
+	var readBytes int64
 	for i, cl := range cells {
 		order[i] = i
 		nl := int64(len(cl.home) + len(cl.halo))
 		proxy[i] = int64(len(cl.home))*nl + nl
+		readBytes += pointBytes * nl
 	}
 	sort.SliceStable(order, func(a, b int) bool { return proxy[order[a]] > proxy[order[b]] })
 	taskOf := make([]int, len(cells))
@@ -233,8 +209,8 @@ func cellStage(env *stageEnv, ds *geom.Dataset) error {
 		Mode:           PartCell.String(),
 		Tasks:          tasks,
 		BroadcastBytes: bcBytes,
-		ShuffleBytes:   int64(len(emits))*pointBytes + readBytes,
-		HaloPoints:     int64(len(emits)) - int64(n),
+		ShuffleBytes:   int64(emitted)*pointBytes + readBytes,
+		HaloPoints:     int64(emitted) - int64(n),
 		Cells:          len(cells),
 		GridCells:      grid.NumCells(),
 		CellSide:       grid.SplitSide,
@@ -242,6 +218,102 @@ func cellStage(env *stageEnv, ds *geom.Dataset) error {
 		Ring:           grid.Ring,
 	}
 	return nil
+}
+
+// emitCells is one map task's body: every point of in is emitted to
+// its home cell, then replicated into each cell its eps-halo reaches.
+// The records come out in the order of in, and the work is metered
+// into w.
+func emitCells(grid *CellGrid, ds *geom.Dataset, in []int32, pointBytes int64, w *simtime.Work) []cellEmit {
+	emits := make([]cellEmit, 0, len(in))
+	home := make([]int32, ds.Dim) // HaloCells scratch, reused per point
+	for _, idx := range in {
+		p := ds.At(idx)
+		w.Elems++ // quantize to the home cell
+		emits = append(emits, cellEmit{grid.KeyOf(p), idx, false})
+		w.HashOps++
+		w.ShuffleBytes += pointBytes
+		w.Elems += grid.HaloCells(p, home, func(rank int64) {
+			emits = append(emits, cellEmit{rank, idx, true})
+			w.HashOps++
+			w.ShuffleBytes += pointBytes
+			w.HaloPoints++
+		})
+	}
+	return emits
+}
+
+// groupCells is the shuffle's reduce-side grouping: it buckets the
+// map tasks' emissions, read in split order, into one input per cell
+// that homes a point, in ascending cell-rank order. Splits are
+// contiguous ascending index ranges and each task emits in index
+// order, so every cell's home and halo lists come out ascending, as a
+// sort by (cell, index) would leave them. It also returns the number
+// of emissions.
+func groupCells(bySplit [][]cellEmit) (cells []cellInput, emitted int) {
+	// Rank the distinct cells once: a dense id per cell in first-seen
+	// order, with its home and halo counts.
+	dense := make(map[int64]int32)
+	var ranks []int64
+	var nHome, nHalo []int
+	var homeLen, haloLen int
+	for _, emits := range bySplit {
+		emitted += len(emits)
+		for _, e := range emits {
+			d, ok := dense[e.cell]
+			if !ok {
+				d = int32(len(ranks))
+				dense[e.cell] = d
+				ranks = append(ranks, e.cell)
+				nHome = append(nHome, 0)
+				nHalo = append(nHalo, 0)
+			}
+			if e.halo {
+				nHalo[d]++
+				haloLen++
+			} else {
+				nHome[d]++
+				homeLen++
+			}
+		}
+	}
+	byRank := make([]int32, len(ranks))
+	for d := range byRank {
+		byRank[d] = int32(d)
+	}
+	sort.Slice(byRank, func(a, b int) bool { return ranks[byRank[a]] < ranks[byRank[b]] })
+
+	// Carve every cell's lists out of two backing arrays, so the
+	// bucketing pass below appends without reallocating. A cell that
+	// received only halo replicas owns nothing and gets no input; the
+	// map side already paid for the wasted copies.
+	homeBuf := make([]int32, homeLen)
+	haloBuf := make([]int32, haloLen)
+	slot := make([]int32, len(ranks)) // dense id -> index in cells, or -1
+	for _, d := range byRank {
+		slot[d] = -1
+		if nHome[d] == 0 {
+			continue
+		}
+		slot[d] = int32(len(cells))
+		cells = append(cells, cellInput{home: homeBuf[:0:nHome[d]], halo: haloBuf[:0:nHalo[d]]})
+		homeBuf, haloBuf = homeBuf[nHome[d]:], haloBuf[nHalo[d]:]
+	}
+
+	for _, emits := range bySplit {
+		for _, e := range emits {
+			c := slot[dense[e.cell]]
+			if c < 0 {
+				continue
+			}
+			if e.halo {
+				cells[c].halo = append(cells[c].halo, e.idx)
+			} else {
+				cells[c].home = append(cells[c].home, e.idx)
+			}
+		}
+	}
+	return cells, emitted
 }
 
 // cellLocalDBSCAN clusters one cell: it assembles the cell's local

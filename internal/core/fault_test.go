@@ -59,9 +59,10 @@ func faultSeeds(t *testing.T) []uint64 {
 // also checks exactly-once semantics under retries and exactly-once
 // journal replay), while the faults strictly cost time. The property
 // holds in both partitioning modes: under PartCell the executor
-// crashes hit the cell shuffle's map stage too, and the driver crash
-// forces the cluster-graph union to rerun on journal-replayed
-// partials.
+// crashes hit the cell shuffle's map stage too (its emissions flow
+// through an accumulator, so the distribution report must equal the
+// clean run's), and the driver crash forces the cluster-graph union to
+// rerun on journal-replayed partials.
 func TestFaultSchedulesNeverChangeLabels(t *testing.T) {
 	for _, mode := range []PartitionMode{PartRange, PartCell} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -119,6 +120,10 @@ func testFaultInvariance(t *testing.T, mode PartitionMode) {
 		if res.Global.NumPartialClusters != clean.Global.NumPartialClusters {
 			t.Fatalf("seed %d: partials %d != %d (accumulator not exactly-once?)",
 				seed, res.Global.NumPartialClusters, clean.Global.NumPartialClusters)
+		}
+		if res.Dist != clean.Dist {
+			t.Fatalf("seed %d: distribution %+v != clean %+v (map emissions duplicated or dropped?)",
+				seed, res.Dist, clean.Dist)
 		}
 		if res.Recovery.DriverCrashes != 1 ||
 			res.Recovery.ReplayedClusters != res.Recovery.JournaledClusters ||

@@ -119,7 +119,7 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 
 	var queue dbscan.Queue
 	// neighbors is the single reusable query buffer. Invariant: every
-	// read of a query's result (queue pushes, the minPts test) happens
+	// read of a query's result (enqueue, the minPts test) happens
 	// before the next query call, because query recycles neighbors[:0]
 	// and overwrites the previous result in place. The BFS frontier
 	// itself lives in queue, which copies the values, so requerying
@@ -135,6 +135,36 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 		return idx.Radius(q, eps, neighbors[:0], &res.Stats)
 	}
 
+	// pc is the cluster being expanded and epoch its stamp. enqueue
+	// reads one core's neighbour list: owned neighbours join the BFS
+	// queue, foreign ones get their SEED placed at once (Algorithm 3)
+	// and are never expanded. Seeds land in the order a FIFO queue
+	// would have popped them, and each foreign neighbour is charged
+	// the push and pop of that round trip, so the ledger matches a
+	// queue that carried every neighbour.
+	var pc PartialCluster
+	var epoch int32
+	enqueue := func(nbs []int32) {
+		w.QueueOps += int64(len(nbs))
+		for _, nb := range nbs {
+			if nb >= lo && nb < hi {
+				queue.Push(nb)
+				continue
+			}
+			w.QueueOps++
+			w.HashOps++
+			if exact {
+				if foreignSeen[nb] != epoch {
+					foreignSeen[nb] = epoch
+					pc.Seeds = append(pc.Seeds, nb)
+				}
+			} else if owner := part.Owner(nb); seedPlaced[owner] != epoch {
+				seedPlaced[owner] = epoch
+				pc.Seeds = append(pc.Seeds, nb)
+			}
+		}
+	}
+
 	for i := lo; i < hi; i++ {
 		li := i - lo
 		if visited[li] {
@@ -148,7 +178,7 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 			// adopt it as a border member.
 			continue
 		}
-		pc := PartialCluster{
+		pc = PartialCluster{
 			Partition: int32(res.Partition),
 			Seq:       int32(len(res.Clusters)),
 		}
@@ -159,32 +189,14 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 		}
 		// Opening a new cluster invalidates the previous cluster's
 		// seed/seen stamps in O(1).
-		epoch := pc.Seq + 1
+		epoch = pc.Seq + 1
 
 		queue.Reset()
-		for _, nb := range neighbors {
-			queue.Push(nb)
-		}
-		w.QueueOps += int64(len(neighbors))
+		enqueue(neighbors)
 
 		for !queue.Empty() {
 			p := queue.Pop()
 			w.QueueOps++
-			if p < lo || p >= hi {
-				// Foreign point: place a SEED (Algorithm 3), never
-				// expand.
-				w.HashOps++
-				if exact {
-					if foreignSeen[p] != epoch {
-						foreignSeen[p] = epoch
-						pc.Seeds = append(pc.Seeds, p)
-					}
-				} else if owner := part.Owner(p); seedPlaced[owner] != epoch {
-					seedPlaced[owner] = epoch
-					pc.Seeds = append(pc.Seeds, p)
-				}
-				continue
-			}
 			pl := p - lo
 			if !visited[pl] {
 				visited[pl] = true
@@ -194,10 +206,7 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 					if coreLocal != nil {
 						coreLocal[pl] = true
 					}
-					for _, nb := range neighbors {
-						queue.Push(nb)
-					}
-					w.QueueOps += int64(len(neighbors))
+					enqueue(neighbors)
 				}
 			}
 			if exact {
