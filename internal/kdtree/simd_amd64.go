@@ -2,34 +2,7 @@
 
 package kdtree
 
-// haveAVX2FMA reports whether the vector leaf kernel can run: AVX2 and
-// FMA3 in hardware plus OS-enabled YMM state. Probed once at init.
-var haveAVX2FMA = detectAVX2FMA()
-
-func detectAVX2FMA() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c, _ := cpuidex(1, 0)
-	const (
-		fmaBit     = 1 << 12
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
-	)
-	if c&fmaBit == 0 || c&osxsaveBit == 0 || c&avxBit == 0 {
-		return false
-	}
-	if lo, _ := xgetbv0(); lo&6 != 6 { // XMM and YMM state saved by the OS
-		return false
-	}
-	_, b, _, _ := cpuidex(7, 0)
-	return b&(1<<5) != 0 // AVX2
-}
-
-// cpuidex and xgetbv0 are implemented in simd_amd64.s.
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax, edx uint32)
+import "sparkdbscan/internal/geom"
 
 // leafSqDistsAVX2 is implemented in simd_amd64.s. noescape keeps the
 // caller's stack-resident query, result and mask buffers off the heap —
@@ -39,11 +12,11 @@ func xgetbv0() (eax, edx uint32)
 func leafSqDistsAVX2(q, p, out *float32, mask *uint8, stride, cnt, dim int64, sHi float32)
 
 // leafSqDists dispatches the leaf-scan kernel to the AVX2/FMA assembly
-// when available. Unlike the portable kernel, the assembly may leave
-// out[i] unwritten for points it rejects early, so out[i] is only
-// meaningful where the corresponding mask bit is set.
+// when geom's CPU probe found it. Unlike the portable kernel, the
+// assembly may leave out[i] unwritten for points it rejects early, so
+// out[i] is only meaningful where the corresponding mask bit is set.
 func leafSqDists(q []float32, p []float32, stride, cnt int, out []float32, mask []uint8, sHi float32) {
-	if haveAVX2FMA && len(q) > 0 && cnt > 0 {
+	if geom.HasAVX2FMA && len(q) > 0 && cnt > 0 {
 		leafSqDistsAVX2(&q[0], &p[0], &out[0], &mask[0], int64(stride), int64(cnt), int64(len(q)), sHi)
 		return
 	}

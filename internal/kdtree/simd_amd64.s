@@ -1,25 +1,6 @@
-// AVX2/FMA leaf-scan kernel and the CPU feature probes guarding it.
+// AVX2/FMA leaf-scan kernel. The CPU probe guarding it is geom.HasAVX2FMA.
 
 #include "textflag.h"
-
-// func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuidex(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax, edx uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
 
 // func leafSqDistsAVX2(q, p, out *float32, mask *uint8, stride, cnt, dim int64, sHi float32)
 //

@@ -80,22 +80,32 @@ func exactQuery(ds *geom.Dataset, q int32, h *heapList) {
 		filled++
 	}
 	h.heapify()
-	// Scan the rest through the fused early-exit kernel: a candidate
-	// whose partial sum already clears the current worst (plus an ulp
-	// margin for checkpoint rounding) is dropped mid-scan; a completed
-	// scan returns the canonical SqDistD value bit-identically, so the
-	// stored distance is the one any other code path would compute.
-	for ; j < n; j++ {
-		if j == q {
-			continue
+	// Scan the rest four rows at a time through the fused early-exit
+	// kernel: a candidate whose partial sum already clears the heap's
+	// worst at the start of its group (plus an ulp margin for checkpoint
+	// rounding) is dropped mid-scan; a completed scan returns the
+	// canonical SqDistD value bit-identically, so the stored distance is
+	// the one any other code path would compute. push re-tests against
+	// the current worst, so the list equals a one-row-at-a-time scan
+	// (DESIGN §16).
+	var rows [4][]float64
+	var ids [4]int32
+	var d2 [4]float64
+	var ok [4]bool
+	for j < n {
+		m := 0
+		for ; m < 4 && j < n; j++ {
+			if j != q {
+				ids[m], rows[m] = j, ds.At(j)
+				m++
+			}
 		}
 		limit := h.d2[0] * (1 + distFilterMargin)
-		d2, ok := geom.SqDistDFiltered(qc, ds.At(j), limit)
-		if !ok {
-			continue
-		}
-		if d2 < h.d2[0] || (d2 == h.d2[0] && j < h.idx[0]) {
-			h.push(j, d2)
+		geom.SqDistsFiltered(qc, rows[:m], limit, d2[:m], ok[:m])
+		for r := 0; r < m; r++ {
+			if ok[r] {
+				h.push(ids[r], d2[r])
+			}
 		}
 	}
 }

@@ -205,6 +205,7 @@ type descentWorker struct {
 	h       heapList
 	hFresh  []bool
 	pool    []revEntry
+	cands   []int32
 }
 
 // improve computes point i's next list from the current graph, writing
@@ -245,30 +246,32 @@ func (w *descentWorker) improve(i int32, outIdx []int32, outD2 []float64, outFre
 		w.pool = append(w.pool, w.rev[i][s])
 	}
 
-	qc := w.ds.At(i)
-	changed := false
-	// Reverse pool members are themselves candidates (forward ones are
-	// already in the list).
+	// Candidates, deduplicated in first-seen order: the reverse pool
+	// members themselves (forward ones are already in the list), then
+	// the two-hop candidates — each pool member's own sampled forward
+	// and reverse slices — admitted only through a fresh hop. Which
+	// points qualify depends on the previous round's graph alone, never
+	// on the heap, so gathering them first leaves the order unchanged.
+	w.cands = w.cands[:0]
 	for _, p := range w.pool[fwdLen:] {
-		changed = w.offer(qc, p.j) || changed
+		w.gather(p.j)
 	}
-	// Two-hop candidates — each pool member's own sampled forward and
-	// reverse slices — admitted only through a fresh hop.
 	for _, p := range w.pool {
 		off, stride = strideWalk(k, w.sample, w.seed, w.round, p.j, saltFwdHop)
 		for s := int(p.j)*k + off; s < (int(p.j)+1)*k; s += stride {
 			if p.fresh || w.fresh[s] {
-				changed = w.offer(qc, w.idx[s]) || changed
+				w.gather(w.idx[s])
 			}
 		}
 		rv := w.rev[p.j]
 		off, stride = strideWalk(len(rv), w.sample, w.seed, w.round, p.j, saltRevHop)
 		for s := off; s < len(rv); s += stride {
 			if p.fresh || rv[s].fresh {
-				changed = w.offer(qc, rv[s].j) || changed
+				w.gather(rv[s].j)
 			}
 		}
 	}
+	changed := w.offerCands(w.ds.At(i))
 
 	copy(outIdx, w.h.idx)
 	copy(outD2, w.h.d2)
@@ -276,25 +279,44 @@ func (w *descentWorker) improve(i int32, outIdx []int32, outD2 []float64, outFre
 	return changed
 }
 
-// offer computes the exact distance i→c (early-exited at the current
-// worst) and pushes it into the working heap, tracking freshness.
-func (w *descentWorker) offer(qc []float64, c int32) bool {
-	if w.visited[c] == w.epoch {
-		return false
+// gather appends c to the round's candidates unless this point already
+// saw it.
+func (w *descentWorker) gather(c int32) {
+	if w.visited[c] != w.epoch {
+		w.visited[c] = w.epoch
+		w.cands = append(w.cands, c)
 	}
-	w.visited[c] = w.epoch
-	// Fused early-exit scan; a completed value is canonical SqDistD
-	// bit-for-bit (see exactQuery).
-	limit := w.h.d2[0] * (1 + distFilterMargin)
-	d2, ok := geom.SqDistDFiltered(qc, w.ds.At(c), limit)
-	if !ok {
-		return false
+}
+
+// offerCands computes the exact distance to every candidate, four at a
+// time through geom.SqDistsFiltered with the early-exit limit taken from
+// the heap's worst before each group, and pushes in candidate order.
+// It reports whether the list changed. The result equals offering each
+// candidate alone under its own limit (DESIGN §16): a group's limit is
+// never tighter, a completed distance is canonical SqDistD bit for bit,
+// and the push test below reads the current worst.
+func (w *descentWorker) offerCands(qc []float64) bool {
+	changed := false
+	var rows [4][]float64
+	var d2 [4]float64
+	var ok [4]bool
+	for lo := 0; lo < len(w.cands); lo += 4 {
+		group := w.cands[lo:min(lo+4, len(w.cands))]
+		for r, c := range group {
+			rows[r] = w.ds.At(c)
+		}
+		m := len(group)
+		limit := w.h.d2[0] * (1 + distFilterMargin)
+		geom.SqDistsFiltered(qc, rows[:m], limit, d2[:m], ok[:m])
+		for r, c := range group {
+			if !ok[r] || d2[r] > w.h.d2[0] || (d2[r] == w.h.d2[0] && c >= w.h.idx[0]) {
+				continue
+			}
+			w.pushFresh(c, d2[r])
+			changed = true
+		}
 	}
-	if d2 > w.h.d2[0] || (d2 == w.h.d2[0] && c >= w.h.idx[0]) {
-		return false
-	}
-	w.pushFresh(c, d2)
-	return true
+	return changed
 }
 
 // pushFresh is heapList.push plus the parallel fresh-flag array.
