@@ -118,6 +118,11 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 	}
 
 	var queue dbscan.Queue
+	// queued stamps an owned point with the epoch of the last cluster
+	// whose queue took it, so a point enters each cluster's queue at
+	// most once: after its first pop it is visited and recorded, and
+	// every later pop of it would change nothing.
+	queued := make([]int32, local)
 	// neighbors is the single reusable query buffer. Invariant: every
 	// read of a query's result (enqueue, the minPts test) happens
 	// before the next query call, because query recycles neighbors[:0]
@@ -139,20 +144,23 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 	// reads one core's neighbour list: owned neighbours join the BFS
 	// queue, foreign ones get their SEED placed at once (Algorithm 3)
 	// and are never expanded. Seeds land in the order a FIFO queue
-	// would have popped them, and each foreign neighbour is charged
-	// the push and pop of that round trip, so the ledger matches a
-	// queue that carried every neighbour.
+	// would have popped them. Each foreign neighbour, and each owned
+	// one already queued for this cluster, is charged the push and pop
+	// of that round trip, so the ledger matches a queue that carried
+	// every neighbour.
 	var pc PartialCluster
 	var epoch int32
 	enqueue := func(nbs []int32) {
-		w.QueueOps += int64(len(nbs))
+		pushed := 0
 		for _, nb := range nbs {
 			if nb >= lo && nb < hi {
-				queue.Push(nb)
+				if queued[nb-lo] != epoch {
+					queued[nb-lo] = epoch
+					queue.Push(nb)
+					pushed++
+				}
 				continue
 			}
-			w.QueueOps++
-			w.HashOps++
 			if exact {
 				if foreignSeen[nb] != epoch {
 					foreignSeen[nb] = epoch
@@ -163,6 +171,9 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 				pc.Seeds = append(pc.Seeds, nb)
 			}
 		}
+		skipped := int64(len(nbs) - pushed)
+		w.QueueOps += int64(len(nbs)) + skipped
+		w.HashOps += skipped
 	}
 
 	for i := lo; i < hi; i++ {

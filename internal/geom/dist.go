@@ -189,29 +189,3 @@ func sqDists4(q []float64, rows [][]float64, limit float64, out []float64, ok []
 		out[r], ok[r] = s0+s1+s2+s3, true
 	}
 }
-
-// SqDistEarly returns the squared distance between a and b, except that
-// once the partial sum exceeds limit it may return any value > limit
-// without finishing the remaining dimensions. Callers that only compare
-// against limit (nearest-neighbour scans, range tests) save the tail of
-// the loop on far-away candidates; for high-dimensional data with tight
-// limits the early exit fires on most candidates.
-func SqDistEarly(a, b []float64, limit float64) float64 {
-	var s float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-		if s > limit {
-			return s
-		}
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}

@@ -1,7 +1,5 @@
 package kdtree
 
-import "math"
-
 // RadiusBatch answers one eps-radius query per point of qs — nq =
 // len(qs)/dim points, flat row-major, dim must match the indexed
 // dataset's dimensionality — and calls visit(qi, nbrs) once per query,
@@ -32,30 +30,14 @@ func (t *Tree) RadiusBatch(qs []float64, dim int, eps float64, stats *SearchStat
 		return
 	}
 	eps2 := eps * eps
-	narrow := dim == t.ds.Dim && dim <= maxKernelDim
-	var band float64
-	if narrow {
-		var qMax float64
-		for _, v := range qs[:nq*dim] {
-			if a := math.Abs(v); a > qMax {
-				qMax = a
-			}
-		}
-		band = t.epsBand(dim, eps2, qMax)
-	}
-	var q32buf [maxKernelDim]float32
+	narrow := t.narrow(dim)
+	var st query
+	st.setRadius(eps2, t.band(narrow, dim, eps2, absMax(qs[:nq*dim])))
 	var nbrs []int32
 	var local SearchStats
 	for qi := 0; qi < nq; qi++ {
-		q := qs[qi*dim : (qi+1)*dim : (qi+1)*dim]
-		var q32 []float32
-		if narrow {
-			for j, v := range q {
-				q32buf[j] = float32(v)
-			}
-			q32 = q32buf[:dim]
-		}
-		nbrs = t.radiusScan(q, q32, eps2, band, -1, nbrs[:0], &local)
+		st.setPoint(qs[qi*dim:(qi+1)*dim:(qi+1)*dim], narrow)
+		nbrs = t.radiusScan(&st, -1, nbrs[:0], &local)
 		local.Reported += int64(len(nbrs))
 		visit(qi, nbrs)
 	}

@@ -1,0 +1,163 @@
+package kdtree
+
+// BlockSize is the most queries one RadiusBlock call answers. Smaller
+// blocks repeat the descent more often; larger ones widen the block box
+// until every query scans leaves it cannot reach. On the c100k mixture
+// (d=10, one worker, five runs each) pdsdbscan took a median 0.56 s
+// with blocks of 32 or 16, 0.57 s with 8 and 0.60 s with 64.
+const BlockSize = 32
+
+// Block is RadiusBlock's caller-owned state: the last call's results
+// and the buffers every call reuses, so a warmed Block makes a call
+// allocate nothing. The zero value is ready to use. A Block serves one
+// goroutine at a time.
+type Block struct {
+	nbrs []int32
+	ends [BlockSize]int
+	// cands lists the descent's nodes in leaf order: ni for a leaf every
+	// query scans, ^ni for a node inside every query's ball.
+	cands  []int32
+	lo, hi []float64 // the block's bounding box
+	qs     query
+}
+
+// Neighbors returns the k-th query's neighbours from the last
+// RadiusBlock call, in ascending position of Tree.Order(). The slice
+// aliases the Block and is overwritten by the next call.
+func (b *Block) Neighbors(k int) []int32 {
+	lo := 0
+	if k > 0 {
+		lo = b.ends[k-1]
+	}
+	return b.nbrs[lo:b.ends[k]:b.ends[k]]
+}
+
+// RadiusBlock answers an eps query around every point of pts — at most
+// BlockSize indices into the tree's own dataset — with one descent for
+// the whole block, and leaves each query's neighbours in
+// b.Neighbors(k). Each neighbour set equals Radius(ds.At(pts[k]), eps)'s;
+// the order is the block's leaf order (ascending Tree.Order() position)
+// rather than Radius's near-child-first order.
+//
+// Any points are answered exactly, but the entry pays off for points
+// that lie close together: one contiguous run of Tree.Order(), or a
+// filtered subset of one. The descent prunes each node by the distance
+// between its box and the block's bounding box, against eps² plus the
+// certainty band (epsBand with the block's largest coordinate, as in
+// RadiusBatch, or exactBand on the float64 path); a node whose
+// farthest corner from the block box is within eps² minus the band is
+// reported whole to every query. Every query then scans each remaining
+// candidate leaf through scanLeaf with no per-query leaf box test: on
+// c100k a leaf-order pass in blocks computes 27% more distances than
+// one Radius per point, with 94% fewer node visits, and takes ~40% less
+// time.
+//
+// RadiusBatch keeps its per-query descents: a serve batch is scattered
+// points whose bounding box spans the domain and would prune nothing.
+// stats may be nil; when non-nil it receives the block's work, with
+// the shared descent's node visits counted once.
+func (t *Tree) RadiusBlock(pts []int32, eps float64, b *Block, stats *SearchStats) {
+	if len(pts) > BlockSize {
+		panic("kdtree: RadiusBlock given more than BlockSize points")
+	}
+	b.nbrs = b.nbrs[:0]
+	if len(pts) == 0 {
+		return
+	}
+	dim := t.ds.Dim
+	b.lo = append(b.lo[:0], t.ds.At(pts[0])...)
+	b.hi = append(b.hi[:0], b.lo...)
+	for _, p := range pts[1:] {
+		for j, v := range t.ds.At(p) {
+			// The builtins propagate a NaN coordinate into the box,
+			// which then prunes and includes nothing.
+			b.lo[j] = min(b.lo[j], v)
+			b.hi[j] = max(b.hi[j], v)
+		}
+	}
+	narrow := t.narrow(dim)
+	eps2 := eps * eps
+	qs := &b.qs
+	qs.setRadius(eps2, t.band(narrow, dim, eps2, max(absMax(b.lo), absMax(b.hi))))
+	var local SearchStats
+	b.cands = t.blockDescend(b.lo, b.hi, qs, b.cands[:0], &local)
+	for k, p := range pts {
+		qs.setPoint(t.ds.At(p), narrow)
+		for _, c := range b.cands {
+			if c < 0 {
+				nd := &t.nodes[^c]
+				b.nbrs = append(b.nbrs, t.order[nd.start:nd.end]...)
+				continue
+			}
+			b.nbrs, _ = t.scanLeaf(c, qs, -1, b.nbrs, &local)
+		}
+		b.ends[k] = len(b.nbrs)
+	}
+	local.Reported = int64(len(b.nbrs))
+	if stats != nil {
+		stats.Add(local)
+	}
+}
+
+// blockDescend walks the tree once for the block box [lo, hi] and
+// appends to cands, in leaf order, ^ni for every node inside every
+// query's ball and ni for every other leaf some query may reach.
+func (t *Tree) blockDescend(lo, hi []float64, qs *query, cands []int32, stats *SearchStats) []int32 {
+	var stack [maxDepth]int32
+	stack[0] = t.root
+	sp := 1
+	for sp > 0 {
+		sp--
+		ni := stack[sp]
+		stats.NodesVisited++
+		switch t.boxTest(ni, lo, hi, qs) {
+		case rectOutside:
+			continue
+		case rectInside:
+			stats.NodesIncluded++
+			cands = append(cands, ^ni)
+			continue
+		}
+		nd := &t.nodes[ni]
+		if nd.splitDim < 0 {
+			cands = append(cands, ni)
+			continue
+		}
+		// Left pops first, so leaves come out in Tree.Order() position.
+		stack[sp], stack[sp+1] = nd.right, nd.left
+		sp += 2
+	}
+	return cands
+}
+
+// boxTest classifies node ni's float64 box against the block box [lo,
+// hi]: outside when the boxes' nearest-point distance exceeds qs.sHi,
+// inside when their farthest-corner distance is at most qs.sLo. Both
+// sums bound every query–point pair's, and the band covers their
+// rounding (see exactBand). A NaN sum lands on rectPartial.
+func (t *Tree) boxTest(ni int32, lo, hi []float64, qs *query) int {
+	d := len(lo)
+	off := int(ni) * d
+	mins := t.bboxMin[off : off+d : off+d]
+	maxs := t.bboxMax[off : off+d : off+d]
+	var minSq float64
+	for j := range lo {
+		m := max(mins[j]-hi[j], lo[j]-maxs[j], 0)
+		minSq += m * m
+		if minSq > qs.sHi {
+			return rectOutside
+		}
+	}
+	if t.halfDiagSq[ni] > qs.eps2 {
+		return rectPartial
+	}
+	var maxSq float64
+	for j := range lo {
+		f := max(hi[j]-mins[j], maxs[j]-lo[j])
+		maxSq += f * f
+	}
+	if maxSq <= qs.sLo {
+		return rectInside
+	}
+	return rectPartial
+}

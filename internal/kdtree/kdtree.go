@@ -436,25 +436,96 @@ func roundDown32(v float64) float32 {
 }
 
 // maxKernelDim bounds the query widths served by the float32 leaf
-// kernel (a stack-resident narrowed query). Wider queries — far beyond
+// kernel (a fixed-size narrowed query). Wider queries — far beyond
 // anything the paper runs — scan the exact float64 rows instead.
 const maxKernelDim = 32
 
-// narrowQuery converts q into the caller's stack buffer for the float32
-// leaf kernel and returns the largest query magnitude, which the error
-// band depends on. A nil result routes leaf scans to the exact path.
-func (t *Tree) narrowQuery(q []float64, buf *[maxKernelDim]float32) ([]float32, float64) {
-	if len(q) != t.ds.Dim || len(q) > maxKernelDim {
-		return nil, 0
-	}
-	var qMax float64
-	for j, v := range q {
-		buf[j] = float32(v)
-		if a := math.Abs(v); a > qMax {
-			qMax = a
+// leafChunk is the number of candidate distances buffered per kernel
+// call: 1 KiB, one call for any normal leaf, chunked for the oversized
+// leaves degenerate (all-identical) ranges produce.
+const leafChunk = 256
+
+// query is one eps search's classification state: the query point, its
+// narrowed copy, the thresholds around eps² and the leaf kernel's
+// output buffers. A caller prepares it once per query (RadiusBatch and
+// RadiusBlock set the thresholds once for many queries) and every leaf
+// scan of that query reuses its buffers, so the 1 KiB distance buffer
+// is not re-zeroed leaf by leaf: the kernel's consumers read only
+// entries whose mask bit it set on the current leaf.
+type query struct {
+	q []float64
+	// narrow routes leaves to the float32 kernel over q32buf[:len(q)],
+	// the narrowed q; otherwise they take the exact float64 path. (A
+	// slice of q32buf kept here would point the struct at itself and
+	// move every caller's query to the heap.)
+	narrow bool
+	// Boxes and narrowed distances are classified against sLo =
+	// eps2-band and sHi = eps2+band; sHi32 is sHi rounded up, the
+	// kernel's float32 threshold.
+	eps2, sLo, sHi float64
+	sHi32          float32
+	q32buf         [maxKernelDim]float32
+	dist           [leafChunk]float32
+	mask           [leafChunk / 8]uint8
+}
+
+// setRadius fixes the thresholds for squared radius eps2 and certainty
+// band half-width band.
+func (s *query) setRadius(eps2, band float64) {
+	s.eps2, s.sLo, s.sHi = eps2, eps2-band, eps2+band
+	s.sHi32 = roundUp32(s.sHi)
+}
+
+// setPoint loads q, narrowing it for the float32 kernel when narrow is
+// set (see Tree.narrow).
+func (s *query) setPoint(q []float64, narrow bool) {
+	s.q, s.narrow = q, narrow
+	if narrow {
+		for j, v := range q {
+			s.q32buf[j] = float32(v)
 		}
 	}
-	return buf[:len(q)], qMax
+}
+
+// q32 returns the narrowed query, or nil on the exact path.
+func (s *query) q32() []float32 {
+	if !s.narrow {
+		return nil
+	}
+	return s.q32buf[:len(s.q)]
+}
+
+// narrow reports whether queries of width dim run on the float32 leaf
+// kernel. A mismatched width is a caller error; it is routed to the
+// exact path rather than read past the narrowed buffer.
+func (t *Tree) narrow(dim int) bool { return dim == t.ds.Dim && dim <= maxKernelDim }
+
+// band returns the certainty band half-width around eps2 for queries
+// whose coordinates are at most qMax in magnitude: epsBand on the
+// narrow path, exactBand on the exact one.
+func (t *Tree) band(narrow bool, dim int, eps2, qMax float64) float64 {
+	if narrow {
+		return t.epsBand(dim, eps2, qMax)
+	}
+	return exactBand(dim, eps2)
+}
+
+// prepare loads one query into qs with its own band.
+func (t *Tree) prepare(qs *query, q []float64, eps2 float64) {
+	narrow := t.narrow(len(q))
+	qs.setPoint(q, narrow)
+	qs.setRadius(eps2, t.band(narrow, len(q), eps2, absMax(q)))
+}
+
+// absMax returns the largest |v| over xs (NaNs are ignored).
+func absMax(xs []float64) float64 {
+	var m float64
+	for _, v := range xs {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
 }
 
 // epsBand returns the half-width B of the uncertainty band around eps2
@@ -478,7 +549,9 @@ func (t *Tree) narrowQuery(q []float64, buf *[maxKernelDim]float32) ([]float32, 
 // r·B ≤ B/4, and the remaining half of B absorbs δ(eps2). Non-finite s
 // values fail both comparisons and land on the exact path; magnitudes
 // at which the kernel's float32 arithmetic could overflow mid-sum
-// disable the narrow classification entirely (infinite band).
+// disable the narrow classification entirely (infinite band). The band
+// always exceeds exactBand, so float64 box sums compared against it
+// (RadiusBlock) are sound too.
 func (t *Tree) epsBand(dim int, eps2, qMax float64) float64 {
 	const u = 1.0 / (1 << 24)
 	const subnormalFloor = 6.0e-45
@@ -492,6 +565,20 @@ func (t *Tree) epsBand(dim int, eps2, qMax float64) float64 {
 	c := d * e * e
 	r := 4 * (d + 1) * u
 	return 2*(a*math.Sqrt(eps2)+r*eps2+c) + 16*a*a
+}
+
+// exactBand is the exact path's band: the half-width around a squared
+// radius s within which float64 sums of d squared per-dimension gaps
+// may disagree with SqDistD's bits. Either sum — a box's nearest or
+// farthest-corner sum, or SqDistD over a point in the box — makes at
+// most d+2 roundings of relative size 2⁻⁵³ (subtraction, product,
+// additions), and products that underflow add an absolute error below
+// 2⁻¹⁰⁷⁵ each. So a box sum above s+band puts every SqDistD inside the
+// box above s, and one at or below s-band puts every one at or below
+// it; the factor 4 leaves slack for both sums and their orders.
+func exactBand(dim int, s float64) float64 {
+	const u = 1.0 / (1 << 53)
+	return 4*float64(dim+4)*u*s + float64(dim)*0x1p-1022
 }
 
 // selectNth partially sorts order[lo:hi] so that order[nth] holds the
@@ -607,49 +694,29 @@ const (
 	rectInside         // bbox inside the ball: report wholesale
 )
 
-// rectTest classifies node ni's bounding box against the ball of
-// squared radius eps2 around q. The per-dimension nearest/farthest
-// contributions use the builtin float max, which compiles branch-free —
-// data-dependent branches here mispredict ~50% on boundary nodes and
-// dominate traversal cost. The exclusion sum short-circuits (a
-// predictable, rarely-taken branch) so far subtrees are rejected after
-// a dimension or two; the inclusion sum runs only when the precomputed
+// rectTest is rectTest32's exact-path twin over the float64 boxes, for
+// queries the float32 kernel does not serve (d > maxKernelDim). Its
+// sums round too, so it excludes a box only above sHi and includes one
+// only at or below sLo, eps2 ∓ exactBand: a box on either side of that
+// band holds only points SqDistD decides the same way, and a box
+// inside it is left to the leaf rows. The per-dimension nearest and
+// farthest contributions use the builtin float max, which compiles
+// branch-free; the exclusion sum short-circuits (a predictable,
+// rarely-taken branch) so far subtrees are rejected after a few
+// dimensions, and the inclusion sum runs only when the precomputed
 // half-diagonal says inclusion is geometrically possible at all.
-func (t *Tree) rectTest(ni int32, q []float64, eps2 float64) int {
+func (t *Tree) rectTest(ni int32, q []float64, eps2, sLo, sHi float64) int {
 	d := len(q)
 	off := int(ni) * d
 	mins := t.bboxMin[off : off+d : off+d]
 	maxs := t.bboxMax[off : off+d : off+d]
 	var minSq float64
-	if d == 10 {
-		// The paper's dimensionality gets a fully unrolled, branch-free
-		// exclusion sum: on the search frontier the per-dimension early
-		// exit below mispredicts roughly half the time, which costs more
-		// than the ten spare multiplies.
-		m0 := max(mins[0]-q[0], q[0]-maxs[0], 0)
-		m1 := max(mins[1]-q[1], q[1]-maxs[1], 0)
-		m2 := max(mins[2]-q[2], q[2]-maxs[2], 0)
-		m3 := max(mins[3]-q[3], q[3]-maxs[3], 0)
-		m4 := max(mins[4]-q[4], q[4]-maxs[4], 0)
-		m5 := max(mins[5]-q[5], q[5]-maxs[5], 0)
-		m6 := max(mins[6]-q[6], q[6]-maxs[6], 0)
-		m7 := max(mins[7]-q[7], q[7]-maxs[7], 0)
-		m8 := max(mins[8]-q[8], q[8]-maxs[8], 0)
-		m9 := max(mins[9]-q[9], q[9]-maxs[9], 0)
-		minSq = ((m0*m0 + m1*m1) + (m2*m2 + m3*m3)) +
-			((m4*m4 + m5*m5) + (m6*m6 + m7*m7)) +
-			(m8*m8 + m9*m9)
-		if minSq > eps2 {
+	for j, v := range q {
+		// Nearest-point contribution: max(lo-v, v-hi, 0).
+		m := max(mins[j]-v, v-maxs[j], 0)
+		minSq += m * m
+		if minSq > sHi {
 			return rectOutside
-		}
-	} else {
-		for j, v := range q {
-			// Nearest-point contribution: max(lo-v, v-hi, 0).
-			m := max(mins[j]-v, v-maxs[j], 0)
-			minSq += m * m
-			if minSq > eps2 {
-				return rectOutside
-			}
 		}
 	}
 	if t.halfDiagSq[ni] > eps2 {
@@ -663,7 +730,7 @@ func (t *Tree) rectTest(ni int32, q []float64, eps2 float64) int {
 		f := max(v-mins[j], maxs[j]-v)
 		maxSq += f * f
 	}
-	if maxSq <= eps2 {
+	if maxSq <= sLo {
 		return rectInside
 	}
 	return rectPartial
@@ -683,8 +750,10 @@ func (t *Tree) rectTest32(ni int32, q32 []float32, eps2, sLo, sHi float64) int {
 	r := t.rect32[off : off+2*d : off+2*d]
 	var minSq float32
 	if d == 10 {
-		// Branch-free unrolled exclusion sum for the paper's
-		// dimensionality; see rectTest for why.
+		// The paper's dimensionality gets a fully unrolled, branch-free
+		// exclusion sum: on the search frontier the per-dimension early
+		// exit below mispredicts roughly half the time, which costs more
+		// than the ten spare multiplies.
 		m0 := max(r[0]-q32[0], q32[0]-r[1], 0)
 		m1 := max(r[2]-q32[1], q32[1]-r[3], 0)
 		m2 := max(r[4]-q32[2], q32[2]-r[5], 0)
@@ -784,13 +853,12 @@ func (t *Tree) search(q []float64, eps float64, max int, out []int32, stats *Sea
 	return out
 }
 
-// radiusIter is the single-query range search entry: it narrows the
-// query, derives its certainty band, and hands off to radiusScan.
+// radiusIter is the single-query range search entry: it prepares the
+// query's state and certainty band and hands off to radiusScan.
 func (t *Tree) radiusIter(q []float64, eps2 float64, max int, out []int32, stats *SearchStats) []int32 {
-	var q32buf [maxKernelDim]float32
-	q32, qMax := t.narrowQuery(q, &q32buf)
-	band := t.epsBand(len(q), eps2, qMax)
-	return t.radiusScan(q, q32, eps2, band, max, out, stats)
+	var qs query
+	t.prepare(&qs, q, eps2)
+	return t.radiusScan(&qs, max, out, stats)
 }
 
 // radiusScan is the iterative range search: pop a node, skip it if its
@@ -798,14 +866,14 @@ func (t *Tree) radiusIter(q []float64, eps2 float64, max int, out []int32, stats
 // sits inside the ball, otherwise scan (leaf) or descend (internal).
 // The near child is pushed last so it is explored first, which lets
 // RadiusLimit fill up with close neighbours before the cap triggers.
-// The caller supplies the narrowed query (nil routes leaves to the
-// exact path) and the certainty band; RadiusBatch reuses one band for
-// a whole batch of queries.
-func (t *Tree) radiusScan(q []float64, q32 []float32, eps2, band float64, max int, out []int32, stats *SearchStats) []int32 {
+// The caller prepares qs; RadiusBatch reuses one band for a whole batch
+// of queries.
+func (t *Tree) radiusScan(qs *query, max int, out []int32, stats *SearchStats) []int32 {
 	if t.root < 0 {
 		return out
 	}
-	sLo, sHi := eps2-band, eps2+band
+	q, q32 := qs.q, qs.q32()
+	eps2, sLo, sHi := qs.eps2, qs.sLo, qs.sHi
 	var stack [maxDepth]int32
 	stack[0] = t.root
 	sp := 1
@@ -817,7 +885,7 @@ func (t *Tree) radiusScan(q []float64, q32 []float32, eps2, band float64, max in
 		if q32 != nil {
 			cls = t.rectTest32(ni, q32, eps2, sLo, sHi)
 		} else {
-			cls = t.rectTest(ni, q, eps2)
+			cls = t.rectTest(ni, q, eps2, sLo, sHi)
 		}
 		if cls == rectOutside {
 			continue
@@ -837,7 +905,7 @@ func (t *Tree) radiusScan(q []float64, q32 []float32, eps2, band float64, max in
 		}
 		if nd.splitDim < 0 {
 			var capped bool
-			out, capped = t.scanLeaf(ni, q, q32, eps2, sLo, sHi, max, out, stats)
+			out, capped = t.scanLeaf(ni, qs, max, out, stats)
 			if capped {
 				return out
 			}
@@ -845,7 +913,9 @@ func (t *Tree) radiusScan(q []float64, q32 []float32, eps2, band float64, max in
 		}
 		// The children's own bbox tests subsume this hyperplane check,
 		// but skipping a far child here is one multiply instead of a
-		// pop + rect classification. Near child is pushed last so it
+		// pop + rect classification. It is exact: every point beyond the
+		// plane has a gap on this axis at least |dd|, so SqDistD's
+		// monotone sum is at least dd*dd. Near child is pushed last so it
 		// pops first.
 		dd := q[nd.splitDim] - nd.splitVal
 		if dd > 0 {
@@ -867,27 +937,24 @@ func (t *Tree) radiusScan(q []float64, q32 []float32, eps2, band float64, max in
 	return out
 }
 
-// leafChunk is the number of candidate distances buffered per kernel
-// call: 1 KiB of stack, one call for any normal leaf, chunked for the
-// oversized leaves degenerate (all-identical) ranges produce.
-const leafChunk = 256
-
-// scanLeaf classifies one leaf's candidates. The float32 kernel fills a
-// stack buffer with 8 squared distances per instruction stream off the
-// leaf's dimension-major block (simd_amd64.s; portable fallback in
-// simd.go); the result loop then resolves each candidate against the
-// certainty band, re-checking exact float64 coordinates only inside it.
-// capped reports that the max cutoff fired mid-leaf.
-func (t *Tree) scanLeaf(ni int32, q []float64, q32 []float32, eps2, sLo, sHi float64, max int, out []int32, stats *SearchStats) (_ []int32, capped bool) {
+// scanLeaf classifies one leaf's candidates for qs. The float32 kernel
+// fills qs's distance buffer with 8 squared distances per instruction
+// stream off the leaf's dimension-major block (simd_amd64.s; portable
+// fallback in simd.go); the result loop then resolves each candidate
+// against the certainty band, re-checking exact float64 coordinates
+// only inside it. Without a narrowed query the float64 rows are tested
+// with SqDistDFiltered, whose completed sums are SqDistD's bits.
+// Candidates are appended in leaf order. capped reports that the max
+// cutoff fired mid-leaf.
+func (t *Tree) scanLeaf(ni int32, qs *query, max int, out []int32, stats *SearchStats) (_ []int32, capped bool) {
 	nd := &t.nodes[ni]
 	m := int(nd.end - nd.start)
 	stats.DistComps += int64(m)
 	order := t.order
-	if q32 == nil {
-		// No narrowed query (dim > maxKernelDim or a mismatched query
-		// width): scan the exact float64 rows.
+	q, eps2 := qs.q, qs.eps2
+	if !qs.narrow {
 		for oi := nd.start; oi < nd.end; oi++ {
-			if geom.SqDistEarly(q, t.ds.At(order[oi]), eps2) <= eps2 {
+			if s, ok := geom.SqDistDFiltered(q, t.ds.At(order[oi]), eps2); ok && s <= eps2 {
 				out = append(out, order[oi])
 				if max >= 0 && len(out) >= max {
 					return out, true
@@ -896,21 +963,14 @@ func (t *Tree) scanLeaf(ni int32, q []float64, q32 []float32, eps2, sLo, sHi flo
 		}
 		return out, false
 	}
+	sLo, sHi := qs.sLo, qs.sHi
 	mPad := (m + 7) &^ 7
 	off := t.leafOff[ni]
-	sHi32 := roundUp32(sHi)
-	var buf [leafChunk]float32
-	var mbuf [leafChunk / 8]uint8
+	buf, mbuf := qs.dist[:], qs.mask[:]
 	for i0 := 0; i0 < m; i0 += leafChunk {
-		cnt := mPad - i0
-		if cnt > leafChunk {
-			cnt = leafChunk
-		}
-		leafSqDists(q32, t.packed[off+int64(i0):], mPad, cnt, buf[:cnt], mbuf[:cnt/8], sHi32)
-		stop := m - i0
-		if stop > cnt {
-			stop = cnt
-		}
+		cnt := min(mPad-i0, leafChunk)
+		leafSqDists(qs.q32(), t.packed[off+int64(i0):], mPad, cnt, buf[:cnt], mbuf[:cnt/8], qs.sHi32)
+		stop := min(m-i0, cnt)
 		// Only mask-passing candidates are touched: the typical leaf has
 		// zero or few, so the result loop skips whole 8-point blocks.
 		for bi := 0; bi < cnt/8; bi++ {
@@ -954,10 +1014,9 @@ func roundUp32(v float64) float32 {
 
 // countIter mirrors radiusIter without materializing results.
 func (t *Tree) countIter(q []float64, eps2 float64, stats *SearchStats) int {
-	var q32buf [maxKernelDim]float32
-	q32, qMax := t.narrowQuery(q, &q32buf)
-	band := t.epsBand(len(q), eps2, qMax)
-	sLo, sHi := eps2-band, eps2+band
+	var qs query
+	t.prepare(&qs, q, eps2)
+	q32, sLo, sHi := qs.q32(), qs.sLo, qs.sHi
 	var stack [maxDepth]int32
 	stack[0] = t.root
 	sp := 1
@@ -970,7 +1029,7 @@ func (t *Tree) countIter(q []float64, eps2 float64, stats *SearchStats) int {
 		if q32 != nil {
 			cls = t.rectTest32(ni, q32, eps2, sLo, sHi)
 		} else {
-			cls = t.rectTest(ni, q, eps2)
+			cls = t.rectTest(ni, q, eps2, sLo, sHi)
 		}
 		if cls == rectOutside {
 			continue
@@ -982,7 +1041,7 @@ func (t *Tree) countIter(q []float64, eps2 float64, stats *SearchStats) int {
 			continue
 		}
 		if nd.splitDim < 0 {
-			count += t.countLeaf(ni, q, q32, eps2, sLo, sHi, stats)
+			count += t.countLeaf(ni, &qs, stats)
 			continue
 		}
 		dd := q[nd.splitDim] - nd.splitVal
@@ -1003,34 +1062,28 @@ func (t *Tree) countIter(q []float64, eps2 float64, stats *SearchStats) int {
 
 // countLeaf is scanLeaf without materialization; same kernel and band
 // resolution.
-func (t *Tree) countLeaf(ni int32, q []float64, q32 []float32, eps2, sLo, sHi float64, stats *SearchStats) int {
+func (t *Tree) countLeaf(ni int32, qs *query, stats *SearchStats) int {
 	nd := &t.nodes[ni]
 	m := int(nd.end - nd.start)
 	stats.DistComps += int64(m)
+	q, eps2 := qs.q, qs.eps2
 	count := 0
-	if q32 == nil {
+	if !qs.narrow {
 		for oi := nd.start; oi < nd.end; oi++ {
-			if geom.SqDistEarly(q, t.ds.At(t.order[oi]), eps2) <= eps2 {
+			if s, ok := geom.SqDistDFiltered(q, t.ds.At(t.order[oi]), eps2); ok && s <= eps2 {
 				count++
 			}
 		}
 		return count
 	}
+	sLo, sHi := qs.sLo, qs.sHi
 	mPad := (m + 7) &^ 7
 	off := t.leafOff[ni]
-	sHi32 := roundUp32(sHi)
-	var buf [leafChunk]float32
-	var mbuf [leafChunk / 8]uint8
+	buf, mbuf := qs.dist[:], qs.mask[:]
 	for i0 := 0; i0 < m; i0 += leafChunk {
-		cnt := mPad - i0
-		if cnt > leafChunk {
-			cnt = leafChunk
-		}
-		leafSqDists(q32, t.packed[off+int64(i0):], mPad, cnt, buf[:cnt], mbuf[:cnt/8], sHi32)
-		stop := m - i0
-		if stop > cnt {
-			stop = cnt
-		}
+		cnt := min(mPad-i0, leafChunk)
+		leafSqDists(qs.q32(), t.packed[off+int64(i0):], mPad, cnt, buf[:cnt], mbuf[:cnt/8], qs.sHi32)
+		stop := min(m-i0, cnt)
 		for bi := 0; bi < cnt/8; bi++ {
 			bm := mbuf[bi]
 			for bm != 0 {
@@ -1057,8 +1110,10 @@ func (t *Tree) countLeaf(ni int32, q []float64, q32 []float32, eps2, sLo, sHi fl
 }
 
 // Nearest returns the index of the point closest to q and its distance.
-// It returns (-1, +Inf) on an empty tree. DBSCAN does not need it, but
-// the geospatial example does.
+// It returns (-1, +Inf) on an empty tree. No clustering path calls it;
+// it is a tested utility of the index. Distances are SqDistD's bits,
+// so a box is pruned only when its float64 nearest-point sum clears the
+// best distance by exactBand.
 func (t *Tree) Nearest(q []float64) (int32, float64) {
 	if t.root < 0 {
 		return -1, math.Inf(1)
@@ -1071,7 +1126,7 @@ func (t *Tree) Nearest(q []float64) (int32, float64) {
 	for sp > 0 {
 		sp--
 		ni := stack[sp]
-		if t.rectMinSq(ni, q, bestSq) >= bestSq {
+		if limit := bestSq + exactBand(len(q), bestSq); t.rectMinSq(ni, q, limit) > limit {
 			continue
 		}
 		nd := &t.nodes[ni]
@@ -1080,7 +1135,7 @@ func (t *Tree) Nearest(q []float64) (int32, float64) {
 			// so it reads the original float64 coordinates rather than
 			// the narrowed packed copy.
 			for oi := nd.start; oi < nd.end; oi++ {
-				if sq := geom.SqDistEarly(q, t.ds.At(t.order[oi]), bestSq); sq < bestSq {
+				if sq, ok := geom.SqDistDFiltered(q, t.ds.At(t.order[oi]), bestSq); ok && sq < bestSq {
 					best, bestSq = t.order[oi], sq
 				}
 			}

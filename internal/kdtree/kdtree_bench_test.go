@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"sparkdbscan/internal/geom"
+	"sparkdbscan/internal/quest"
 )
 
 // benchDataset mirrors the Table I workload shape (quest.TableI): one
@@ -127,4 +128,36 @@ func BenchmarkSqDistKernels(b *testing.B) {
 			_ = s
 		})
 	}
+}
+
+// BenchmarkRadiusBlock answers one eps query per point of the c100k
+// preset (d=10, eps 25), in leaf order, two ways: 32-point RadiusBlock
+// calls and one Radius per point. One iteration is the whole pass.
+func BenchmarkRadiusBlock(b *testing.B) {
+	spec, err := quest.ByName("c100k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := quest.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree := Build(ds)
+	order := tree.Order()
+	b.Run("block", func(b *testing.B) {
+		var blk Block
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < len(order); lo += BlockSize {
+				tree.RadiusBlock(order[lo:min(lo+BlockSize, len(order))], quest.TableIEps, &blk, nil)
+			}
+		}
+	})
+	b.Run("radius", func(b *testing.B) {
+		var out []int32
+		for i := 0; i < b.N; i++ {
+			for _, x := range order {
+				out = tree.Radius(ds.At(x), quest.TableIEps, out[:0], nil)
+			}
+		}
+	})
 }

@@ -7,6 +7,7 @@ package kdtree
 // build. CI runs this file under -race to lock in the concurrent build.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -263,5 +264,41 @@ func TestInclusionStatsMetered(t *testing.T) {
 	stats = SearchStats{}
 	if cnt := tree.RadiusCount(ds.At(0), 1e6, &stats); cnt != 5000 || stats.NodesIncluded == 0 {
 		t.Fatalf("count=%d stats=%+v", cnt, stats)
+	}
+}
+
+// TestExactPathBoundaryPairs pins the float64 path (d > maxKernelDim) to
+// SqDistD's bits. For two Gaussian points at eps = √SqDistD(a, b),
+// rounding eps*eps puts the pair on either side of the boundary; Radius,
+// RadiusCount and RadiusBlock must land on the same side as BruteForce
+// at every leaf size.
+func TestExactPathBoundaryPairs(t *testing.T) {
+	for _, dim := range []int{33, 64, 128} {
+		r := rng.New(uint64(dim) ^ 0xb0b0)
+		var blk Block
+		for pair := 0; pair < 2000; pair++ {
+			ds := geom.NewDataset(2, dim)
+			for i := range ds.Coords {
+				ds.Coords[i] = r.NormFloat64()
+			}
+			eps := math.Sqrt(geom.SqDistD(ds.At(0), ds.At(1)))
+			bf := NewBruteForce(ds)
+			for _, ls := range []int{1, 2} {
+				tree := BuildLeafSize(ds, ls)
+				tree.RadiusBlock([]int32{0, 1}, eps, &blk, nil)
+				for q := int32(0); q < 2; q++ {
+					want := sortedCopy(bf.Radius(ds.At(q), eps, nil, nil))
+					if got := sortedCopy(tree.Radius(ds.At(q), eps, nil, nil)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("d=%d pair %d leaf %d query %d: Radius %v, BruteForce %v", dim, pair, ls, q, got, want)
+					}
+					if got := tree.RadiusCount(ds.At(q), eps, nil); got != len(want) {
+						t.Fatalf("d=%d pair %d leaf %d query %d: RadiusCount %d, BruteForce %d", dim, pair, ls, q, got, len(want))
+					}
+					if got := sortedCopy(blk.Neighbors(int(q))); !reflect.DeepEqual(got, want) {
+						t.Fatalf("d=%d pair %d leaf %d query %d: RadiusBlock %v, BruteForce %v", dim, pair, ls, q, got, want)
+					}
+				}
+			}
+		}
 	}
 }

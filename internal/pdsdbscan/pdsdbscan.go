@@ -9,8 +9,9 @@
 //
 // The engine makes one pass over the kd-tree's leaf order, in
 // fixed-size chunks that Workers goroutines pull from an atomic cursor.
-// Each point gets one Radius query; its result length is the point's
-// neighbourhood count. A core point publishes its flag, then unions
+// Each run of kdtree.BlockSize leaf-order points shares one
+// kdtree.RadiusBlock descent; a point's neighbour count is the length
+// of its result. A core point publishes its flag, then unions
 // with every neighbour whose flag is already set. Go's atomics are
 // sequentially consistent, so of two adjacent cores that race, at
 // least one sees the other's flag: every core–core edge is unioned
@@ -22,7 +23,8 @@
 // so ranking roots by index reproduces its cluster ids. A border point
 // takes the lowest id among its adjacent clusters, the first cluster
 // whose expansion reaches it in the sequential run; that costs one more
-// Radius query per non-core point that has a neighbour at all.
+// query per non-core point that has a neighbour besides itself, again
+// in shared blocks. Only neighbour sets matter, never their order.
 package pdsdbscan
 
 import (
@@ -39,9 +41,11 @@ import (
 )
 
 // chunkPts is how many consecutive leaf-order points a worker claims
-// per cursor step: two default-size leaves, so a claim keeps its
-// queries within one region of the tree while the cursor still hands
-// out hundreds of claims per 100k points to balance uneven density.
+// per cursor step: two default-size leaves and eight query blocks, so
+// a claim keeps its queries within one region of the tree while the
+// cursor still hands out hundreds of claims per 100k points to balance
+// uneven density. A multiple of kdtree.BlockSize, so the blocks do not
+// depend on which worker claims what.
 const chunkPts = 256
 
 // Config configures a run.
@@ -71,7 +75,8 @@ type Result struct {
 type shard struct {
 	stats kdtree.SearchStats
 	work  simtime.Work
-	nbrs  []int32
+	blk   kdtree.Block
+	pts   []int32
 }
 
 // Run clusters ds, which tree must index.
@@ -89,28 +94,24 @@ func Run(ds *geom.Dataset, tree *kdtree.Tree, cfg Config) (*Result, error) {
 		Counts: make([]int32, n),
 	}
 	eps, minPts := cfg.Params.Eps, cfg.Params.MinPts
-	order := tree.Order()
 	shards := make([]shard, workerCount(cfg.Workers, n))
 	forest := dsu.NewConcurrent(n)
 	flags := make([]atomic.Bool, n)
 
 	// Pass 1: count, flag cores, union core–core edges.
-	inChunks(shards, n, func(sh *shard, lo, hi int) {
-		for _, x := range order[lo:hi] {
-			sh.nbrs = tree.Radius(ds.At(x), eps, sh.nbrs[:0], &sh.stats)
-			res.Counts[x] = int32(len(sh.nbrs))
-			sh.work.QueueOps += int64(len(sh.nbrs))
-			if len(sh.nbrs) < minPts {
-				continue
-			}
-			flags[x].Store(true)
-			for _, y := range sh.nbrs {
-				sh.work.HashOps++
-				// Only successful unions are metered: their number is
-				// cores minus components whatever the thread timing.
-				if y != x && flags[y].Load() && forest.Union(x, y) {
-					sh.work.MergeOps++
-				}
+	inBlocks(shards, tree, eps, nil, func(sh *shard, x int32, nbrs []int32) {
+		res.Counts[x] = int32(len(nbrs))
+		sh.work.QueueOps += int64(len(nbrs))
+		if len(nbrs) < minPts {
+			return
+		}
+		flags[x].Store(true)
+		for _, y := range nbrs {
+			sh.work.HashOps++
+			// Only successful unions are metered: their number is
+			// cores minus components whatever the thread timing.
+			if y != x && flags[y].Load() && forest.Union(x, y) {
+				sh.work.MergeOps++
 			}
 		}
 	})
@@ -137,22 +138,17 @@ func Run(ds *geom.Dataset, tree *kdtree.Tree, cfg Config) (*Result, error) {
 
 	// Pass 2: each border joins its lowest-numbered adjacent cluster.
 	// Workers write only non-core labels and read only core ones.
-	inChunks(shards, n, func(sh *shard, lo, hi int) {
-		for _, x := range order[lo:hi] {
-			if res.Core[x] || res.Counts[x] < 2 {
-				continue
+	border := func(x int32) bool { return !res.Core[x] && res.Counts[x] >= 2 }
+	inBlocks(shards, tree, eps, border, func(sh *shard, x int32, nbrs []int32) {
+		sh.work.QueueOps += int64(len(nbrs))
+		best := dbscan.Noise
+		for _, y := range nbrs {
+			sh.work.HashOps++
+			if res.Core[y] && (best == dbscan.Noise || res.Labels[y] < best) {
+				best = res.Labels[y]
 			}
-			sh.nbrs = tree.Radius(ds.At(x), eps, sh.nbrs[:0], &sh.stats)
-			sh.work.QueueOps += int64(len(sh.nbrs))
-			best := dbscan.Noise
-			for _, y := range sh.nbrs {
-				sh.work.HashOps++
-				if res.Core[y] && (best == dbscan.Noise || res.Labels[y] < best) {
-					best = res.Labels[y]
-				}
-			}
-			res.Labels[x] = best
 		}
+		res.Labels[x] = best
 	})
 
 	for i := range shards {
@@ -172,16 +168,12 @@ func Run(ds *geom.Dataset, tree *kdtree.Tree, cfg Config) (*Result, error) {
 }
 
 // Census returns every point's eps-neighbourhood size, the point itself
-// included: RadiusCount per point, in tree's leaf order, split over
+// included: one block query per run of tree's leaf order, split over
 // GOMAXPROCS goroutines. tree must index ds.
 func Census(ds *geom.Dataset, tree *kdtree.Tree, eps float64) []int32 {
-	n := ds.Len()
-	counts := make([]int32, n)
-	order := tree.Order()
-	inChunks(make([]shard, workerCount(0, n)), n, func(_ *shard, lo, hi int) {
-		for _, x := range order[lo:hi] {
-			counts[x] = int32(tree.RadiusCount(ds.At(x), eps, nil))
-		}
+	counts := make([]int32, ds.Len())
+	inBlocks(make([]shard, workerCount(0, ds.Len())), tree, eps, nil, func(_ *shard, x int32, nbrs []int32) {
+		counts[x] = int32(len(nbrs))
 	})
 	return counts
 }
@@ -215,4 +207,30 @@ func inChunks(shards []shard, n int, f func(sh *shard, lo, hi int)) {
 		}(&shards[i])
 	}
 	wg.Wait()
+}
+
+// inBlocks calls f(sh, x, nbrs) for every point x of tree's leaf order
+// that keep accepts (nil keeps all), nbrs being x's eps-neighbourhood.
+// The kept points of each kdtree.BlockSize run share one RadiusBlock
+// call; shards run as in inChunks.
+func inBlocks(shards []shard, tree *kdtree.Tree, eps float64, keep func(int32) bool, f func(sh *shard, x int32, nbrs []int32)) {
+	order := tree.Order()
+	inChunks(shards, len(order), func(sh *shard, lo, hi int) {
+		for b := lo; b < hi; b += kdtree.BlockSize {
+			pts := order[b:min(b+kdtree.BlockSize, hi)]
+			if keep != nil {
+				sh.pts = sh.pts[:0]
+				for _, x := range pts {
+					if keep(x) {
+						sh.pts = append(sh.pts, x)
+					}
+				}
+				pts = sh.pts
+			}
+			tree.RadiusBlock(pts, eps, &sh.blk, &sh.stats)
+			for k, x := range pts {
+				f(sh, x, sh.blk.Neighbors(k))
+			}
+		}
+	})
 }

@@ -83,6 +83,32 @@ func lattice() *geom.Dataset {
 	return dataset2D(pts)
 }
 
+// blobs64 is six Gaussian blobs (per-axis spread 1) in d=64 plus
+// uniform noise: above 32 dimensions every query takes the tree's
+// exact float64 path.
+func blobs64() *geom.Dataset {
+	const n, dim = 600, 64
+	r := rng.New(64)
+	centers := make([][]float64, 6)
+	for c := range centers {
+		centers[c] = make([]float64, dim)
+		for j := range centers[c] {
+			centers[c][j] = r.Float64() * 100
+		}
+	}
+	ds := geom.NewDataset(n, dim)
+	for i := 0; i < n; i++ {
+		for j := 0; j < dim; j++ {
+			if i%50 == 49 {
+				ds.Coords[i*dim+j] = r.Float64() * 100
+			} else {
+				ds.Coords[i*dim+j] = centers[i%6][j] + r.NormFloat64()
+			}
+		}
+	}
+	return ds
+}
+
 type fixture struct {
 	name   string
 	ds     *geom.Dataset
@@ -96,6 +122,7 @@ func fixtures(t *testing.T) []fixture {
 		{"small", smallGeometry(), dbscan.Params{Eps: 2, MinPts: 3}},
 		{"border", borderFixture(), dbscan.Params{Eps: 1, MinPts: 4}},
 		{"lattice", lattice(), dbscan.Params{Eps: 1, MinPts: 5}},
+		{"d64", blobs64(), dbscan.Params{Eps: 10, MinPts: 5}},
 	}
 }
 
@@ -202,5 +229,25 @@ func TestWorkMetered(t *testing.T) {
 	}
 	if res.Work.DistComps == 0 || res.Work.MergeOps == 0 {
 		t.Fatalf("work not metered: %+v", res.Work)
+	}
+}
+
+// BenchmarkRunBlocks times one Run on the c100k preset (eps 25, minPts
+// 5) at GOMAXPROCS workers; every query goes through RadiusBlock.
+func BenchmarkRunBlocks(b *testing.B) {
+	spec, err := quest.ByName("c100k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := quest.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree := kdtree.Build(ds)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(ds, tree, Config{Params: tableParams}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -58,11 +58,11 @@ type Model struct {
 // hold one entry per dataset point (cluster id or dbscan.Noise).
 //
 // core marks the core points; pass nil to have Freeze derive the
-// bitset from the tree (pdsdbscan.Census, one parallel RadiusCount per
-// point — the core property is |eps-neighbourhood| >= minPts,
-// independent of labels), which is what distributed runs do since the
-// driver-side merge only keeps labels. tree may be nil, in which case
-// Freeze builds one.
+// bitset from the tree (pdsdbscan.Census, a parallel pass of block
+// neighbourhood queries — the core property is |eps-neighbourhood| >=
+// minPts, independent of labels), which is what distributed runs do
+// since the driver-side merge only keeps labels. tree may be nil, in
+// which case Freeze builds one.
 //
 // The labels (and core flags, when given) are copied; the dataset and
 // tree are shared with the caller and must not be mutated afterwards —
