@@ -43,8 +43,8 @@ func (b *Block) Neighbors(k int) []int32 {
 // that lie close together: one contiguous run of Tree.Order(), or a
 // filtered subset of one. The descent prunes each node by the distance
 // between its box and the block's bounding box, against eps² plus the
-// certainty band (epsBand with the block's largest coordinate, as in
-// RadiusBatch, or exactBand on the float64 path); a node whose
+// certainty band (epsBand with the block's largest coordinate, or
+// exactBand on the float64 path); a node whose
 // farthest corner from the block box is within eps² minus the band is
 // reported whole to every query. Every query then scans each remaining
 // candidate leaf through scanLeaf with no per-query leaf box test: on
@@ -52,10 +52,10 @@ func (b *Block) Neighbors(k int) []int32 {
 // one Radius per point, with 94% fewer node visits, and takes ~40% less
 // time.
 //
-// RadiusBatch keeps its per-query descents: a serve batch is scattered
-// points whose bounding box spans the domain and would prune nothing.
-// stats may be nil; when non-nil it receives the block's work, with
-// the shared descent's node visits counted once.
+// Serve assignments keep per-query descents (MinKey): a serve batch is
+// scattered points whose bounding box spans the domain and would prune
+// nothing. stats may be nil; when non-nil it receives the block's work,
+// with the shared descent's node visits counted once.
 func (t *Tree) RadiusBlock(pts []int32, eps float64, b *Block, stats *SearchStats) {
 	if len(pts) > BlockSize {
 		panic("kdtree: RadiusBlock given more than BlockSize points")

@@ -145,14 +145,17 @@ func TestSingleQueriesDoNotAllocate(t *testing.T) {
 		tree := Build(ds)
 		eps := 3 * math.Sqrt(float64(dim))
 		out := make([]int32, 0, ds.Len())
+		keys := make([]int32, ds.Len())
+		mins := tree.KeyMins(keys)
 		allocs := testing.AllocsPerRun(20, func() {
 			for i := int32(0); i < 64; i++ {
 				out = tree.Radius(ds.At(i), eps, out[:0], nil)
 				tree.RadiusCount(ds.At(i), eps, nil)
+				tree.MinKey(ds.At(i), eps, keys, mins, ds.Len(), nil)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("d=%d: Radius and RadiusCount allocate %v times per 64 queries", dim, allocs)
+			t.Fatalf("d=%d: Radius, RadiusCount and MinKey allocate %v times per 64 queries", dim, allocs)
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"sparkdbscan/internal/geom"
 )
 
 // TestConcurrentQueriesRaceFree pins the "immutable after Build and
@@ -55,50 +53,5 @@ func TestConcurrentQueriesRaceFree(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-	})
-}
-
-// TestRadiusBatchMatchesRadius pins the batch entry to the single-query
-// API: same neighbours per query, same aggregate stats, buffer reuse
-// notwithstanding — and stays exact on an empty tree and an empty
-// batch.
-func TestRadiusBatchMatchesRadius(t *testing.T) {
-	ds := clusteredDataset(11, 2000, 10, 2, 8)
-	tree := Build(ds)
-	const eps = 25.0
-	nq := 100
-	qs := make([]float64, 0, nq*ds.Dim)
-	for qi := 0; qi < nq; qi++ {
-		qs = append(qs, ds.At(int32(qi*13%ds.Len()))...)
-	}
-	var single, batch SearchStats
-	want := make([][]int32, nq)
-	for qi := 0; qi < nq; qi++ {
-		want[qi] = sortedCopy(tree.Radius(qs[qi*ds.Dim:(qi+1)*ds.Dim], eps, nil, &single))
-	}
-	seen := 0
-	tree.RadiusBatch(qs, ds.Dim, eps, &batch, func(qi int, nbrs []int32) {
-		seen++
-		if !reflect.DeepEqual(sortedCopy(nbrs), want[qi]) {
-			t.Fatalf("query %d: batch neighbours diverge from Radius", qi)
-		}
-	})
-	if seen != nq {
-		t.Fatalf("visit called %d times, want %d", seen, nq)
-	}
-	if batch.Reported != single.Reported || batch.DistComps != single.DistComps {
-		t.Fatalf("batch stats %+v != single-query stats %+v", batch, single)
-	}
-	// The batch band comes from the batch-wide magnitude, so node
-	// traversal may differ only through exact-recheck routing — never
-	// in what is reported. Degenerate inputs must not panic or visit.
-	empty := Build(geom.NewDataset(0, ds.Dim))
-	empty.RadiusBatch(qs[:ds.Dim], ds.Dim, eps, nil, func(qi int, nbrs []int32) {
-		if len(nbrs) != 0 {
-			t.Fatalf("empty tree reported %d neighbours", len(nbrs))
-		}
-	})
-	tree.RadiusBatch(nil, ds.Dim, eps, nil, func(int, []int32) {
-		t.Fatal("visit called on an empty batch")
 	})
 }

@@ -138,8 +138,7 @@ type Tree struct {
 	// interleaved (lo, hi) float32 pairs, rounded outward so the box
 	// always contains the exact one. Outward rounding keeps the
 	// conservative classification sound (see rectTest32); interleaving
-	// halves the cache lines a box test touches. Nearest keeps using the
-	// exact float64 boxes.
+	// halves the cache lines a box test touches.
 	rect32 []float32
 	// halfDiagSq holds each box's squared half-diagonal. A box can only
 	// lie inside a query ball if its half-diagonal is at most eps (the
@@ -447,8 +446,8 @@ const leafChunk = 256
 
 // query is one eps search's classification state: the query point, its
 // narrowed copy, the thresholds around eps² and the leaf kernel's
-// output buffers. A caller prepares it once per query (RadiusBatch and
-// RadiusBlock set the thresholds once for many queries) and every leaf
+// output buffers. A caller prepares it once per query (RadiusBlock
+// sets the thresholds once for many queries) and every leaf
 // scan of that query reuses its buffers, so the 1 KiB distance buffer
 // is not re-zeroed leaf by leaf: the kernel's consumers read only
 // entries whose mask bit it set on the current leaf.
@@ -793,24 +792,6 @@ func (t *Tree) rectTest32(ni int32, q32 []float32, eps2, sLo, sHi float64) int {
 	return rectPartial
 }
 
-// rectMinSq returns the squared distance from q to node ni's bounding
-// box (0 if q is inside), short-circuiting once it exceeds limit.
-func (t *Tree) rectMinSq(ni int32, q []float64, limit float64) float64 {
-	d := len(q)
-	off := int(ni) * d
-	mins := t.bboxMin[off : off+d : off+d]
-	maxs := t.bboxMax[off : off+d : off+d]
-	var minSq float64
-	for j, v := range q {
-		m := max(mins[j]-v, v-maxs[j], 0)
-		minSq += m * m
-		if minSq > limit {
-			return minSq
-		}
-	}
-	return minSq
-}
-
 // Radius implements Index.
 func (t *Tree) Radius(q []float64, eps float64, out []int32, stats *SearchStats) []int32 {
 	return t.search(q, eps, -1, out, stats)
@@ -853,27 +834,15 @@ func (t *Tree) search(q []float64, eps float64, max int, out []int32, stats *Sea
 	return out
 }
 
-// radiusIter is the single-query range search entry: it prepares the
-// query's state and certainty band and hands off to radiusScan.
-func (t *Tree) radiusIter(q []float64, eps2 float64, max int, out []int32, stats *SearchStats) []int32 {
-	var qs query
-	t.prepare(&qs, q, eps2)
-	return t.radiusScan(&qs, max, out, stats)
-}
-
-// radiusScan is the iterative range search: pop a node, skip it if its
+// radiusIter is the iterative range search: pop a node, skip it if its
 // bbox misses the query ball, report its whole order range if the bbox
 // sits inside the ball, otherwise scan (leaf) or descend (internal).
 // The near child is pushed last so it is explored first, which lets
 // RadiusLimit fill up with close neighbours before the cap triggers.
-// The caller prepares qs; RadiusBatch reuses one band for a whole batch
-// of queries.
-func (t *Tree) radiusScan(qs *query, max int, out []int32, stats *SearchStats) []int32 {
-	if t.root < 0 {
-		return out
-	}
-	q, q32 := qs.q, qs.q32()
-	eps2, sLo, sHi := qs.eps2, qs.sLo, qs.sHi
+func (t *Tree) radiusIter(q []float64, eps2 float64, max int, out []int32, stats *SearchStats) []int32 {
+	var qs query
+	t.prepare(&qs, q, eps2)
+	q32, sLo, sHi := qs.q32(), qs.sLo, qs.sHi
 	var stack [maxDepth]int32
 	stack[0] = t.root
 	sp := 1
@@ -905,7 +874,7 @@ func (t *Tree) radiusScan(qs *query, max int, out []int32, stats *SearchStats) [
 		}
 		if nd.splitDim < 0 {
 			var capped bool
-			out, capped = t.scanLeaf(ni, qs, max, out, stats)
+			out, capped = t.scanLeaf(ni, &qs, max, out, stats)
 			if capped {
 				return out
 			}
@@ -1107,50 +1076,4 @@ func (t *Tree) countLeaf(ni int32, qs *query, stats *SearchStats) int {
 		}
 	}
 	return count
-}
-
-// Nearest returns the index of the point closest to q and its distance.
-// It returns (-1, +Inf) on an empty tree. No clustering path calls it;
-// it is a tested utility of the index. Distances are SqDistD's bits,
-// so a box is pruned only when its float64 nearest-point sum clears the
-// best distance by exactBand.
-func (t *Tree) Nearest(q []float64) (int32, float64) {
-	if t.root < 0 {
-		return -1, math.Inf(1)
-	}
-	best := int32(-1)
-	bestSq := math.Inf(1)
-	var stack [maxDepth]int32
-	stack[0] = t.root
-	sp := 1
-	for sp > 0 {
-		sp--
-		ni := stack[sp]
-		if limit := bestSq + exactBand(len(q), bestSq); t.rectMinSq(ni, q, limit) > limit {
-			continue
-		}
-		nd := &t.nodes[ni]
-		if nd.splitDim < 0 {
-			// Nearest needs exact comparisons against a moving threshold,
-			// so it reads the original float64 coordinates rather than
-			// the narrowed packed copy.
-			for oi := nd.start; oi < nd.end; oi++ {
-				if sq, ok := geom.SqDistDFiltered(q, t.ds.At(t.order[oi]), bestSq); ok && sq < bestSq {
-					best, bestSq = t.order[oi], sq
-				}
-			}
-			continue
-		}
-		// Push the far child first so the near child is explored first
-		// and tightens bestSq before the far side is reconsidered.
-		if q[nd.splitDim] > nd.splitVal {
-			stack[sp] = nd.left
-			stack[sp+1] = nd.right
-		} else {
-			stack[sp] = nd.right
-			stack[sp+1] = nd.left
-		}
-		sp += 2
-	}
-	return best, math.Sqrt(bestSq)
 }

@@ -270,8 +270,8 @@ func TestInclusionStatsMetered(t *testing.T) {
 // TestExactPathBoundaryPairs pins the float64 path (d > maxKernelDim) to
 // SqDistD's bits. For two Gaussian points at eps = √SqDistD(a, b),
 // rounding eps*eps puts the pair on either side of the boundary; Radius,
-// RadiusCount and RadiusBlock must land on the same side as BruteForce
-// at every leaf size.
+// RadiusCount, RadiusBlock and MinKey must land on the same side as
+// BruteForce at every leaf size.
 func TestExactPathBoundaryPairs(t *testing.T) {
 	for _, dim := range []int{33, 64, 128} {
 		r := rng.New(uint64(dim) ^ 0xb0b0)
@@ -283,8 +283,10 @@ func TestExactPathBoundaryPairs(t *testing.T) {
 			}
 			eps := math.Sqrt(geom.SqDistD(ds.At(0), ds.At(1)))
 			bf := NewBruteForce(ds)
+			keys := []int32{0, 1}
 			for _, ls := range []int{1, 2} {
 				tree := BuildLeafSize(ds, ls)
+				mins := tree.KeyMins(keys)
 				tree.RadiusBlock([]int32{0, 1}, eps, &blk, nil)
 				for q := int32(0); q < 2; q++ {
 					want := sortedCopy(bf.Radius(ds.At(q), eps, nil, nil))
@@ -296,6 +298,10 @@ func TestExactPathBoundaryPairs(t *testing.T) {
 					}
 					if got := sortedCopy(blk.Neighbors(int(q))); !reflect.DeepEqual(got, want) {
 						t.Fatalf("d=%d pair %d leaf %d query %d: RadiusBlock %v, BruteForce %v", dim, pair, ls, q, got, want)
+					}
+					wantKey, wantCount := bruteMinKey(bf, keys, ds.At(q), eps, 2)
+					if key, count := tree.MinKey(ds.At(q), eps, keys, mins, 2, nil); key != wantKey || count != wantCount {
+						t.Fatalf("d=%d pair %d leaf %d query %d: MinKey (%d, %d), BruteForce (%d, %d)", dim, pair, ls, q, key, count, wantKey, wantCount)
 					}
 				}
 			}

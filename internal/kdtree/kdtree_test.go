@@ -225,9 +225,6 @@ func TestEmptyTree(t *testing.T) {
 	if got := tree.RadiusCount([]float64{0, 0, 0}, 10, nil); got != 0 {
 		t.Fatalf("empty tree count = %d", got)
 	}
-	if idx, _ := tree.Nearest([]float64{0, 0, 0}); idx != -1 {
-		t.Fatalf("empty tree Nearest = %d", idx)
-	}
 }
 
 func TestSinglePoint(t *testing.T) {
@@ -239,28 +236,6 @@ func TestSinglePoint(t *testing.T) {
 	}
 	if got := tree.Radius([]float64{50, 50}, 1, nil, nil); len(got) != 0 {
 		t.Fatalf("far query returned %v", got)
-	}
-}
-
-func TestNearestMatchesBruteForce(t *testing.T) {
-	ds := randomDataset(55, 300, 4)
-	tree := Build(ds)
-	r := rng.New(77)
-	for trial := 0; trial < 50; trial++ {
-		q := make([]float64, 4)
-		for j := range q {
-			q[j] = r.Float64() * 100
-		}
-		gotIdx, gotDist := tree.Nearest(q)
-		wantIdx, wantDist := int32(-1), math.Inf(1)
-		for i := int32(0); i < 300; i++ {
-			if d := geom.Dist(q, ds.At(i)); d < wantDist {
-				wantIdx, wantDist = i, d
-			}
-		}
-		if gotIdx != wantIdx || math.Abs(gotDist-wantDist) > 1e-9 {
-			t.Fatalf("trial %d: Nearest = (%d, %g), want (%d, %g)", trial, gotIdx, gotDist, wantIdx, wantDist)
-		}
 	}
 }
 

@@ -156,14 +156,14 @@ func issuedOf(c map[string]uint64) uint64 {
 // TestPanicConfinedToRequest is the satellite pin: a panic inside the
 // model compute costs the poisoned request an ErrPanicked response —
 // never the process, never the worker, never the rest of the batch.
-// The poison here is a corrupt model (nil labels under a live core
-// bitset), the non-chaos way compute dies in production.
+// The poison here is a corrupt model (nil per-point keys under live
+// node minima), the non-chaos way compute dies in production.
 func TestPanicConfinedToRequest(t *testing.T) {
 	ds := clusteredDS(11, 1500, 2, 4, 4)
 	good, _ := mustFreeze(t, ds, dbscan.Params{Eps: 8, MinPts: 5})
-	poisoned := &Model{} // good with its labels torn out: classify panics
+	poisoned := &Model{} // good with its keys torn out: the leaf scan panics
 	*poisoned = *good
-	poisoned.labels = nil
+	poisoned.keys = nil
 
 	srv := NewServer(poisoned, Options{Workers: 2, BatchCap: 8})
 	defer srv.Close()

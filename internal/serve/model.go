@@ -8,14 +8,14 @@
 // broadcasts the whole dataset plus its kd-tree to every executor so
 // eps-queries never cross the network; a serving replica is exactly
 // that broadcast made long-lived. Freeze produces the in-memory
-// analogue of the broadcast variable: dataset, packed kd-tree, final
-// labels, core-point bitset and the eps/minPts parameters, all
+// analogue of the broadcast variable: dataset, packed kd-tree, each
+// point's assignment key (its label if it is a core point) with the
+// tree's per-node key minima, and the eps/minPts parameters, all
 // immutable and therefore safe for unlimited concurrent readers.
 //
 // On top of the snapshot, Server runs a sharded worker pool with
 // adaptive micro-batching (queued queries are coalesced into one
-// kd-tree traversal batch per wakeup, amortizing setup and cache
-// warmth — the same lever the GPU tree-traversal literature pulls), a
+// AssignBatch call per wakeup, amortizing dispatch), a
 // bounded admission queue with deadline-based load shedding, per-
 // request context cancellation, and zero-downtime model hot-swap via
 // an atomic pointer with a generation counter surfaced in responses.
@@ -38,15 +38,19 @@ import (
 const Noise = dbscan.Noise
 
 // Model is an immutable serving snapshot of one finished clustering:
-// the dataset, its packed kd-tree, per-point labels, the core-point
-// bitset, and the DBSCAN parameters the labels were produced with.
-// All fields are private and never written after Freeze, so any number
-// of goroutines may query a Model concurrently with no locking.
+// the dataset, its packed kd-tree, per-point assignment keys with
+// their per-node minima, and the DBSCAN parameters the labels were
+// produced with. All fields are private and never written after
+// Freeze, so any number of goroutines may query a Model concurrently
+// with no locking.
 type Model struct {
-	ds     *geom.Dataset
-	tree   *kdtree.Tree
-	labels []int32
-	core   []uint64 // bitset, bit i = point i is a core point
+	ds   *geom.Dataset
+	tree *kdtree.Tree
+	// keys[i] is point i's label if it is a core point of a cluster,
+	// kdtree.NoKey otherwise: the least key within eps of a query is
+	// the cluster it joins. mins is tree.KeyMins(keys).
+	keys   []int32
+	mins   []int32
 	eps    float64
 	minPts int
 
@@ -58,15 +62,15 @@ type Model struct {
 // hold one entry per dataset point (cluster id or dbscan.Noise).
 //
 // core marks the core points; pass nil to have Freeze derive the
-// bitset from the tree (pdsdbscan.Census, a parallel pass of block
+// flags from the tree (pdsdbscan.Census, a parallel pass of block
 // neighbourhood queries — the core property is |eps-neighbourhood| >=
 // minPts, independent of labels), which is what distributed runs do
 // since the driver-side merge only keeps labels. tree may be nil, in
 // which case Freeze builds one.
 //
-// The labels (and core flags, when given) are copied; the dataset and
-// tree are shared with the caller and must not be mutated afterwards —
-// the same contract kdtree.Build already imposes.
+// The labels and core flags are read once, into the keys; the dataset
+// and tree are shared with the caller and must not be mutated
+// afterwards — the same contract kdtree.Build already imposes.
 func Freeze(ds *geom.Dataset, labels []int32, core []bool, tree *kdtree.Tree, p dbscan.Params) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -88,40 +92,32 @@ func Freeze(ds *geom.Dataset, labels []int32, core []bool, tree *kdtree.Tree, p 
 	} else if tree.Size() != n {
 		return nil, fmt.Errorf("serve: tree over %d points, dataset has %d", tree.Size(), n)
 	}
+	isCore := core
+	if isCore == nil {
+		isCore = make([]bool, n)
+		for i, c := range pdsdbscan.Census(ds, tree, p.Eps) {
+			isCore[i] = int(c) >= p.MinPts
+		}
+	}
 	m := &Model{
 		ds:     ds,
 		tree:   tree,
-		labels: append([]int32(nil), labels...),
-		core:   make([]uint64, (n+63)/64),
+		keys:   make([]int32, n),
 		eps:    p.Eps,
 		minPts: p.MinPts,
 	}
-	for _, l := range labels {
-		if int(l) >= m.numClusters {
-			m.numClusters = int(l) + 1
-		}
-	}
-	if core != nil {
-		for i, c := range core {
-			if c {
-				m.core[i/64] |= 1 << (i % 64)
-				m.numCore++
-			}
-		}
-	} else {
-		for i, c := range pdsdbscan.Census(ds, tree, p.Eps) {
-			if int(c) >= p.MinPts {
-				m.core[i/64] |= 1 << (i % 64)
-				m.numCore++
+	for i, l := range labels {
+		m.numClusters = max(m.numClusters, int(l)+1)
+		m.keys[i] = kdtree.NoKey
+		if isCore[i] {
+			m.numCore++
+			if l >= 0 {
+				m.keys[i] = l
 			}
 		}
 	}
+	m.mins = tree.KeyMins(m.keys)
 	return m, nil
-}
-
-// isCore reports whether point i is a core point.
-func (m *Model) isCore(i int32) bool {
-	return m.core[i/64]&(1<<(uint(i)%64)) != 0
 }
 
 // NumPoints returns the snapshot's dataset size.
@@ -186,41 +182,30 @@ type Snapshot interface {
 
 var _ Snapshot = (*Model)(nil)
 
-// classify turns one query's eps-neighbourhood into an Assignment.
-// Taking the minimum labelled core neighbour makes the answer a pure
-// function of the neighbour *set*, so it is deterministic even though
-// tree traversal order is unspecified.
-func (m *Model) classify(nbrs []int32) Assignment {
-	a := Assignment{Cluster: Noise, Core: len(nbrs)+1 >= m.minPts}
-	for _, nb := range nbrs {
-		if !m.isCore(nb) {
-			continue
-		}
-		if l := m.labels[nb]; l >= 0 && (a.Cluster == Noise || l < a.Cluster) {
-			a.Cluster = l
-		}
+// Assign answers one query against the snapshot. It is safe to call
+// from any number of goroutines and allocates nothing.
+//
+// One kdtree.MinKey descent settles both facts: the least key within
+// eps is the lowest cluster id among the core neighbours (NoKey: none),
+// and the neighbourhood counted up to minPts-1 says whether the query,
+// counting itself, would be core.
+func (m *Model) Assign(q []float64) Assignment {
+	key, count := m.tree.MinKey(q, m.eps, m.keys, m.mins, m.minPts-1, nil)
+	a := Assignment{Cluster: Noise, Core: count >= m.minPts-1}
+	if key != kdtree.NoKey {
+		a.Cluster = key
 	}
 	return a
 }
 
-// Assign answers one query against the snapshot. It is safe to call
-// from any number of goroutines; each call allocates a neighbour
-// buffer, so hot paths should prefer AssignBatch or a Server.
-func (m *Model) Assign(q []float64) Assignment {
-	return m.classify(m.tree.Radius(q, m.eps, nil, nil))
-}
-
 // AssignBatch answers one query per point of qs (flat row-major,
-// len(out) points) in a single kd-tree traversal batch, writing the
-// Assignment for query i to out[i]. Buffers are shared across the
-// batch via kdtree.RadiusBatch; results equal per-query Assign calls.
+// len(out) points), writing the Assignment for query i to out[i];
+// results equal per-query Assign calls.
 func (m *Model) AssignBatch(qs []float64, out []Assignment) {
-	if len(out) == 0 {
-		return
+	dim := m.ds.Dim
+	for i := range out {
+		out[i] = m.Assign(qs[i*dim : (i+1)*dim : (i+1)*dim])
 	}
-	m.tree.RadiusBatch(qs[:len(out)*m.ds.Dim], m.ds.Dim, m.eps, nil, func(qi int, nbrs []int32) {
-		out[qi] = m.classify(nbrs)
-	})
 }
 
 // Dim returns the dimensionality queries must have.

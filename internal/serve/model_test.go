@@ -97,7 +97,8 @@ func TestFreezeRejectsNonFinite(t *testing.T) {
 
 // TestFreezeDerivesCoreBitset pins that a Freeze without core flags
 // (the distributed path — the driver merge keeps only labels)
-// recomputes exactly the bitset sequential DBSCAN produced.
+// recomputes exactly the core set sequential DBSCAN produced, and so
+// the same assignment keys.
 func TestFreezeDerivesCoreBitset(t *testing.T) {
 	ds := clusteredDS(3, 1200, 2, 3, 5)
 	p := dbscan.Params{Eps: 8, MinPts: 5}
@@ -118,8 +119,8 @@ func TestFreezeDerivesCoreBitset(t *testing.T) {
 		t.Fatalf("derived %d core points, sequential DBSCAN marked %d", derived.NumCore(), withCore.NumCore())
 	}
 	for i := range res.Labels {
-		if withCore.isCore(int32(i)) != derived.isCore(int32(i)) {
-			t.Fatalf("core bit %d differs between given and derived bitsets", i)
+		if withCore.keys[i] != derived.keys[i] {
+			t.Fatalf("key %d differs between given (%d) and derived (%d) core flags", i, withCore.keys[i], derived.keys[i])
 		}
 	}
 }

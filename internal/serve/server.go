@@ -639,13 +639,11 @@ func (s *Server) finish(w *workerState, r *request, a Assignment, gen uint64) {
 	}
 }
 
-// AssignOne answers one query against the snapshot, reusing the
-// caller's neighbour buffer (returned grown for the next call). It is
-// the single-request arm of the Snapshot contract; hot loops that lack
-// a reusable buffer should use Assign instead.
+// AssignOne is Assign as the single-request arm of the Snapshot
+// contract. A frozen Model needs no neighbour buffer; nbrs is returned
+// untouched.
 func (m *Model) AssignOne(q []float64, nbrs []int32) (Assignment, []int32) {
-	nbrs = m.tree.Radius(q, m.eps, nbrs[:0], nil)
-	return m.classify(nbrs), nbrs
+	return m.Assign(q), nbrs
 }
 
 // Swap atomically replaces the served model with m and returns the new
