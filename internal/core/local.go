@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/geom"
@@ -60,6 +62,30 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 	return res, nil
 }
 
+// seenStamps is a per-point stamp array that SeedExact calls of
+// clusterRange pass on to each other through seenPool. base is the last
+// stamp written into stamp.
+type seenStamps struct {
+	stamp []int32
+	base  int32
+}
+
+var seenPool sync.Pool
+
+// takeSeenStamps returns stamps for n points with room for clusters
+// more stamps above base, clearing only when the stamps would wrap.
+func takeSeenStamps(n int, clusters int32) *seenStamps {
+	s, _ := seenPool.Get().(*seenStamps)
+	if s == nil || len(s.stamp) < n {
+		return &seenStamps{stamp: make([]int32, n)}
+	}
+	if s.base > math.MaxInt32-clusters {
+		clear(s.stamp)
+		s.base = 0
+	}
+	return s
+}
+
 // clusterRange is the one partition-local DBSCAN both partitioning
 // modes run: it clusters the owned points [lo, hi) of ds against idx
 // (an index over all of ds), treats every other point as foreign and
@@ -109,9 +135,17 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 	// cores become Members; reached non-cores go to Borders of every
 	// reaching cluster (foreignSeen doubles as the per-cluster dedup
 	// stamp for owned borders — it is indexed by global point index).
+	// foreignSeen is shared across calls, so its stamp seenEpoch counts
+	// on from the last one an earlier call used and it needs no clearing.
 	var coreLocal []bool
+	var seenEpoch int32
 	if exact {
-		foreignSeen = make([]int32, ds.Len())
+		seen := takeSeenStamps(ds.Len(), local)
+		foreignSeen, seenEpoch = seen.stamp, seen.base
+		defer func() {
+			seen.base = seenEpoch
+			seenPool.Put(seen)
+		}()
 		coreLocal = make([]bool, local)
 	} else {
 		seedPlaced = make([]int32, part.Parts())
@@ -162,8 +196,8 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 				continue
 			}
 			if exact {
-				if foreignSeen[nb] != epoch {
-					foreignSeen[nb] = epoch
+				if foreignSeen[nb] != seenEpoch {
+					foreignSeen[nb] = seenEpoch
 					pc.Seeds = append(pc.Seeds, nb)
 				}
 			} else if owner := part.Owner(nb); seedPlaced[owner] != epoch {
@@ -201,6 +235,7 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 		// Opening a new cluster invalidates the previous cluster's
 		// seed/seen stamps in O(1).
 		epoch = pc.Seq + 1
+		seenEpoch++
 
 		queue.Reset()
 		enqueue(neighbors)
@@ -229,8 +264,8 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 						clusterOf[pl] = pc.Seq
 						pc.Members = append(pc.Members, p)
 					}
-				} else if foreignSeen[p] != epoch {
-					foreignSeen[p] = epoch
+				} else if foreignSeen[p] != seenEpoch {
+					foreignSeen[p] = seenEpoch
 					pc.Borders = append(pc.Borders, p)
 					if clusterOf[pl] < 0 {
 						clusterOf[pl] = pc.Seq // claimed: not local noise

@@ -2,6 +2,7 @@ package knng
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,55 +82,13 @@ func BuildNNDescent(ds *geom.Dataset, k int, opt ApproxOptions) (*Graph, error) 
 	}
 	opt = opt.withDefaults(k)
 	n := ds.Len()
-
-	// Current graph, heap-ordered per point, squared distances. fresh
-	// marks entries inserted in the latest round.
-	idx := make([]int32, n*k)
-	d2 := make([]float64, n*k)
-	fresh := make([]bool, n*k)
-	initRandomLists(ds, k, opt.Seed, opt.Workers, idx, d2, fresh)
-
-	nextIdx := make([]int32, n*k)
-	nextD2 := make([]float64, n*k)
-	nextFresh := make([]bool, n*k)
-
-	rev := make([][]revEntry, n)
+	d := newDescent(ds, k, opt)
 	stop := int(opt.Delta * float64(n))
 	for round := 0; round < opt.Iters; round++ {
-		// Reverse adjacency, rebuilt per round from the current graph.
-		// Appends scan points in ascending order, so each rev list is
-		// deterministically ordered; sampleRev then caps it.
-		for t := range rev {
-			rev[t] = rev[t][:0]
-		}
-		for i := 0; i < n; i++ {
-			for s := i * k; s < (i+1)*k; s++ {
-				t := idx[s]
-				rev[t] = append(rev[t], revEntry{j: int32(i), fresh: fresh[s]})
-			}
-		}
-
-		var changed atomic.Int64
-		runBlocks(n, opt.Workers, func(lo, hi int) {
-			w := &descentWorker{
-				ds: ds, k: k, idx: idx, d2: d2, fresh: fresh,
-				rev: rev, seed: opt.Seed, round: round, sample: opt.Sample,
-				visited: make([]int32, n),
-				h:       heapList{idx: make([]int32, k), d2: make([]float64, k)},
-				hFresh:  make([]bool, k),
-			}
-			local := 0
-			for i := lo; i < hi; i++ {
-				if w.improve(int32(i), nextIdx[i*k:(i+1)*k], nextD2[i*k:(i+1)*k], nextFresh[i*k:(i+1)*k]) {
-					local++
-				}
-			}
-			changed.Add(int64(local))
-		})
-		idx, nextIdx = nextIdx, idx
-		d2, nextD2 = nextD2, d2
-		fresh, nextFresh = nextFresh, fresh
-		if int(changed.Load()) <= stop {
+		d.prepare(round)
+		changed := d.sweep(round, d.graphOrder())
+		d.advance()
+		if changed <= stop {
 			break
 		}
 	}
@@ -139,13 +98,165 @@ func BuildNNDescent(ds *geom.Dataset, k int, opt ApproxOptions) (*Graph, error) 
 	runBlocks(n, opt.Workers, func(lo, hi int) {
 		h := heapList{}
 		for i := lo; i < hi; i++ {
-			h.idx = idx[i*k : (i+1)*k]
-			h.d2 = d2[i*k : (i+1)*k]
+			h.idx = d.idx[i*k : (i+1)*k]
+			h.d2 = d.d2[i*k : (i+1)*k]
 			h.heapify()
 			h.extract(g.Idx[i*k:(i+1)*k], g.Dist[i*k:(i+1)*k])
 		}
 	})
 	return g, nil
+}
+
+// descent is one BuildNNDescent run: the current and next graphs and
+// the read-only tables each round derives from the current one.
+type descent struct {
+	ds  *geom.Dataset
+	k   int
+	opt ApproxOptions
+
+	// Current graph, heap-ordered per point, squared distances. fresh
+	// marks entries inserted in the latest round.
+	idx   []int32
+	d2    []float64
+	fresh []bool
+	// The next round's graph, which sweep writes.
+	nextIdx   []int32
+	nextD2    []float64
+	nextFresh []bool
+
+	// rev is the current graph's reverse adjacency. hops[hopStart[p]:
+	// hopStart[p+1]] holds p's sampled forward slice (saltFwdHop) then
+	// its sampled reverse slice (saltRevHop): what a two-hop expansion
+	// through pool member p reads, at most 2*Sample entries.
+	rev      [][]revEntry
+	hopStart []int32
+	hops     []revEntry
+
+	order  []int32 // graphOrder's walk, reused across rounds
+	queued []bool
+}
+
+func newDescent(ds *geom.Dataset, k int, opt ApproxOptions) *descent {
+	n := ds.Len()
+	d := &descent{
+		ds: ds, k: k, opt: opt,
+		idx: make([]int32, n*k), d2: make([]float64, n*k), fresh: make([]bool, n*k),
+		nextIdx: make([]int32, n*k), nextD2: make([]float64, n*k), nextFresh: make([]bool, n*k),
+		rev:      make([][]revEntry, n),
+		hopStart: make([]int32, n+1),
+		order:    make([]int32, 0, n),
+		queued:   make([]bool, n),
+	}
+	initRandomLists(ds, k, opt.Seed, opt.Workers, d.idx, d.d2, d.fresh)
+	return d
+}
+
+// prepare rebuilds the round's read-only tables from the current graph:
+// the reverse adjacency, then the hop table.
+func (d *descent) prepare(round int) {
+	n, k, sample, seed := d.ds.Len(), d.k, d.opt.Sample, d.opt.Seed
+	// Appends scan points in ascending order, so each rev list is
+	// deterministically ordered; the stride walks then cap it.
+	for t := range d.rev {
+		d.rev[t] = d.rev[t][:0]
+	}
+	for i := 0; i < n; i++ {
+		for s := i * k; s < (i+1)*k; s++ {
+			t := d.idx[s]
+			d.rev[t] = append(d.rev[t], revEntry{j: int32(i), fresh: d.fresh[s]})
+		}
+	}
+
+	// Sizes first, so each point's slice has a fixed place, then the
+	// entries, filled in parallel.
+	for p := 0; p < n; p++ {
+		off, stride := strideWalk(k, sample, seed, round, int32(p), saltFwdHop)
+		m := walkLen(k, off, stride)
+		off, stride = strideWalk(len(d.rev[p]), sample, seed, round, int32(p), saltRevHop)
+		m += walkLen(len(d.rev[p]), off, stride)
+		d.hopStart[p+1] = d.hopStart[p] + int32(m)
+	}
+	d.hops = slices.Grow(d.hops[:0], int(d.hopStart[n]))[:d.hopStart[n]]
+	runBlocks(n, d.opt.Workers, func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			c := d.hopStart[p]
+			off, stride := strideWalk(k, sample, seed, round, int32(p), saltFwdHop)
+			for s := p*k + off; s < (p+1)*k; s += stride {
+				d.hops[c] = revEntry{j: d.idx[s], fresh: d.fresh[s]}
+				c++
+			}
+			rv := d.rev[p]
+			off, stride = strideWalk(len(rv), sample, seed, round, int32(p), saltRevHop)
+			for s := off; s < len(rv); s += stride {
+				d.hops[c] = rv[s]
+				c++
+			}
+		}
+	})
+}
+
+// graphOrder returns a breadth-first walk of the current graph: from
+// the lowest point not yet reached, each reached point's list entries
+// join the walk in stored order. Graph neighbours share most of their
+// candidates, so a sweep in this order finds their rows in cache.
+func (d *descent) graphOrder() []int32 {
+	k := d.k
+	clear(d.queued)
+	order := d.order[:0] // also the walk's queue: head chases the tail
+	head := 0
+	for start := range d.queued {
+		if d.queued[start] {
+			continue
+		}
+		d.queued[start] = true
+		order = append(order, int32(start))
+		for ; head < len(order); head++ {
+			i := int(order[head])
+			for _, j := range d.idx[i*k : (i+1)*k] {
+				if !d.queued[j] {
+					d.queued[j] = true
+					order = append(order, j)
+				}
+			}
+		}
+	}
+	d.order = order
+	return order
+}
+
+// sweep improves every point in the given order (a permutation of the
+// point indices), writing the next graph, and returns how many lists
+// changed. Workers take contiguous spans of order. Each list is a pure
+// function of the current graph and the round's tables, so neither the
+// order nor the split changes the output (DESIGN §16).
+func (d *descent) sweep(round int, order []int32) int {
+	n, k := d.ds.Len(), d.k
+	var changed atomic.Int64
+	runBlocks(len(order), d.opt.Workers, func(lo, hi int) {
+		w := &descentWorker{
+			descent: d,
+			round:   round,
+			visited: make([]int32, n),
+			h:       heapList{idx: make([]int32, k), d2: make([]float64, k)},
+			hFresh:  make([]bool, k),
+		}
+		local := 0
+		for _, i := range order[lo:hi] {
+			s := int(i) * k
+			if w.improve(i, d.nextIdx[s:s+k], d.nextD2[s:s+k], d.nextFresh[s:s+k]) {
+				local++
+			}
+		}
+		changed.Add(int64(local))
+	})
+	return int(changed.Load())
+}
+
+// advance makes the graph sweep wrote the current one.
+func (d *descent) advance() {
+	d.idx, d.nextIdx = d.nextIdx, d.idx
+	d.d2, d.nextD2 = d.nextD2, d.d2
+	d.fresh, d.nextFresh = d.nextFresh, d.fresh
 }
 
 // initRandomLists fills every point's list with k distinct random
@@ -190,15 +301,8 @@ func initRandomLists(ds *geom.Dataset, k int, seed uint64, workers int, idx []in
 
 // descentWorker holds one worker's scratch state for a round.
 type descentWorker struct {
-	ds     *geom.Dataset
-	k      int
-	idx    []int32
-	d2     []float64
-	fresh  []bool
-	rev    [][]revEntry
-	seed   uint64
-	round  int
-	sample int
+	*descent
+	round int
 
 	visited []int32 // epoch-stamped dedupe
 	epoch   int32
@@ -222,7 +326,7 @@ func (w *descentWorker) improve(i int32, outIdx []int32, outD2 []float64, outFre
 	// age) — with sampled joins an edge's turn may come a round or two
 	// after its insertion, and dropping the flag early would silently
 	// discard its join opportunity.
-	off, stride := strideWalk(k, w.sample, w.seed, w.round, i, saltFwdPool)
+	off, stride := strideWalk(k, w.opt.Sample, w.opt.Seed, w.round, i, saltFwdPool)
 	copy(w.h.idx, w.idx[int(i)*k:(int(i)+1)*k])
 	copy(w.h.d2, w.d2[int(i)*k:(int(i)+1)*k])
 	for m := range w.hFresh {
@@ -241,7 +345,7 @@ func (w *descentWorker) improve(i int32, outIdx []int32, outD2 []float64, outFre
 		w.pool = append(w.pool, revEntry{j: w.idx[s], fresh: w.fresh[s]})
 	}
 	fwdLen := len(w.pool)
-	off, stride = strideWalk(len(w.rev[i]), w.sample, w.seed, w.round, i, saltRevPool)
+	off, stride = strideWalk(len(w.rev[i]), w.opt.Sample, w.opt.Seed, w.round, i, saltRevPool)
 	for s := off; s < len(w.rev[i]); s += stride {
 		w.pool = append(w.pool, w.rev[i][s])
 	}
@@ -249,7 +353,8 @@ func (w *descentWorker) improve(i int32, outIdx []int32, outD2 []float64, outFre
 	// Candidates, deduplicated in first-seen order: the reverse pool
 	// members themselves (forward ones are already in the list), then
 	// the two-hop candidates — each pool member's own sampled forward
-	// and reverse slices — admitted only through a fresh hop. Which
+	// and reverse slices, its hop-table entry — admitted only through a
+	// fresh hop. Which
 	// points qualify depends on the previous round's graph alone, never
 	// on the heap, so gathering them first leaves the order unchanged.
 	w.cands = w.cands[:0]
@@ -257,17 +362,9 @@ func (w *descentWorker) improve(i int32, outIdx []int32, outD2 []float64, outFre
 		w.gather(p.j)
 	}
 	for _, p := range w.pool {
-		off, stride = strideWalk(k, w.sample, w.seed, w.round, p.j, saltFwdHop)
-		for s := int(p.j)*k + off; s < (int(p.j)+1)*k; s += stride {
-			if p.fresh || w.fresh[s] {
-				w.gather(w.idx[s])
-			}
-		}
-		rv := w.rev[p.j]
-		off, stride = strideWalk(len(rv), w.sample, w.seed, w.round, p.j, saltRevHop)
-		for s := off; s < len(rv); s += stride {
-			if p.fresh || rv[s].fresh {
-				w.gather(rv[s].j)
+		for _, h := range w.hops[w.hopStart[p.j]:w.hopStart[p.j+1]] {
+			if p.fresh || h.fresh {
+				w.gather(h.j)
 			}
 		}
 	}
@@ -365,6 +462,15 @@ func strideWalk(length, sample int, seed uint64, round int, t int32, salt uint64
 	stride = (length + sample - 1) / sample
 	off = int(rng.Hash64(seed^salt^(uint64(round)<<40)^uint64(uint32(t))) % uint64(stride))
 	return off, stride
+}
+
+// walkLen is how many indices the walk (off, stride) visits in a
+// length-element list.
+func walkLen(length, off, stride int) int {
+	if off >= length {
+		return 0
+	}
+	return (length - off + stride - 1) / stride
 }
 
 // runBlocks splits [0, n) into contiguous per-worker spans and runs fn

@@ -440,6 +440,14 @@ func (s *Server) runWorker(w *workerState, epoch uint64) {
 		qbuf:  make([]float64, 0, s.opts.BatchCap*8),
 		abuf:  make([]Assignment, s.opts.BatchCap),
 	}
+	// idle is armed only while the shard is empty, and is stopped and
+	// drained (go.mod's pre-1.23 timer rules) before the next Reset.
+	var idle *time.Timer
+	defer func() {
+		if idle != nil {
+			idle.Stop()
+		}
+	}()
 	for {
 		if w.epoch.Load() != epoch {
 			return // deposed: a replacement owns this shard now
@@ -450,8 +458,22 @@ func (s *Server) runWorker(w *workerState, epoch uint64) {
 		case first = <-w.shard:
 		case <-s.done:
 			return
-		case <-time.After(workerIdleBeat):
-			continue
+		default:
+			if idle == nil {
+				idle = time.NewTimer(workerIdleBeat)
+			} else {
+				idle.Reset(workerIdleBeat)
+			}
+			select {
+			case first = <-w.shard:
+			case <-s.done:
+				return
+			case <-idle.C:
+				continue
+			}
+			if !idle.Stop() {
+				<-idle.C
+			}
 		}
 		if !s.processBatch(w, first, bufs) {
 			return
