@@ -88,8 +88,6 @@ func fullPass(idx kdtree.Index, ds *geom.Dataset, eps float64, op string) time.D
 		switch op {
 		case "Radius":
 			out = idx.Radius(q, eps, out[:0], nil)
-		case "RadiusCount":
-			idx.RadiusCount(q, eps, nil)
 		case "RadiusLimit":
 			out = idx.RadiusLimit(q, eps, 32, out[:0], nil)
 		}
@@ -97,10 +95,10 @@ func fullPass(idx kdtree.Index, ds *geom.Dataset, eps float64, op string) time.D
 	return time.Since(start)
 }
 
-var kdBenchOps = []string{"Radius", "RadiusCount", "RadiusLimit"}
+var kdBenchOps = []string{"Radius", "RadiusLimit"}
 
 // runKDBench times the packed tree's build and full query passes over
-// {Radius, RadiusCount, RadiusLimit} × d ∈ {2, 10} × n ∈ {10k, 100k};
+// {Radius, RadiusLimit} × d ∈ {2, 10} × n ∈ {10k, 100k};
 // smoke takes one repetition instead of three.
 func runKDBench(w io.Writer, c Config) (Report, error) {
 	reps := 3

@@ -10,6 +10,7 @@ import (
 	"sparkdbscan/internal/eval"
 	"sparkdbscan/internal/kdtree"
 	"sparkdbscan/internal/live"
+	"sparkdbscan/internal/rng"
 	"sparkdbscan/internal/serve"
 )
 
@@ -252,43 +253,32 @@ func runLiveBench(w io.Writer, c Config) (Report, error) {
 // bench arms: 70% jittered inserts sampled from the workload, 30%
 // deletes of previously inserted ids.
 type mutator struct {
-	r      *mutRNG
+	state  uint64 // advanced by rng.SplitMix64
 	wl     serve.Workload
 	ids    []int64
 	nextID int64
 	pt     []float64
 }
 
-// mutRNG is a tiny splitmix64 so the bench does not depend on
-// internal/rng's full API surface here.
-type mutRNG struct{ s uint64 }
-
-func (r *mutRNG) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-func (r *mutRNG) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-func (r *mutRNG) intn(n int) int   { return int(r.next() % uint64(n)) }
-
 func newMutator(seed uint64, wl serve.Workload) *mutator {
-	return &mutator{r: &mutRNG{s: seed}, wl: wl, nextID: 1 << 40, pt: make([]float64, wl.Dim)}
+	return &mutator{state: seed, wl: wl, nextID: 1 << 40, pt: make([]float64, wl.Dim)}
 }
+
+func (mu *mutator) float64() float64 { return float64(rng.SplitMix64(&mu.state)>>11) / (1 << 53) }
+func (mu *mutator) intn(n int) int   { return int(rng.SplitMix64(&mu.state) % uint64(n)) }
 
 // apply performs one mutation on m and reports whether it was a delete.
 func (mu *mutator) apply(m *live.Model, _ int) (bool, error) {
-	if len(mu.ids) > 0 && mu.r.float64() < 0.3 {
-		i := mu.r.intn(len(mu.ids))
+	if len(mu.ids) > 0 && mu.float64() < 0.3 {
+		i := mu.intn(len(mu.ids))
 		id := mu.ids[i]
 		mu.ids[i] = mu.ids[len(mu.ids)-1]
 		mu.ids = mu.ids[:len(mu.ids)-1]
 		return true, m.Delete(id)
 	}
-	q := mu.wl.At(mu.r.intn(mu.wl.N()))
+	q := mu.wl.At(mu.intn(mu.wl.N()))
 	for d := range mu.pt {
-		mu.pt[d] = q[d] + (mu.r.float64()*2-1)*2
+		mu.pt[d] = q[d] + (mu.float64()*2-1)*2
 	}
 	id := mu.nextID
 	mu.nextID++

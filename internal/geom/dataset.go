@@ -120,41 +120,8 @@ func Dist(a, b []float64) float64 {
 	return math.Sqrt(SqDist(a, b))
 }
 
-// Rect is an axis-aligned box, used by the kd-tree for pruning.
+// Rect is an axis-aligned box: a dataset's Bounds, or a grid
+// partition's envelope.
 type Rect struct {
 	Min, Max []float64
-}
-
-// SqDistToPoint returns the squared distance from the box to point q
-// (zero if q is inside).
-func (r Rect) SqDistToPoint(q []float64) float64 {
-	var s float64
-	for i, v := range q {
-		if v < r.Min[i] {
-			d := r.Min[i] - v
-			s += d * d
-		} else if v > r.Max[i] {
-			d := v - r.Max[i]
-			s += d * d
-		}
-	}
-	return s
-}
-
-// Contains reports whether q lies inside the box (inclusive).
-func (r Rect) Contains(q []float64) bool {
-	for i, v := range q {
-		if v < r.Min[i] || v > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns a deep copy of the box.
-func (r Rect) Clone() Rect {
-	c := Rect{Min: make([]float64, len(r.Min)), Max: make([]float64, len(r.Max))}
-	copy(c.Min, r.Min)
-	copy(c.Max, r.Max)
-	return c
 }

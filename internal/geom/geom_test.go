@@ -129,43 +129,6 @@ func TestBoundsEmptyPanics(t *testing.T) {
 	NewDataset(0, 2).Bounds()
 }
 
-func TestRectSqDistToPoint(t *testing.T) {
-	r := Rect{Min: []float64{0, 0}, Max: []float64{1, 1}}
-	cases := []struct {
-		q    []float64
-		want float64
-	}{
-		{[]float64{0.5, 0.5}, 0},
-		{[]float64{2, 0.5}, 1},
-		{[]float64{-1, -1}, 2},
-		{[]float64{0.5, 3}, 4},
-	}
-	for _, c := range cases {
-		if got := r.SqDistToPoint(c.q); got != c.want {
-			t.Fatalf("SqDistToPoint(%v) = %g, want %g", c.q, got, c.want)
-		}
-	}
-}
-
-func TestRectContains(t *testing.T) {
-	r := Rect{Min: []float64{0, 0}, Max: []float64{1, 1}}
-	if !r.Contains([]float64{0, 1}) {
-		t.Fatal("boundary point not contained")
-	}
-	if r.Contains([]float64{1.01, 0.5}) {
-		t.Fatal("outside point contained")
-	}
-}
-
-func TestRectClone(t *testing.T) {
-	r := Rect{Min: []float64{0}, Max: []float64{1}}
-	c := r.Clone()
-	c.Min[0] = -5
-	if r.Min[0] != 0 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestTextRoundTrip(t *testing.T) {
 	for _, withLabels := range []bool{false, true} {
 		ds := randomDataset(2, 50, 4, withLabels)

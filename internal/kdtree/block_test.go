@@ -150,12 +150,11 @@ func TestSingleQueriesDoNotAllocate(t *testing.T) {
 		allocs := testing.AllocsPerRun(20, func() {
 			for i := int32(0); i < 64; i++ {
 				out = tree.Radius(ds.At(i), eps, out[:0], nil)
-				tree.RadiusCount(ds.At(i), eps, nil)
 				tree.MinKey(ds.At(i), eps, keys, mins, ds.Len(), nil)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("d=%d: Radius, RadiusCount and MinKey allocate %v times per 64 queries", dim, allocs)
+			t.Fatalf("d=%d: Radius and MinKey allocate %v times per 64 queries", dim, allocs)
 		}
 	}
 }

@@ -43,22 +43,3 @@ func (b *BruteForce) RadiusLimit(q []float64, eps float64, max int, out []int32,
 	}
 	return out
 }
-
-// RadiusCount implements Index.
-func (b *BruteForce) RadiusCount(q []float64, eps float64, stats *SearchStats) int {
-	eps2 := eps * eps
-	n := int32(b.ds.Len())
-	c := 0
-	var local SearchStats
-	for i := int32(0); i < n; i++ {
-		local.DistComps++
-		if geom.SqDistD(q, b.ds.At(i)) <= eps2 {
-			c++
-		}
-	}
-	local.Reported = int64(c)
-	if stats != nil {
-		stats.Add(local)
-	}
-	return c
-}

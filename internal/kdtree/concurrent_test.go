@@ -20,11 +20,9 @@ func TestConcurrentQueriesRaceFree(t *testing.T) {
 		// Single-threaded reference answers.
 		queries := 64
 		wantRadius := make([][]int32, queries)
-		wantCount := make([]int, queries)
 		for qi := 0; qi < queries; qi++ {
 			q := ds.At(int32(qi * 17 % ds.Len()))
 			wantRadius[qi] = sortedCopy(idx.Radius(q, eps, nil, nil))
-			wantCount[qi] = idx.RadiusCount(q, eps, nil)
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 16; g++ {
@@ -39,10 +37,6 @@ func TestConcurrentQueriesRaceFree(t *testing.T) {
 					out = idx.Radius(q, eps, out[:0], &stats)
 					if !reflect.DeepEqual(sortedCopy(out), wantRadius[qi]) {
 						t.Errorf("goroutine %d: Radius(query %d) diverged under concurrency", g, qi)
-						return
-					}
-					if c := idx.RadiusCount(q, eps, &stats); c != wantCount[qi] {
-						t.Errorf("goroutine %d: RadiusCount(query %d) = %d, want %d", g, qi, c, wantCount[qi])
 						return
 					}
 					if lim := idx.RadiusLimit(q, eps, 8, nil, &stats); len(lim) > 8 {

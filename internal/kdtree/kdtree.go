@@ -73,10 +73,11 @@ type Index interface {
 	Radius(q []float64, eps float64, out []int32, stats *SearchStats) []int32
 	// RadiusLimit is Radius but stops after max neighbours have been
 	// found ("pruning branches"). The result is a subset of the true
-	// neighbourhood; which subset depends on tree layout.
+	// neighbourhood; which subset depends on tree layout. max counts
+	// the neighbours appended, not len(out). A negative max means
+	// uncapped (Radius is RadiusLimit with max -1), and max 0 returns
+	// out unchanged.
 	RadiusLimit(q []float64, eps float64, max int, out []int32, stats *SearchStats) []int32
-	// RadiusCount returns the size of the eps-neighbourhood of q.
-	RadiusCount(q []float64, eps float64, stats *SearchStats) int
 }
 
 // defaultLeafSize favours wide leaves: the vector leaf kernel absorbs
@@ -799,33 +800,21 @@ func (t *Tree) Radius(q []float64, eps float64, out []int32, stats *SearchStats)
 
 // RadiusLimit implements Index.
 func (t *Tree) RadiusLimit(q []float64, eps float64, max int, out []int32, stats *SearchStats) []int32 {
-	if max < 0 {
-		max = 0
-	}
 	return t.search(q, eps, max, out, stats)
 }
 
-// RadiusCount implements Index.
-func (t *Tree) RadiusCount(q []float64, eps float64, stats *SearchStats) int {
-	if t.root < 0 {
-		return 0
-	}
-	var local SearchStats
-	count := t.countIter(q, eps*eps, &local)
-	local.Reported = int64(count)
-	if stats != nil {
-		stats.Add(local)
-	}
-	return count
-}
-
-// search walks the tree; max < 0 means unlimited.
+// search walks the tree; max < 0 means unlimited. The cap counts
+// appended neighbours, and radiusIter compares it against len(out), so
+// a positive cap is offset by what out already holds.
 func (t *Tree) search(q []float64, eps float64, max int, out []int32, stats *SearchStats) []int32 {
 	if t.root < 0 || max == 0 {
 		return out
 	}
 	var local SearchStats
 	before := len(out)
+	if max > 0 {
+		max += before
+	}
 	out = t.radiusIter(q, eps*eps, max, out, &local)
 	local.Reported = int64(len(out) - before)
 	if stats != nil {
@@ -979,101 +968,4 @@ func roundUp32(v float64) float32 {
 		f = math.Nextafter32(f, float32(math.Inf(1)))
 	}
 	return f
-}
-
-// countIter mirrors radiusIter without materializing results.
-func (t *Tree) countIter(q []float64, eps2 float64, stats *SearchStats) int {
-	var qs query
-	t.prepare(&qs, q, eps2)
-	q32, sLo, sHi := qs.q32(), qs.sLo, qs.sHi
-	var stack [maxDepth]int32
-	stack[0] = t.root
-	sp := 1
-	count := 0
-	for sp > 0 {
-		sp--
-		ni := stack[sp]
-		stats.NodesVisited++
-		var cls int
-		if q32 != nil {
-			cls = t.rectTest32(ni, q32, eps2, sLo, sHi)
-		} else {
-			cls = t.rectTest(ni, q, eps2, sLo, sHi)
-		}
-		if cls == rectOutside {
-			continue
-		}
-		nd := &t.nodes[ni]
-		if cls == rectInside {
-			stats.NodesIncluded++
-			count += int(nd.end - nd.start)
-			continue
-		}
-		if nd.splitDim < 0 {
-			count += t.countLeaf(ni, &qs, stats)
-			continue
-		}
-		dd := q[nd.splitDim] - nd.splitVal
-		if dd*dd <= eps2 {
-			stack[sp] = nd.left
-			stack[sp+1] = nd.right
-			sp += 2
-		} else if dd > 0 {
-			stack[sp] = nd.right
-			sp++
-		} else {
-			stack[sp] = nd.left
-			sp++
-		}
-	}
-	return count
-}
-
-// countLeaf is scanLeaf without materialization; same kernel and band
-// resolution.
-func (t *Tree) countLeaf(ni int32, qs *query, stats *SearchStats) int {
-	nd := &t.nodes[ni]
-	m := int(nd.end - nd.start)
-	stats.DistComps += int64(m)
-	q, eps2 := qs.q, qs.eps2
-	count := 0
-	if !qs.narrow {
-		for oi := nd.start; oi < nd.end; oi++ {
-			if s, ok := geom.SqDistDFiltered(q, t.ds.At(t.order[oi]), eps2); ok && s <= eps2 {
-				count++
-			}
-		}
-		return count
-	}
-	sLo, sHi := qs.sLo, qs.sHi
-	mPad := (m + 7) &^ 7
-	off := t.leafOff[ni]
-	buf, mbuf := qs.dist[:], qs.mask[:]
-	for i0 := 0; i0 < m; i0 += leafChunk {
-		cnt := min(mPad-i0, leafChunk)
-		leafSqDists(qs.q32(), t.packed[off+int64(i0):], mPad, cnt, buf[:cnt], mbuf[:cnt/8], qs.sHi32)
-		stop := min(m-i0, cnt)
-		for bi := 0; bi < cnt/8; bi++ {
-			bm := mbuf[bi]
-			for bm != 0 {
-				k := bi*8 + bits.TrailingZeros8(bm)
-				bm &= bm - 1
-				if k >= stop {
-					break
-				}
-				s := float64(buf[k])
-				if s > sHi {
-					continue
-				}
-				if !(s <= sLo) {
-					oi := nd.start + int32(i0+k)
-					if !(geom.SqDistD(q, t.ds.At(t.order[oi])) <= eps2) {
-						continue
-					}
-				}
-				count++
-			}
-		}
-	}
-	return count
 }

@@ -1,7 +1,7 @@
 package kdtree
 
 // Microbenchmarks for the packed query engine over the grid the perf
-// trajectory tracks: {build, Radius, RadiusCount, RadiusLimit} × d ∈
+// trajectory tracks: {build, Radius, RadiusLimit} × d ∈
 // {2, 10} × n ∈ {10k, 100k}. `benchrunner -bench kdtree` runs the same
 // workloads outside the testing framework and records them in
 // BENCH_kdtree.json.
@@ -63,15 +63,6 @@ func benchRadius(b *testing.B, idx Index, ds *geom.Dataset, eps float64) {
 	}
 }
 
-func benchRadiusCount(b *testing.B, idx Index, ds *geom.Dataset, eps float64) {
-	b.Helper()
-	n := int32(ds.Len())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.RadiusCount(ds.At(int32(i)%n), eps, nil)
-	}
-}
-
 func benchRadiusLimit(b *testing.B, idx Index, ds *geom.Dataset, eps float64) {
 	b.Helper()
 	n := int32(ds.Len())
@@ -93,7 +84,6 @@ func BenchmarkQueries(b *testing.B) {
 				bench func(*testing.B, Index, *geom.Dataset, float64)
 			}{
 				{"Radius", benchRadius},
-				{"RadiusCount", benchRadiusCount},
 				{"RadiusLimit", benchRadiusLimit},
 			}
 			for _, g := range grid {

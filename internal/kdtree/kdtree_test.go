@@ -102,18 +102,6 @@ func TestRadiusProperty(t *testing.T) {
 	}
 }
 
-func TestRadiusCountMatchesRadius(t *testing.T) {
-	ds := randomDataset(99, 400, 4)
-	tree := Build(ds)
-	for qi := int32(0); qi < 400; qi += 13 {
-		q := ds.At(qi)
-		want := len(tree.Radius(q, 20, nil, nil))
-		if got := tree.RadiusCount(q, 20, nil); got != want {
-			t.Fatalf("q=%d: RadiusCount=%d, Radius len=%d", qi, got, want)
-		}
-	}
-}
-
 func TestRadiusIncludesSelf(t *testing.T) {
 	ds := randomDataset(5, 50, 3)
 	tree := Build(ds)
@@ -222,8 +210,8 @@ func TestEmptyTree(t *testing.T) {
 	if got := tree.Radius([]float64{0, 0, 0}, 10, nil, nil); len(got) != 0 {
 		t.Fatalf("empty tree returned %d results", len(got))
 	}
-	if got := tree.RadiusCount([]float64{0, 0, 0}, 10, nil); got != 0 {
-		t.Fatalf("empty tree count = %d", got)
+	if got := tree.RadiusLimit([]float64{0, 0, 0}, 10, -1, nil, nil); len(got) != 0 {
+		t.Fatalf("empty tree uncapped RadiusLimit returned %d results", len(got))
 	}
 }
 
@@ -258,9 +246,6 @@ func TestBruteForceLimitAndCount(t *testing.T) {
 	bf := NewBruteForce(ds)
 	q := ds.At(0)
 	full := bf.Radius(q, 40, nil, nil)
-	if cnt := bf.RadiusCount(q, 40, nil); cnt != len(full) {
-		t.Fatalf("brute count %d != %d", cnt, len(full))
-	}
 	if len(full) > 3 {
 		lim := bf.RadiusLimit(q, 40, 3, nil, nil)
 		if len(lim) != 3 {
@@ -269,8 +254,8 @@ func TestBruteForceLimitAndCount(t *testing.T) {
 	}
 	var stats SearchStats
 	bf.Radius(q, 40, nil, &stats)
-	if stats.DistComps != 200 {
-		t.Fatalf("brute force DistComps = %d, want 200", stats.DistComps)
+	if stats.DistComps != 200 || stats.Reported != int64(len(full)) {
+		t.Fatalf("brute force stats %+v, want 200 DistComps and %d reported", stats, len(full))
 	}
 }
 

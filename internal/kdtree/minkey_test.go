@@ -89,7 +89,7 @@ func TestMinKeyMatchesBruteForce(t *testing.T) {
 
 // TestMinKeyPrunesOnlyOnceCounted pins what the pruning buys and when
 // it may start. With a cap no neighbourhood reaches, MinKey visits
-// exactly the nodes RadiusCount visits and computes the same distances;
+// exactly the nodes Radius visits and computes the same distances;
 // with minPts-sized caps on clustered data, where each cluster carries
 // one key, it skips most of them.
 func TestMinKeyPrunesOnlyOnceCounted(t *testing.T) {
@@ -101,18 +101,19 @@ func TestMinKeyPrunesOnlyOnceCounted(t *testing.T) {
 	}
 	mins := tree.KeyMins(keys)
 	const eps = 25.0
-	var count, uncapped, capped SearchStats
+	var full, uncapped, capped SearchStats
+	var out []int32
 	for qi := int32(0); qi < 500; qi++ {
 		q := ds.At(qi * 37)
-		tree.RadiusCount(q, eps, &count)
+		out = tree.Radius(q, eps, out[:0], &full)
 		tree.MinKey(q, eps, keys, mins, ds.Len(), &uncapped)
 		tree.MinKey(q, eps, keys, mins, 4, &capped)
 	}
-	if uncapped.NodesVisited != count.NodesVisited || uncapped.DistComps != count.DistComps || uncapped.Reported != count.Reported {
-		t.Fatalf("uncapped MinKey %+v, RadiusCount %+v: the descent must match until the count is settled", uncapped, count)
+	if uncapped.NodesVisited != full.NodesVisited || uncapped.DistComps != full.DistComps || uncapped.Reported != full.Reported {
+		t.Fatalf("uncapped MinKey %+v, Radius %+v: the descent must match until the count is settled", uncapped, full)
 	}
-	if 2*capped.NodesVisited > count.NodesVisited {
-		t.Fatalf("capped MinKey visited %d nodes against RadiusCount's %d: settled nodes are not being skipped", capped.NodesVisited, count.NodesVisited)
+	if 2*capped.NodesVisited > full.NodesVisited {
+		t.Fatalf("capped MinKey visited %d nodes against Radius's %d: settled nodes are not being skipped", capped.NodesVisited, full.NodesVisited)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // checkBaseCounts asserts that the writer's neighbour counts over a
-// freshly built base (no overlay, no tombstones) equal one RadiusCount
-// per base point, and that the core flags follow from them.
+// freshly built base (no overlay, no tombstones) equal one Radius
+// neighbourhood size per base point, and that the core flags follow from them.
 func checkBaseCounts(t *testing.T, m *Model, ctx string) {
 	t.Helper()
 	m.mu.Lock()
@@ -16,10 +16,12 @@ func checkBaseCounts(t *testing.T, m *Model, ctx string) {
 	if len(m.counts) != m.base.n {
 		t.Fatalf("%s: %d counts for %d base points", ctx, len(m.counts), m.base.n)
 	}
+	var nbrs []int32
 	for i := int32(0); int(i) < m.base.n; i++ {
-		want := m.base.tree.RadiusCount(m.base.ds.At(i), m.p.Eps, nil)
+		nbrs = m.base.tree.Radius(m.base.ds.At(i), m.p.Eps, nbrs[:0], nil)
+		want := len(nbrs)
 		if int(m.counts[i]) != want {
-			t.Fatalf("%s: point %d count %d, RadiusCount %d", ctx, i, m.counts[i], want)
+			t.Fatalf("%s: point %d count %d, Radius reported %d", ctx, i, m.counts[i], want)
 		}
 		if m.core[i] != (want >= m.p.MinPts) {
 			t.Fatalf("%s: point %d core flag %v with count %d", ctx, i, m.core[i], want)

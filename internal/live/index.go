@@ -37,9 +37,3 @@ func (d *DeltaIndex) RadiusLimit(q []float64, eps float64, max int, out []int32,
 	v := d.v
 	return v.base.grid.search(q, eps, max, v.extra, v.extraN, v.tombAt, out, stats)
 }
-
-// RadiusCount implements kdtree.Index.
-func (d *DeltaIndex) RadiusCount(q []float64, eps float64, stats *kdtree.SearchStats) int {
-	var buf [64]int32
-	return len(d.RadiusLimit(q, eps, -1, buf[:0], stats))
-}

@@ -506,8 +506,8 @@ func TestDeltaIndexContract(t *testing.T) {
 					if got := delta.Radius(q, eps, nil, nil); !slices.Equal(got, want) {
 						t.Fatalf("eps %g query %d: delta %v, manual scan %v", eps, qi, got, want)
 					}
-					if n := delta.RadiusCount(q, eps, nil); n != len(want) {
-						t.Fatalf("eps %g query %d: RadiusCount %d != %d", eps, qi, n, len(want))
+					if got := delta.RadiusLimit(q, eps, -1, nil, nil); !slices.Equal(got, want) {
+						t.Fatalf("eps %g query %d: uncapped RadiusLimit %v, manual scan %v", eps, qi, got, want)
 					}
 					lim := delta.RadiusLimit(q, eps, 2, nil, nil)
 					if len(lim) != min(2, len(want)) {
@@ -567,12 +567,10 @@ func TestServingMatchesFrozen(t *testing.T) {
 		t.Fatal("dim mismatch")
 	}
 	r := rng.New(92)
-	var nbrs []int32
 	for i := 0; i < 200; i++ {
 		q := []float64{r.Float64() * 20, r.Float64() * 20}
 		want := frozen.Assign(q)
-		var got serve.Assignment
-		got, nbrs = sv.AssignOne(q, nbrs)
+		got := sv.Assign(q)
 		if got.Cluster != want.Cluster || got.Core != want.Core {
 			t.Fatalf("query %d: live (%d,%v) != frozen (%d,%v)",
 				i, got.Cluster, got.Core, want.Cluster, want.Core)
@@ -580,6 +578,29 @@ func TestServingMatchesFrozen(t *testing.T) {
 		if got.Epoch == 0 {
 			t.Fatal("live answer missing epoch stamp")
 		}
+	}
+}
+
+// TestServingAssignAllocs: an answer through the serve.Snapshot adapter
+// costs one allocation, the pinned Guard, even when the neighbourhood
+// spans base and overlay points; the neighbour list stays on the stack.
+func TestServingAssignAllocs(t *testing.T) {
+	m := newTestModel(t, 400, 97, live.Options{MaxOverlay: -1, MaxDrift: -1})
+	r := rng.New(98)
+	for i := 0; i < 60; i++ {
+		if err := m.Insert(int64(1000+i), []float64{10 + r.Float64() - 0.5, 10 + r.Float64() - 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := m.Pin()
+	q := []float64{10, 10}
+	if n := len(g.Delta().Radius(q, testParams.Eps, nil, nil)); n < testParams.MinPts {
+		t.Fatalf("query reaches only %d overlay points", n)
+	}
+	g.Close()
+	sv := m.Serving()
+	if allocs := testing.AllocsPerRun(200, func() { sv.Assign(q) }); allocs > 1 {
+		t.Fatalf("Serving().Assign allocates %v times per query, want at most 1", allocs)
 	}
 }
 

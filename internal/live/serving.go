@@ -9,8 +9,7 @@ import (
 
 // servingView adapts a Model to serve.Snapshot: every call pins the
 // current epoch, answers against that one consistent snapshot, and
-// unpins. Batches pin once, so a whole micro-batch is answered from a
-// single epoch — coherent the same way a frozen Model batch is.
+// unpins.
 type servingView struct {
 	m *Model
 }
@@ -27,26 +26,13 @@ func (m *Model) Serving() serve.Snapshot { return servingView{m: m} }
 // Dim implements serve.Snapshot.
 func (sv servingView) Dim() int { return sv.m.cur.Load().dim }
 
-// AssignOne implements serve.Snapshot.
-func (sv servingView) AssignOne(q []float64, nbrs []int32) (serve.Assignment, []int32) {
+// Assign implements serve.Snapshot: it pins the current epoch,
+// answers against it, and unpins.
+func (sv servingView) Assign(q []float64) serve.Assignment {
 	g := sv.m.Pin()
-	a, nbrs := g.v.assign(q, nbrs)
+	a := g.v.assign(q)
 	g.Close()
-	return a, nbrs
-}
-
-// AssignBatch implements serve.Snapshot.
-func (sv servingView) AssignBatch(qs []float64, out []serve.Assignment) {
-	if len(out) == 0 {
-		return
-	}
-	g := sv.m.Pin()
-	defer g.Close()
-	dim := g.v.dim
-	var nbrs []int32
-	for i := range out {
-		out[i], nbrs = g.v.assign(qs[i*dim:(i+1)*dim], nbrs)
-	}
+	return a
 }
 
 // Assign answers one query against the pinned snapshot, with the same
@@ -54,16 +40,18 @@ func (sv servingView) AssignBatch(qs []float64, out []serve.Assignment) {
 // minimum-labelled live core neighbour, and is core if its closed
 // eps-neighbourhood over the live points reaches minPts.
 func (g *Guard) Assign(q []float64) serve.Assignment {
-	a, _ := g.v.assign(q, nil)
-	return a
+	return g.v.assign(q)
 }
 
 // assign merges the base-tree neighbourhood (minus tombstones) with
 // the overlay's, then classifies exactly like serve.Model: minimum
 // canonical label among live core neighbours, deterministic in the
-// neighbour *set*. The epoch is stamped on the answer.
-func (v *view) assign(q []float64, nbrs []int32) (serve.Assignment, []int32) {
-	nbrs = v.base.tree.Radius(q, v.eps, nbrs[:0], nil)
+// neighbour *set*. The epoch is stamped on the answer. The neighbour
+// list starts in a stack array; only a neighbourhood above 256 points
+// moves it to the heap.
+func (v *view) assign(q []float64) serve.Assignment {
+	var buf [256]int32
+	nbrs := v.base.tree.Radius(q, v.eps, buf[:0], nil)
 	k := 0
 	for _, nb := range nbrs {
 		if !v.tombAt(nb) {
@@ -81,7 +69,7 @@ func (v *view) assign(q []float64, nbrs []int32) (serve.Assignment, []int32) {
 			a.Cluster = l
 		}
 	}
-	return a, nbrs
+	return a
 }
 
 // writeOp is one mutation routed to the writer goroutine.

@@ -128,7 +128,7 @@ func fixtures(t *testing.T) []fixture {
 
 // TestMatchesSequentialAcrossWorkerCounts pins the engine to
 // dbscan.Run byte for byte, its counts (and Census's) to one
-// RadiusCount per point, and its Work ledger to the one-worker run's.
+// Radius neighbourhood size per point, and its Work ledger to the one-worker run's.
 func TestMatchesSequentialAcrossWorkerCounts(t *testing.T) {
 	for _, fx := range fixtures(t) {
 		tree := kdtree.Build(fx.ds)
@@ -137,8 +137,10 @@ func TestMatchesSequentialAcrossWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts := make([]int32, fx.ds.Len())
+		var nbrs []int32
 		for i := range counts {
-			counts[i] = int32(tree.RadiusCount(fx.ds.At(int32(i)), fx.params.Eps, nil))
+			nbrs = tree.Radius(fx.ds.At(int32(i)), fx.params.Eps, nbrs[:0], nil)
+			counts[i] = int32(len(nbrs))
 		}
 		var work simtime.Work
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -162,12 +164,12 @@ func TestMatchesSequentialAcrossWorkerCounts(t *testing.T) {
 					fx.name, workers, res.NumClusters, res.NumNoise, ref.NumClusters, ref.NumNoise)
 			}
 			if !slices.Equal(res.Counts, counts) {
-				t.Fatalf("%s workers=%d: Counts differ from RadiusCount", fx.name, workers)
+				t.Fatalf("%s workers=%d: Counts differ from Radius", fx.name, workers)
 			}
 		}
 		// Census runs at GOMAXPROCS; CI's -cpu and -race runs vary it.
 		if got := Census(fx.ds, tree, fx.params.Eps); !slices.Equal(got, counts) {
-			t.Fatalf("%s: Census differs from RadiusCount", fx.name)
+			t.Fatalf("%s: Census differs from Radius", fx.name)
 		}
 	}
 }

@@ -194,6 +194,96 @@ func TestPanicConfinedToRequest(t *testing.T) {
 	}
 }
 
+// gatedSnapshot is a one-dimensional stub: Assign blocks on release for
+// the query at 0 (announcing itself on entered), panics for the query
+// at panicAt, and answers everything else with gatedAnswer.
+type gatedSnapshot struct {
+	entered, release chan struct{}
+	panicAt          float64
+}
+
+var gatedAnswer = Assignment{Cluster: 7, Core: true}
+
+func (g *gatedSnapshot) Dim() int { return 1 }
+
+func (g *gatedSnapshot) Assign(q []float64) Assignment {
+	switch q[0] {
+	case 0:
+		g.entered <- struct{}{}
+		<-g.release
+	case g.panicAt:
+		panic("corrupt snapshot")
+	}
+	return gatedAnswer
+}
+
+// TestPanicInsideBatchConfinedToRequest: a non-chaos compute panic in
+// the middle of a multi-request micro-batch costs only its own request
+// an ErrPanicked; the rest of the batch is answered and the worker
+// lives. The first query holds the only worker while eight more queue
+// up, so they are drained as one batch.
+func TestPanicInsideBatchConfinedToRequest(t *testing.T) {
+	snap := &gatedSnapshot{entered: make(chan struct{}), release: make(chan struct{}), panicAt: 5}
+	srv := NewServer(snap, Options{Workers: 1, BatchCap: 8, StallTimeout: -1, MaxQueueDelay: -1})
+	defer srv.Close()
+
+	firstErr := make(chan error, 1)
+	go func() {
+		_, err := srv.Assign(context.Background(), []float64{0})
+		firstErr <- err
+	}()
+	<-snap.entered
+
+	const queued = 8
+	answers := make([]Assignment, queued)
+	errs := make([]error, queued)
+	var wg sync.WaitGroup
+	for i := 0; i < queued; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			answers[i], errs[i] = srv.Assign(context.Background(), []float64{float64(1 + i)})
+		}(i)
+	}
+	for srv.admitted.Load() < 1+queued {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(snap.release)
+	wg.Wait()
+	if err := <-firstErr; err != nil {
+		t.Fatalf("blocked first query: %v", err)
+	}
+
+	for i := 0; i < queued; i++ {
+		if float64(1+i) == snap.panicAt {
+			if !errors.Is(errs[i], ErrPanicked) {
+				t.Errorf("panicking query %d returned %v, want ErrPanicked", 1+i, errs[i])
+			}
+			continue
+		}
+		if errs[i] != nil {
+			t.Errorf("query %d: %v", 1+i, errs[i])
+			continue
+		}
+		if a := answers[i]; a.Cluster != gatedAnswer.Cluster || a.Core != gatedAnswer.Core {
+			t.Errorf("query %d answered %+v, want %+v", 1+i, a, gatedAnswer)
+		}
+	}
+	st := srv.Stats()
+	if st.WorkerDeaths != 0 {
+		t.Errorf("per-request recover leaked into %d worker deaths", st.WorkerDeaths)
+	}
+	var multi uint64
+	for size, c := range st.BatchSizeDist {
+		if size > 1 {
+			multi += c
+		}
+	}
+	if multi == 0 {
+		t.Errorf("no batch held more than one request: %v", st.BatchSizeDist)
+	}
+}
+
 // TestChaosPanicOnlyPoisonsVictim: with PanicRate injection the victim
 // gets ErrPanicked and everyone else in its batch still gets the
 // fault-free answer (runVerifiedLoad checks every success against the

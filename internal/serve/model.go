@@ -14,8 +14,8 @@
 // immutable and therefore safe for unlimited concurrent readers.
 //
 // On top of the snapshot, Server runs a sharded worker pool with
-// adaptive micro-batching (queued queries are coalesced into one
-// AssignBatch call per wakeup, amortizing dispatch), a
+// adaptive micro-batching (a worker drains every queued query per
+// wakeup and answers them on one snapshot load, amortizing dispatch), a
 // bounded admission queue with deadline-based load shedding, per-
 // request context cancellation, and zero-downtime model hot-swap via
 // an atomic pointer with a generation counter surfaced in responses.
@@ -172,12 +172,8 @@ type Assignment struct {
 type Snapshot interface {
 	// Dim returns the dimensionality queries must have.
 	Dim() int
-	// AssignBatch answers one query per point of qs (flat row-major,
-	// len(out) points), writing the Assignment for query i to out[i].
-	AssignBatch(qs []float64, out []Assignment)
-	// AssignOne answers a single query, reusing the caller's neighbour
-	// buffer (returned grown for the next call).
-	AssignOne(q []float64, nbrs []int32) (Assignment, []int32)
+	// Assign answers one query.
+	Assign(q []float64) Assignment
 }
 
 var _ Snapshot = (*Model)(nil)

@@ -25,8 +25,8 @@ func classify(nbrs, labels []int32, core []bool, minPts int) Assignment {
 	return a
 }
 
-// checkOracle freezes (ds, labels, core) and requires Assign, AssignOne
-// and one AssignBatch over all queries to equal classify over the
+// checkOracle freezes (ds, labels, core) and requires Assign and one
+// AssignBatch over all queries to equal classify over the
 // brute-force neighbourhood, query by query.
 func checkOracle(t *testing.T, ds *geom.Dataset, labels []int32, core []bool, p dbscan.Params, queries [][]float64) {
 	t.Helper()
@@ -45,9 +45,6 @@ func checkOracle(t *testing.T, ds *geom.Dataset, labels []int32, core []bool, p 
 		want := classify(bf.Radius(q, p.Eps, nil, nil), labels, core, p.MinPts)
 		if got := m.Assign(q); got != want {
 			t.Fatalf("query %d %v: Assign %+v, brute force %+v", i, q, got, want)
-		}
-		if got, _ := m.AssignOne(q, nil); got != want {
-			t.Fatalf("query %d %v: AssignOne %+v, brute force %+v", i, q, got, want)
 		}
 		if batch[i] != want {
 			t.Fatalf("query %d %v: AssignBatch %+v, brute force %+v", i, q, batch[i], want)

@@ -46,10 +46,10 @@ type Options struct {
 	// Each worker owns one shard of the admission queue.
 	Workers int
 	// BatchCap caps the micro-batch: a worker that wakes up drains at
-	// most this many queued queries and answers them in one kd-tree
-	// traversal batch. 1 disables batching (every query is a single
-	// dispatch); the default is 32. Batching is adaptive — a worker
-	// never waits to fill a batch, it takes whatever is queued.
+	// most this many queued queries and answers them on one snapshot
+	// load. 1 disables batching (every query is a single dispatch);
+	// the default is 32. Batching is adaptive — a worker never waits
+	// to fill a batch, it takes whatever is queued.
 	BatchCap int
 	// QueueCap bounds the admission queue across all shards; a query
 	// arriving when every shard is full is rejected with ErrOverloaded.
@@ -66,7 +66,7 @@ type Options struct {
 	// StallTimeout is how long a busy worker may go without a
 	// heartbeat before the supervisor presumes it stuck, deposes it,
 	// and spawns a replacement on the same shard. Dead workers (a
-	// panic that escaped the per-batch recover) are respawned at the
+	// panic that escaped the per-request recover) are respawned at the
 	// same cadence. Default 20ms; negative disables supervision — a
 	// dead worker then starves its shard, which is the contrast arm
 	// BENCH_chaos measures.
@@ -400,30 +400,29 @@ func (s *Server) tryEnqueue(req *request, avoid int) (ok, closed bool) {
 // CAS on done makes the first resolver win and everything later a
 // no-op, which is what lets a query be answered by its primary, its
 // hedge, a worker's panic recovery, or shutdown — whichever gets there
-// first — exactly once.
-func (s *Server) deliver(r *request, res result) bool {
+// first — exactly once. The winner bumps counter (if non-nil) before
+// sending, so a client holding its answer already sees it counted.
+func (s *Server) deliver(r *request, res result, counter *atomic.Uint64) bool {
 	if !r.done.CompareAndSwap(false, true) {
 		return false
 	}
 	s.resolved.Add(1)
+	if counter != nil {
+		counter.Add(1)
+	}
 	r.resp <- res
 	return true
 }
 
 // deliverErr resolves a request with an error, bumping counter on win.
 func (s *Server) deliverErr(r *request, err error, counter *atomic.Uint64) {
-	if s.deliver(r, result{a: Assignment{Cluster: Noise}, err: err}) {
-		counter.Add(1)
-	}
+	s.deliver(r, result{a: Assignment{Cluster: Noise}, err: err}, counter)
 }
 
 // workerBufs are one worker goroutine's scratch buffers.
 type workerBufs struct {
 	batch []*request
 	live  []*request
-	qbuf  []float64
-	abuf  []Assignment
-	nbrs  []int32
 }
 
 // workerIdleBeat bounds how long an idle worker goes between epoch
@@ -437,8 +436,6 @@ func (s *Server) runWorker(w *workerState, epoch uint64) {
 	bufs := &workerBufs{
 		batch: make([]*request, 0, s.opts.BatchCap),
 		live:  make([]*request, 0, s.opts.BatchCap),
-		qbuf:  make([]float64, 0, s.opts.BatchCap*8),
-		abuf:  make([]Assignment, s.opts.BatchCap),
 	}
 	// idle is armed only while the shard is empty, and is stopped and
 	// drained (go.mod's pre-1.23 timer rules) before the next Reset.
@@ -521,7 +518,7 @@ func (s *Server) processBatch(w *workerState, first *request, bufs *workerBufs) 
 		}
 		break
 	}
-	s.stats.observeBatch(len(batch))
+	s.stats.recordBatch(len(batch))
 
 	// Admission-control pass: canceled and already-late queries are
 	// answered without touching the tree.
@@ -531,9 +528,7 @@ func (s *Server) processBatch(w *workerState, first *request, bufs *workerBufs) 
 	for _, r := range batch {
 		switch {
 		case r.ctx.Err() != nil:
-			if s.deliver(r, result{a: Assignment{Cluster: Noise}, err: r.ctx.Err()}) {
-				s.stats.canceled.Add(1)
-			}
+			s.deliverErr(r, r.ctx.Err(), &s.stats.canceled)
 		case !r.deadline.IsZero() && now.After(r.deadline):
 			s.deliverErr(r, ErrShedDeadline, &s.stats.shedDeadline)
 		default:
@@ -581,49 +576,17 @@ func (s *Server) processBatch(w *workerState, first *request, bufs *workerBufs) 
 	}
 
 	lm := s.cur.Load()
-	s.serveBatch(w, lm, live, bufs, poison)
+	for i, r := range live {
+		s.serveOne(w, lm, r, i == poison)
+	}
 	pending = nil
 	return true
-}
-
-// serveBatch answers live against one (model, generation) snapshot.
-// The batched fast path computes every answer in one tree traversal;
-// if that panics (a poisoned query, a corrupt model), the batch is
-// retried one request at a time so only the request whose compute
-// panics pays with ErrPanicked — everyone else still gets their
-// answer.
-func (s *Server) serveBatch(w *workerState, lm *liveModel, live []*request, bufs *workerBufs, poison int) {
-	if len(live) > 1 && poison < 0 {
-		ok := func() (ok bool) {
-			defer func() {
-				if recover() != nil {
-					ok = false
-				}
-			}()
-			bufs.qbuf = bufs.qbuf[:0]
-			for _, r := range live {
-				bufs.qbuf = append(bufs.qbuf, r.q...)
-			}
-			lm.s.AssignBatch(bufs.qbuf, bufs.abuf[:len(live)])
-			return true
-		}()
-		if ok {
-			for i, r := range live {
-				s.finish(w, r, bufs.abuf[i], lm.gen)
-			}
-			return
-		}
-		s.stats.batchPanics.Add(1)
-	}
-	for i, r := range live {
-		s.serveOne(w, lm, r, bufs, i == poison)
-	}
 }
 
 // serveOne answers a single request with a per-request recover: a
 // panic in the compute answers this request with ErrPanicked and
 // nothing else.
-func (s *Server) serveOne(w *workerState, lm *liveModel, r *request, bufs *workerBufs, poison bool) {
+func (s *Server) serveOne(w *workerState, lm *liveModel, r *request, poison bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.deliverErr(r, ErrPanicked, &s.stats.panicked)
@@ -632,9 +595,7 @@ func (s *Server) serveOne(w *workerState, lm *liveModel, r *request, bufs *worke
 	if poison {
 		panic("chaos: poisoned request")
 	}
-	var a Assignment
-	a, bufs.nbrs = lm.s.AssignOne(r.q, bufs.nbrs)
-	s.finish(w, r, a, lm.gen)
+	s.finish(w, r, lm.s.Assign(r.q), lm.gen)
 }
 
 // finish stamps and delivers one computed answer (unless chaos drops
@@ -647,8 +608,7 @@ func (s *Server) finish(w *workerState, r *request, a Assignment, gen uint64) {
 		s.stats.dropped.Add(1)
 		return
 	}
-	if s.deliver(r, result{a: a}) {
-		s.stats.completed.Add(1)
+	if s.deliver(r, result{a: a}, &s.stats.completed) {
 		s.stats.lat.observe(time.Since(r.enq))
 		if r.hedge {
 			s.stats.hedgeWins.Add(1)
@@ -659,13 +619,6 @@ func (s *Server) finish(w *workerState, r *request, a Assignment, gen uint64) {
 	} else if r.hedge {
 		s.stats.hedgeLost.Add(1)
 	}
-}
-
-// AssignOne is Assign as the single-request arm of the Snapshot
-// contract. A frozen Model needs no neighbour buffer; nbrs is returned
-// untouched.
-func (m *Model) AssignOne(q []float64, nbrs []int32) (Assignment, []int32) {
-	return m.Assign(q), nbrs
 }
 
 // Swap atomically replaces the served model with m and returns the new
@@ -752,7 +705,7 @@ func (s *Server) shutdown() int {
 		for {
 			select {
 			case r := <-ch:
-				if s.deliver(r, result{a: Assignment{Cluster: Noise}, err: ErrClosed}) {
+				if s.deliver(r, result{a: Assignment{Cluster: Noise}, err: ErrClosed}, nil) {
 					failed++
 				}
 				continue

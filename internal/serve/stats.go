@@ -100,10 +100,8 @@ type Stats struct {
 	// Canceled counts queries whose context was done by dequeue time.
 	Canceled uint64 `json:"canceled"`
 	// Panicked counts queries answered with ErrPanicked (the compute
-	// panicked and the worker recovered); BatchPanics counts batched
-	// traversals that panicked and were retried one request at a time.
-	Panicked    uint64 `json:"panicked"`
-	BatchPanics uint64 `json:"batch_panics"`
+	// panicked and the worker recovered).
+	Panicked uint64 `json:"panicked"`
 	// Supervision: worker goroutines that died (panic escaped the
 	// per-request recover), stalled workers the supervisor deposed,
 	// and replacements it spawned for either cause.
@@ -156,7 +154,6 @@ type collector struct {
 	shedPriority      atomic.Uint64
 	canceled          atomic.Uint64
 	panicked          atomic.Uint64
-	batchPanics       atomic.Uint64
 	workerDeaths      atomic.Uint64
 	stalls            atomic.Uint64
 	respawns          atomic.Uint64
@@ -179,7 +176,7 @@ func newCollector(batchCap int) *collector {
 	}
 }
 
-func (c *collector) observeBatch(size int) {
+func (c *collector) recordBatch(size int) {
 	c.batches.Add(1)
 	if size >= len(c.batchDist) {
 		size = len(c.batchDist) - 1
@@ -195,7 +192,6 @@ func (c *collector) snapshot(generation uint64) Stats {
 		ShedPriority:      c.shedPriority.Load(),
 		Canceled:          c.canceled.Load(),
 		Panicked:          c.panicked.Load(),
-		BatchPanics:       c.batchPanics.Load(),
 		WorkerDeaths:      c.workerDeaths.Load(),
 		WorkerStalls:      c.stalls.Load(),
 		Respawns:          c.respawns.Load(),
