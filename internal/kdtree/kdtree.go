@@ -23,7 +23,6 @@ package kdtree
 
 import (
 	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 	"unsafe"
@@ -110,7 +109,10 @@ type node struct {
 type Tree struct {
 	ds    *geom.Dataset
 	nodes []node
-	order []int32 // permutation of point indices; nodes own sub-ranges
+	// order is the permutation of point indices; nodes own sub-ranges.
+	// Its capacity runs 7 past its length, so the leaf kernel's 8-lane id
+	// loads over the last leaf's pad slots stay inside the allocation.
+	order []int32
 	// packed holds a float32 copy of each leaf's coordinates in
 	// dimension-major (SoA) blocks: leaf points are padded to a multiple
 	// of 8 (pad coordinates are +Inf, never reported) and coordinate j
@@ -189,7 +191,7 @@ func buildTree(ds *geom.Dataset, leafSize, workers int) *Tree {
 	n := ds.Len()
 	t := &Tree{
 		ds:       ds,
-		order:    make([]int32, n),
+		order:    make([]int32, n, n+7),
 		leafSize: leafSize,
 	}
 	for i := range t.order {
@@ -410,9 +412,10 @@ func (t *Tree) packLeaves() {
 				}
 			}
 		}
-		// Pad slots hold +Inf: their kernel distances come out +Inf (or
-		// NaN for non-finite queries) and the result loops never read
-		// past the leaf's true point count anyway.
+		// Pad slots hold +Inf: their kernel distances come out +Inf, which
+		// fails every finite threshold (leafHits keeps the kernel to
+		// those), or NaN for a query with an infinite or NaN coordinate
+		// (see leafHits).
 		for i := m; i < mPad; i++ {
 			for j := 0; j < dim; j++ {
 				t.packed[off+int64(j*mPad+i)] = padVal
@@ -440,18 +443,17 @@ func roundDown32(v float64) float32 {
 // anything the paper runs — scan the exact float64 rows instead.
 const maxKernelDim = 32
 
-// leafChunk is the number of candidate distances buffered per kernel
-// call: 1 KiB, one call for any normal leaf, chunked for the oversized
-// leaves degenerate (all-identical) ranges produce.
+// leafChunk is the most points one leaf-kernel call scans: one call for
+// any normal leaf, chunked for the oversized leaves degenerate
+// (all-identical) ranges produce.
 const leafChunk = 256
 
 // query is one eps search's classification state: the query point, its
 // narrowed copy, the thresholds around eps² and the leaf kernel's
-// output buffers. A caller prepares it once per query (RadiusBlock
-// sets the thresholds once for many queries) and every leaf
-// scan of that query reuses its buffers, so the 1 KiB distance buffer
-// is not re-zeroed leaf by leaf: the kernel's consumers read only
-// entries whose mask bit it set on the current leaf.
+// output. A caller prepares it once per query (RadiusBlock sets the
+// thresholds once for many queries) and every leaf scan of that query
+// stages its neighbours in st, whose 2 KiB are never zeroed: readers
+// see only the entries the current call packed.
 type query struct {
 	q []float64
 	// narrow routes leaves to the float32 kernel over q32buf[:len(q)],
@@ -460,20 +462,19 @@ type query struct {
 	// move every caller's query to the heap.)
 	narrow bool
 	// Boxes and narrowed distances are classified against sLo =
-	// eps2-band and sHi = eps2+band; sHi32 is sHi rounded up, the
-	// kernel's float32 threshold.
+	// eps2-band and sHi = eps2+band; sLo32 and sHi32 are sLo rounded
+	// down and sHi rounded up, the kernel's float32 thresholds.
 	eps2, sLo, sHi float64
-	sHi32          float32
+	sLo32, sHi32   float32
 	q32buf         [maxKernelDim]float32
-	dist           [leafChunk]float32
-	mask           [leafChunk / 8]uint8
+	st             stage
 }
 
 // setRadius fixes the thresholds for squared radius eps2 and certainty
 // band half-width band.
 func (s *query) setRadius(eps2, band float64) {
 	s.eps2, s.sLo, s.sHi = eps2, eps2-band, eps2+band
-	s.sHi32 = roundUp32(s.sHi)
+	s.sLo32, s.sHi32 = roundDown32(s.sLo), roundUp32(s.sHi)
 }
 
 // setPoint loads q, narrowing it for the float32 kernel when narrow is
@@ -637,7 +638,7 @@ func (t *Tree) Size() int { return len(t.order) }
 // Querying points in this order keeps the upper nodes and the leaf
 // blocks a query touches cache-resident for the next one. The slice is
 // the tree's own; callers must not modify it.
-func (t *Tree) Order() []int32 { return t.order }
+func (t *Tree) Order() []int32 { return t.order[:len(t.order):len(t.order)] }
 
 // BuildOps returns the metered construction work: the sum of subrange
 // sizes over all created nodes, i.e. the Θ(n log n) term the cost model
@@ -895,68 +896,69 @@ func (t *Tree) radiusIter(q []float64, eps2 float64, max int, out []int32, stats
 	return out
 }
 
-// scanLeaf classifies one leaf's candidates for qs. The float32 kernel
-// fills qs's distance buffer with 8 squared distances per instruction
-// stream off the leaf's dimension-major block (simd_amd64.s; portable
-// fallback in simd.go); the result loop then resolves each candidate
-// against the certainty band, re-checking exact float64 coordinates
-// only inside it. Without a narrowed query the float64 rows are tested
-// with SqDistDFiltered, whose completed sums are SqDistD's bits.
-// Candidates are appended in leaf order. capped reports that the max
+// scanLeaf appends leaf ni's neighbours for qs to out in leaf order,
+// one staged chunk (leafHits) per copy. capped reports that the max
 // cutoff fired mid-leaf.
 func (t *Tree) scanLeaf(ni int32, qs *query, max int, out []int32, stats *SearchStats) (_ []int32, capped bool) {
 	nd := &t.nodes[ni]
-	m := int(nd.end - nd.start)
-	stats.DistComps += int64(m)
-	order := t.order
-	q, eps2 := qs.q, qs.eps2
-	if !qs.narrow {
-		for oi := nd.start; oi < nd.end; oi++ {
-			if s, ok := geom.SqDistDFiltered(q, t.ds.At(order[oi]), eps2); ok && s <= eps2 {
-				out = append(out, order[oi])
-				if max >= 0 && len(out) >= max {
-					return out, true
-				}
-			}
+	stats.DistComps += int64(nd.end - nd.start)
+	for lo := nd.start; lo < nd.end; lo += leafChunk {
+		hits := qs.st.ids[:t.leafHits(ni, lo, qs)]
+		if max >= 0 && len(out)+len(hits) >= max {
+			return append(out, hits[:max-len(out)]...), true
 		}
-		return out, false
-	}
-	sLo, sHi := qs.sLo, qs.sHi
-	mPad := (m + 7) &^ 7
-	off := t.leafOff[ni]
-	buf, mbuf := qs.dist[:], qs.mask[:]
-	for i0 := 0; i0 < m; i0 += leafChunk {
-		cnt := min(mPad-i0, leafChunk)
-		leafSqDists(qs.q32(), t.packed[off+int64(i0):], mPad, cnt, buf[:cnt], mbuf[:cnt/8], qs.sHi32)
-		stop := min(m-i0, cnt)
-		// Only mask-passing candidates are touched: the typical leaf has
-		// zero or few, so the result loop skips whole 8-point blocks.
-		for bi := 0; bi < cnt/8; bi++ {
-			bm := mbuf[bi]
-			for bm != 0 {
-				k := bi*8 + bits.TrailingZeros8(bm)
-				bm &= bm - 1
-				if k >= stop { // padding slots (non-finite thresholds only)
-					break
-				}
-				s := float64(buf[k])
-				if s > sHi { // float32 threshold rounded up; re-filter
-					continue
-				}
-				oi := nd.start + int32(i0+k)
-				if !(s <= sLo) { // uncertain, including NaN: exact re-check
-					if !(geom.SqDistD(q, t.ds.At(order[oi])) <= eps2) {
-						continue
-					}
-				}
-				out = append(out, order[oi])
-				if max >= 0 && len(out) >= max {
-					return out, true
-				}
-			}
-		}
+		out = append(out, hits...)
 	}
 	return out, false
+}
+
+// leafHits stages in qs.st.ids[:n], in leaf order, the n neighbours of
+// qs among leaf ni's points at order positions [lo, lo+leafChunk).
+//
+// The float32 kernel (simd_amd64.s; portable twin in simd.go) packs the
+// points at most sHi32 away off the leaf's dimension-major block,
+// together with their distances. When every packed distance is at or
+// below sLo32, they are all neighbours as they stand. Otherwise each
+// packed point is resolved against the certainty band: above sHi it is
+// dropped, at or below sLo kept, and in between (or NaN) decided by
+// its exact float64 distance. Without a narrowed query, or when an
+// infinite or NaN sHi32 would let the kernel's +Inf pad slots pass,
+// the float64 rows are tested with SqDistDFiltered, whose completed
+// sums are SqDistD's bits. (An infinite query coordinate makes the
+// band, and so sHi32, infinite. A NaN one packs the pad slots as NaN,
+// and their exact distances, NaN too, drop them.)
+func (t *Tree) leafHits(ni, lo int32, qs *query) int {
+	nd := &t.nodes[ni]
+	hi := min(nd.end, lo+leafChunk)
+	st := &qs.st
+	q, eps2 := qs.q, qs.eps2
+	if !qs.narrow || !(qs.sHi32 <= math.MaxFloat32) {
+		n := 0
+		for _, p := range t.order[lo:hi] {
+			if s, ok := geom.SqDistDFiltered(q, t.ds.At(p), eps2); ok && s <= eps2 {
+				st.ids[n] = p
+				n++
+			}
+		}
+		return n
+	}
+	mPad := (int(nd.end-nd.start) + 7) &^ 7
+	off := t.leafOff[ni] + int64(lo-nd.start)
+	cnt := (int(hi-lo) + 7) &^ 7
+	n, unsure := leafPack(qs.q32(), t.packed[off:], mPad, t.order[lo:int(lo)+cnt], cnt, st, qs.sLo32, qs.sHi32)
+	if !unsure {
+		return n
+	}
+	w := 0
+	for k, p := range st.ids[:n] {
+		s := float64(st.dist[k])
+		if s > qs.sHi || !(s <= qs.sLo) && !(geom.SqDistD(q, t.ds.At(p)) <= eps2) {
+			continue
+		}
+		st.ids[w] = p
+		w++
+	}
+	return w
 }
 
 // roundUp32 converts v to the smallest float32 not below it (NaN stays

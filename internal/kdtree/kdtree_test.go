@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -201,6 +202,55 @@ func TestDuplicatePoints(t *testing.T) {
 	got := tree.Radius([]float64{1, 2, 3}, 0.5, nil, nil)
 	if len(got) != 100 {
 		t.Fatalf("got %d duplicates, want 100", len(got))
+	}
+}
+
+// TestPadSlotsNeverReported queries leaves whose +Inf pad slots the
+// float32 kernel would pass: under an infinite certainty band (a
+// coordinate beyond epsBand's magnitude limit, or eps = +Inf) and for
+// queries with a non-finite coordinate. Radius, RadiusBlock and MinKey
+// must still report exactly BruteForce's neighbours, with no pad slot
+// among them.
+func TestPadSlotsNeverReported(t *testing.T) {
+	ds := randomDataset(13, 45, 2)
+	huge := randomDataset(14, 45, 2)
+	huge.Set(7, []float64{1e18, 0})
+	nan, inf := math.NaN(), math.Inf(1)
+	queries := [][]float64{{inf, 3}, {-inf, 3}, {nan, 3}, {50, 50}}
+	keys := make([]int32, ds.Len())
+	for i := range keys {
+		keys[i] = int32(ds.Len() - i)
+	}
+	for _, tc := range []struct {
+		name string
+		ds   *geom.Dataset
+	}{{"finite", ds}, {"huge", huge}} {
+		queries := append(queries, tc.ds.At(0), tc.ds.At(7))
+		bf := NewBruteForce(tc.ds)
+		for _, ls := range []int{5, 13, 64} {
+			tree := BuildLeafSize(tc.ds, ls)
+			mins := tree.KeyMins(keys)
+			for _, eps := range []float64{30, inf} {
+				for _, q := range queries {
+					want := sortedCopy(bf.Radius(q, eps, nil, nil))
+					if got := sortedCopy(tree.Radius(q, eps, nil, nil)); !slices.Equal(got, want) {
+						t.Fatalf("%s leaf %d eps %g q %v: Radius %v, BruteForce %v", tc.name, ls, eps, q, got, want)
+					}
+					wantKey, wantCount := bruteMinKey(bf, keys, q, eps, tc.ds.Len()+1)
+					if key, count := tree.MinKey(q, eps, keys, mins, tc.ds.Len()+1, nil); key != wantKey || count != wantCount {
+						t.Fatalf("%s leaf %d eps %g q %v: MinKey (%d, %d), BruteForce (%d, %d)", tc.name, ls, eps, q, key, count, wantKey, wantCount)
+					}
+				}
+				var blk Block
+				tree.RadiusBlock([]int32{0, 7, 44}, eps, &blk, nil)
+				for k, p := range []int32{0, 7, 44} {
+					want := sortedCopy(bf.Radius(tc.ds.At(p), eps, nil, nil))
+					if got := sortedCopy(blk.Neighbors(k)); !slices.Equal(got, want) {
+						t.Fatalf("%s leaf %d eps %g point %d: RadiusBlock %v, BruteForce %v", tc.name, ls, eps, p, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -40,9 +40,9 @@ func (t *Tree) KeyMins(keys []int32) []int32 {
 // with no box test, every node whose minimum is not below the least
 // key found so far, because nothing under such a node can lower the
 // answer and the count no longer needs to grow. A node inside the
-// ball adds its size and its minimum; a leaf is classified by
-// scanLeaf, so every point counts exactly when Radius would report
-// it. stats may be nil.
+// ball adds its size and its minimum; a leaf's points are classified
+// by leafHits, as scanLeaf classifies them, so every point counts
+// exactly when Radius would report it. stats may be nil.
 func (t *Tree) MinKey(q []float64, eps float64, keys, mins []int32, limit int, stats *SearchStats) (key int32, count int) {
 	key = NoKey
 	if t.root < 0 {
@@ -51,9 +51,6 @@ func (t *Tree) MinKey(q []float64, eps float64, keys, mins []int32, limit int, s
 	var qs query
 	t.prepare(&qs, q, eps*eps)
 	q32, eps2, sLo, sHi := qs.q32(), qs.eps2, qs.sLo, qs.sHi
-	// One leaf's hits; a leaf wider than this grows it on the heap.
-	var hitBuf [defaultLeafSize]int32
-	hits := hitBuf[:0]
 	var local SearchStats
 	var stack [maxDepth]int32
 	stack[0] = t.root
@@ -82,10 +79,13 @@ func (t *Tree) MinKey(q []float64, eps float64, keys, mins []int32, limit int, s
 			continue
 		}
 		if nd.splitDim < 0 {
-			hits, _ = t.scanLeaf(ni, &qs, -1, hits[:0], &local)
-			count += len(hits)
-			for _, p := range hits {
-				key = min(key, keys[p])
+			local.DistComps += int64(nd.end - nd.start)
+			for lo := nd.start; lo < nd.end; lo += leafChunk {
+				n := t.leafHits(ni, lo, &qs)
+				count += n
+				for _, p := range qs.st.ids[:n] {
+					key = min(key, keys[p])
+				}
 			}
 			continue
 		}

@@ -1,15 +1,38 @@
-// AVX2/FMA leaf-scan kernel. The CPU probe guarding it is geom.HasAVX2FMA.
+// AVX2/FMA leaf kernel. The CPU probe guarding it is geom.HasAVX2FMA;
+// POPCNT belongs to x86-64-v2, which every AVX2 CPU implements.
 
 #include "textflag.h"
+#include "go_asm.h"
 
-// func leafSqDistsAVX2(q, p, out *float32, mask *uint8, stride, cnt, dim int64, sHi float32)
+// PACK left-packs one 8-point block whose squared distances are in acc
+// and whose ids start at off(R8)(R9*4): the lanes with !(sHi < acc) go,
+// in lane order, to st.ids[n:] and st.dist[n:], n (R14) grows by their
+// count, and R12 collects the passing lanes with !(acc <= sLo). Both
+// compares are true for NaN. R11 holds the permutation table; the
+// stores write all 8 lanes, so the slots past the new n are scratch.
+// Clobbers AX, R10 and Y5-Y8.
+#define PACK(acc, off) \
+	VCMPPS    $5, acc, Y9, Y5; \
+	VMOVMSKPS Y5, AX; \
+	VCMPPS    $6, Y10, acc, Y6; \
+	VMOVMSKPS Y6, R10; \
+	ANDL      AX, R10; \
+	ORL       R10, R12; \
+	POPCNTL   AX, R10; \
+	SHLL      $5, AX; \
+	VMOVDQU   (R11)(AX*1), Y7; \
+	VPERMD    off(R8)(R9*4), Y7, Y8; \
+	VPERMPS   acc, Y7, acc; \
+	VMOVDQU   Y8, (R13)(R14*4); \
+	VMOVUPS   acc, stage_dist(R13)(R14*4); \
+	ADDQ      R10, R14
+
+// func leafPackAVX2(q, p *float32, ids *int32, st *stage, perm *[256][8]int32, stride, cnt, dim int64, sLo, sHi float32) (n int64, unsure bool)
 //
-// out[i] = sum over j of (q[j] - p[j*stride+i])^2 for i in [0, cnt),
-// with the points stored dimension-major: coordinate j of point i at
-// p[j*stride+i]. cnt is a multiple of 8 (leaf blocks are padded).
-// mask[i/8] receives one bit per point, set iff !(sHi < out[i]) — the
-// candidate filter, deliberately true for NaN distances so they reach
-// the caller's exact path.
+// leafPackGo's contract, bit for bit: the sum over j of
+// (q[j] - p[j*stride+i])^2 for i in [0, cnt), points stored
+// dimension-major, cnt a multiple of 8, each passing point's ids[i] and
+// sum packed into st. perm is packPerm.
 //
 // The main loop handles 32 points at a time with four independent
 // accumulators, so the per-dimension work is one broadcast of q[j] and
@@ -18,29 +41,29 @@
 // FMA latency. An 8-point loop sweeps the remaining blocks.
 //
 // Groups whose 32 partial sums all exceed sHi halfway through the
-// dimensions are rejected without loading the remaining columns; their
-// mask bytes are zeroed and their out slots left unwritten, so out[i]
-// is only meaningful where the corresponding mask bit is set.
-TEXT ·leafSqDistsAVX2(SB), NOSPLIT, $0-60
+// dimensions are dropped without loading the remaining columns.
+TEXT ·leafPackAVX2(SB), NOSPLIT, $0-81
 	MOVQ q+0(FP), SI
 	MOVQ p+8(FP), DI
-	MOVQ out+16(FP), R8
-	MOVQ mask+24(FP), R13
-	MOVQ stride+32(FP), BX
-	MOVQ cnt+40(FP), CX
-	MOVQ dim+48(FP), DX
-	VBROADCASTSS sHi+56(FP), Y9
+	MOVQ ids+16(FP), R8
+	MOVQ st+24(FP), R13
+	MOVQ stride+40(FP), BX
+	MOVQ cnt+48(FP), CX
+	MOVQ dim+56(FP), DX
+	VBROADCASTSS sLo+64(FP), Y10
+	VBROADCASTSS sHi+68(FP), Y9
 	SHLQ $2, BX             // column stride in bytes
 	XORQ R9, R9             // i: point index
-	MOVQ CX, R12
-	ANDQ $-32, R12          // cnt rounded down to whole 32-point groups
+	XORQ R14, R14           // n: packed count
+	XORQ R12, R12           // uncertain lanes seen
 	MOVQ DX, R15
 	INCQ R15
 	SHRQ $1, R15            // half = (dim+1)/2: early-reject checkpoint
 
 wide:
-	CMPQ R9, R12
-	JGE  narrow
+	LEAQ 32(R9), AX
+	CMPQ AX, CX
+	JGT  narrow
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -66,10 +89,10 @@ wdimsA:
 
 wcheck:
 	// Partial sums only grow: if every lane of the group is already
-	// beyond sHi after half the dimensions, the group can never accept.
-	// Zero its mask bytes and skip the remaining column loads — the
-	// scan is memory-bound, so unread columns are the savings. NaN
-	// lanes compare “maybe” and always fall through to the full sum.
+	// beyond sHi after half the dimensions, the group can never pass.
+	// Skip its remaining column loads — the scan is memory-bound, so
+	// unread columns are the savings. NaN lanes compare "maybe" and
+	// always fall through to the full sum.
 	VCMPPS $5, Y0, Y9, Y5
 	VCMPPS $5, Y1, Y9, Y6
 	VCMPPS $5, Y2, Y9, Y7
@@ -80,9 +103,6 @@ wcheck:
 	VMOVMSKPS Y5, AX
 	TESTL AX, AX
 	JNE  wdimsB
-	MOVQ R9, R10
-	SHRQ $3, R10
-	MOVL $0, (R13)(R10*1)   // all four mask bytes of the group
 	ADDQ $32, R9
 	JMP  wide
 
@@ -103,25 +123,11 @@ wdimsB:
 	JMP  wdimsB
 
 wflush:
-	VMOVUPS Y0, (R8)(R9*4)
-	VMOVUPS Y1, 32(R8)(R9*4)
-	VMOVUPS Y2, 64(R8)(R9*4)
-	VMOVUPS Y3, 96(R8)(R9*4)
-	// Candidate filter bits: NLT(sHi, acc) = !(sHi < acc), NaN-true.
-	MOVQ R9, R10
-	SHRQ $3, R10            // mask byte index i/8
-	VCMPPS $5, Y0, Y9, Y5
-	VMOVMSKPS Y5, AX
-	MOVB AL, (R13)(R10*1)
-	VCMPPS $5, Y1, Y9, Y6
-	VMOVMSKPS Y6, AX
-	MOVB AL, 1(R13)(R10*1)
-	VCMPPS $5, Y2, Y9, Y7
-	VMOVMSKPS Y7, AX
-	MOVB AL, 2(R13)(R10*1)
-	VCMPPS $5, Y3, Y9, Y8
-	VMOVMSKPS Y8, AX
-	MOVB AL, 3(R13)(R10*1)
+	MOVQ perm+32(FP), R11
+	PACK(Y0, 0)
+	PACK(Y1, 32)
+	PACK(Y2, 64)
+	PACK(Y3, 96)
 	ADDQ $32, R9
 	JMP  wide
 
@@ -143,15 +149,14 @@ ndims:
 	JMP  ndims
 
 nflush:
-	VMOVUPS Y0, (R8)(R9*4)
-	MOVQ R9, R10
-	SHRQ $3, R10
-	VCMPPS $5, Y0, Y9, Y5
-	VMOVMSKPS Y5, AX
-	MOVB AL, (R13)(R10*1)
+	MOVQ perm+32(FP), R11
+	PACK(Y0, 0)
 	ADDQ $8, R9
 	JMP  narrow
 
 done:
+	MOVQ R14, n+72(FP)
+	TESTQ R12, R12
+	SETNE unsure+80(FP)
 	VZEROUPPER
 	RET

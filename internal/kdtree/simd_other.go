@@ -2,8 +2,8 @@
 
 package kdtree
 
-// leafSqDists dispatches the leaf-scan kernel; without amd64 vector
-// support it is always the portable implementation.
-func leafSqDists(q []float32, p []float32, stride, cnt int, out []float32, mask []uint8, sHi float32) {
-	leafSqDistsGo(q, p, stride, cnt, out, mask, sHi)
+// leafPack dispatches the leaf kernel; without amd64 vector support it
+// is always the portable implementation.
+func leafPack(q, p []float32, stride int, ids []int32, cnt int, st *stage, sLo, sHi float32) (int, bool) {
+	return leafPackGo(q, p, stride, ids, cnt, st, sLo, sHi)
 }

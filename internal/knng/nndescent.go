@@ -124,16 +124,22 @@ type descent struct {
 	nextD2    []float64
 	nextFresh []bool
 
-	// rev is the current graph's reverse adjacency. hops[hopStart[p]:
-	// hopStart[p+1]] holds p's sampled forward slice (saltFwdHop) then
-	// its sampled reverse slice (saltRevHop): what a two-hop expansion
-	// through pool member p reads, at most 2*Sample entries.
-	rev      [][]revEntry
+	// revs[revStart[t]:revStart[t+1]] is t's list in the current
+	// graph's reverse adjacency. hops[hopStart[p]:hopStart[p+1]] holds
+	// p's sampled forward slice (saltFwdHop) then its sampled reverse
+	// slice (saltRevHop): what a two-hop expansion through pool member p
+	// reads, at most 2*Sample entries.
+	revStart []int32
+	revs     []revEntry
 	hopStart []int32
 	hops     []revEntry
 
 	order  []int32 // graphOrder's walk, reused across rounds
 	queued []bool
+	// idle holds the sweep workers between rounds, so each keeps its
+	// n-sized visited array and carries its epoch on.
+	mu   sync.Mutex
+	idle []*descentWorker
 }
 
 func newDescent(ds *geom.Dataset, k int, opt ApproxOptions) *descent {
@@ -142,7 +148,8 @@ func newDescent(ds *geom.Dataset, k int, opt ApproxOptions) *descent {
 		ds: ds, k: k, opt: opt,
 		idx: make([]int32, n*k), d2: make([]float64, n*k), fresh: make([]bool, n*k),
 		nextIdx: make([]int32, n*k), nextD2: make([]float64, n*k), nextFresh: make([]bool, n*k),
-		rev:      make([][]revEntry, n),
+		revStart: make([]int32, n+1),
+		revs:     make([]revEntry, n*k),
 		hopStart: make([]int32, n+1),
 		order:    make([]int32, 0, n),
 		queued:   make([]bool, n),
@@ -151,29 +158,45 @@ func newDescent(ds *geom.Dataset, k int, opt ApproxOptions) *descent {
 	return d
 }
 
+// rev returns t's list in the current graph's reverse adjacency.
+func (d *descent) rev(t int32) []revEntry {
+	return d.revs[d.revStart[t]:d.revStart[t+1]]
+}
+
 // prepare rebuilds the round's read-only tables from the current graph:
 // the reverse adjacency, then the hop table.
 func (d *descent) prepare(round int) {
 	n, k, sample, seed := d.ds.Len(), d.k, d.opt.Sample, d.opt.Seed
-	// Appends scan points in ascending order, so each rev list is
-	// deterministically ordered; the stride walks then cap it.
-	for t := range d.rev {
-		d.rev[t] = d.rev[t][:0]
+	// Count each list's length into revStart[t+1] and sum them, then
+	// fill with revStart[t] as t's cursor, scanning points in ascending
+	// order so each list is deterministically ordered (the stride walks
+	// then cap it). The fill leaves revStart[t] at t's end, so shifting
+	// it up one slot restores the starts.
+	clear(d.revStart)
+	for _, t := range d.idx {
+		d.revStart[t+1]++
+	}
+	for t := 0; t < n; t++ {
+		d.revStart[t+1] += d.revStart[t]
 	}
 	for i := 0; i < n; i++ {
 		for s := i * k; s < (i+1)*k; s++ {
 			t := d.idx[s]
-			d.rev[t] = append(d.rev[t], revEntry{j: int32(i), fresh: d.fresh[s]})
+			d.revs[d.revStart[t]] = revEntry{j: int32(i), fresh: d.fresh[s]}
+			d.revStart[t]++
 		}
 	}
+	copy(d.revStart[1:], d.revStart[:n])
+	d.revStart[0] = 0
 
 	// Sizes first, so each point's slice has a fixed place, then the
 	// entries, filled in parallel.
 	for p := 0; p < n; p++ {
 		off, stride := strideWalk(k, sample, seed, round, int32(p), saltFwdHop)
 		m := walkLen(k, off, stride)
-		off, stride = strideWalk(len(d.rev[p]), sample, seed, round, int32(p), saltRevHop)
-		m += walkLen(len(d.rev[p]), off, stride)
+		rv := d.rev(int32(p))
+		off, stride = strideWalk(len(rv), sample, seed, round, int32(p), saltRevHop)
+		m += walkLen(len(rv), off, stride)
 		d.hopStart[p+1] = d.hopStart[p] + int32(m)
 	}
 	d.hops = slices.Grow(d.hops[:0], int(d.hopStart[n]))[:d.hopStart[n]]
@@ -185,7 +208,7 @@ func (d *descent) prepare(round int) {
 				d.hops[c] = revEntry{j: d.idx[s], fresh: d.fresh[s]}
 				c++
 			}
-			rv := d.rev[p]
+			rv := d.rev(int32(p))
 			off, stride = strideWalk(len(rv), sample, seed, round, int32(p), saltRevHop)
 			for s := off; s < len(rv); s += stride {
 				d.hops[c] = rv[s]
@@ -230,16 +253,12 @@ func (d *descent) graphOrder() []int32 {
 // function of the current graph and the round's tables, so neither the
 // order nor the split changes the output (DESIGN §16).
 func (d *descent) sweep(round int, order []int32) int {
-	n, k := d.ds.Len(), d.k
+	k := d.k
 	var changed atomic.Int64
 	runBlocks(len(order), d.opt.Workers, func(lo, hi int) {
-		w := &descentWorker{
-			descent: d,
-			round:   round,
-			visited: make([]int32, n),
-			h:       heapList{idx: make([]int32, k), d2: make([]float64, k)},
-			hFresh:  make([]bool, k),
-		}
+		w := d.worker()
+		defer d.release(w)
+		w.round = round
 		local := 0
 		for _, i := range order[lo:hi] {
 			s := int(i) * k
@@ -250,6 +269,30 @@ func (d *descent) sweep(round int, order []int32) int {
 		changed.Add(int64(local))
 	})
 	return int(changed.Load())
+}
+
+// worker takes an idle sweep worker, or makes one.
+func (d *descent) worker() *descentWorker {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n := len(d.idle); n > 0 {
+		w := d.idle[n-1]
+		d.idle = d.idle[:n-1]
+		return w
+	}
+	return &descentWorker{
+		descent: d,
+		visited: make([]int32, d.ds.Len()),
+		h:       heapList{idx: make([]int32, d.k), d2: make([]float64, d.k)},
+		hFresh:  make([]bool, d.k),
+	}
+}
+
+// release returns w to the idle workers.
+func (d *descent) release(w *descentWorker) {
+	d.mu.Lock()
+	d.idle = append(d.idle, w)
+	d.mu.Unlock()
 }
 
 // advance makes the graph sweep wrote the current one.
@@ -299,7 +342,8 @@ func initRandomLists(ds *geom.Dataset, k int, seed uint64, workers int, idx []in
 	})
 }
 
-// descentWorker holds one worker's scratch state for a round.
+// descentWorker holds one worker's scratch state. It lives across
+// rounds: visited stamps from earlier rounds are below epoch.
 type descentWorker struct {
 	*descent
 	round int
@@ -345,9 +389,10 @@ func (w *descentWorker) improve(i int32, outIdx []int32, outD2 []float64, outFre
 		w.pool = append(w.pool, revEntry{j: w.idx[s], fresh: w.fresh[s]})
 	}
 	fwdLen := len(w.pool)
-	off, stride = strideWalk(len(w.rev[i]), w.opt.Sample, w.opt.Seed, w.round, i, saltRevPool)
-	for s := off; s < len(w.rev[i]); s += stride {
-		w.pool = append(w.pool, w.rev[i][s])
+	rv := w.rev(i)
+	off, stride = strideWalk(len(rv), w.opt.Sample, w.opt.Seed, w.round, i, saltRevPool)
+	for s := off; s < len(rv); s += stride {
+		w.pool = append(w.pool, rv[s])
 	}
 
 	// Candidates, deduplicated in first-seen order: the reverse pool
