@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"sparkdbscan/internal/geom"
@@ -13,12 +14,16 @@ import (
 // The kd-tree engine benchmark measures the packed query engine on
 // the host wall clock, on the workload shape the executors actually
 // run — a full pass querying every point of a clustered dataset once,
-// which is exactly LocalDBSCAN's access pattern. The best repetition is
-// reported, so slow host noise (shared machines, frequency scaling)
-// does not inflate the figures. The pre-packed tree it replaced is
-// compared in BENCH_kdtree.json at commit 0df0cd6.
+// which is exactly LocalDBSCAN's access pattern. Host noise on a shared
+// machine drifts over seconds to minutes, so each repetition times the
+// whole grid before the next begins, and every figure is the median
+// over repetitions with its quartiles beside it: a slow stretch of the
+// host lands on one repetition of every cell instead of on every
+// repetition of one cell. The pre-packed tree it replaced is compared
+// in BENCH_kdtree.json at commit 0df0cd6.
 
-// KDBenchCell is one (operation, dataset) measurement.
+// KDBenchCell is one (operation, dataset) measurement: the median
+// nanoseconds per query over the repetitions, and its quartiles.
 type KDBenchCell struct {
 	Op         string  `json:"op"`
 	Dim        int     `json:"dim"`
@@ -26,13 +31,18 @@ type KDBenchCell struct {
 	Eps        float64 `json:"eps"`
 	Queries    int     `json:"queries"`
 	NsPerQuery float64 `json:"ns_per_query"`
+	NsP25      float64 `json:"ns_p25"`
+	NsP75      float64 `json:"ns_p75"`
 }
 
-// KDBenchBuild is one dataset's (parallel, bit-identical) build.
+// KDBenchBuild is one dataset's (parallel, bit-identical) build: the
+// median milliseconds over the repetitions, and its quartiles.
 type KDBenchBuild struct {
 	Dim         int     `json:"dim"`
 	N           int     `json:"n"`
 	BuildMs     float64 `json:"build_ms"`
+	BuildMsP25  float64 `json:"build_ms_p25"`
+	BuildMsP75  float64 `json:"build_ms_p75"`
 	MemoryBytes int64   `json:"memory_bytes"`
 }
 
@@ -97,54 +107,78 @@ func fullPass(idx kdtree.Index, ds *geom.Dataset, eps float64, op string) time.D
 
 var kdBenchOps = []string{"Radius", "RadiusLimit"}
 
+// quartiles returns the 25th, 50th and 75th percentiles of xs,
+// interpolating linearly between order statistics. It sorts xs.
+func quartiles(xs []float64) (p25, p50, p75 float64) {
+	slices.Sort(xs)
+	at := func(q float64) float64 {
+		pos := q * float64(len(xs)-1)
+		lo := int(pos)
+		if lo == len(xs)-1 {
+			return xs[lo]
+		}
+		frac := pos - float64(lo)
+		return xs[lo]*(1-frac) + xs[lo+1]*frac
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
 // runKDBench times the packed tree's build and full query passes over
-// {Radius, RadiusLimit} × d ∈ {2, 10} × n ∈ {10k, 100k};
-// smoke takes one repetition instead of three.
+// {Radius, RadiusLimit} × d ∈ {2, 10} × n ∈ {10k, 100k}. Each
+// repetition builds and queries every dataset once, and each figure is
+// the median over five repetitions with its quartiles; smoke runs one.
 func runKDBench(w io.Writer, c Config) (Report, error) {
-	reps := 3
+	reps := 5
 	if c.Smoke {
 		reps = 1
 	}
-	res := &KDBenchResult{Reps: reps}
-	tw := newTabWriter(w)
-	fmt.Fprintln(tw, "op\td\tn\teps\tns/q")
+	type kdSet struct {
+		ds      *geom.Dataset
+		eps     float64
+		tree    *kdtree.Tree
+		buildMs []float64
+		ns      [][]float64 // per op, ns per query of each repetition
+	}
+	var sets []*kdSet
 	for _, dim := range []int{2, 10} {
 		for _, n := range []int{10_000, 100_000} {
-			ds := kdBenchDataset(n, dim)
-			eps := kdBenchEps(dim)
-
-			var tree *kdtree.Tree
-			build := KDBenchBuild{Dim: dim, N: n}
-			for rep := 0; rep < reps; rep++ {
-				start := time.Now()
-				tree = kdtree.Build(ds)
-				ms := float64(time.Since(start).Nanoseconds()) / 1e6
-				if rep == 0 || ms < build.BuildMs {
-					build.BuildMs = ms
-				}
+			sets = append(sets, &kdSet{ds: kdBenchDataset(n, dim), eps: kdBenchEps(dim), ns: make([][]float64, len(kdBenchOps))})
+		}
+	}
+	for rep := 0; rep < reps; rep++ {
+		for _, s := range sets {
+			start := time.Now()
+			s.tree = kdtree.Build(s.ds)
+			s.buildMs = append(s.buildMs, float64(time.Since(start).Nanoseconds())/1e6)
+			for k, op := range kdBenchOps {
+				ns := float64(fullPass(s.tree, s.ds, s.eps, op).Nanoseconds()) / float64(s.ds.Len())
+				s.ns[k] = append(s.ns[k], ns)
 			}
-			build.MemoryBytes = tree.MemoryBytes()
-			res.Builds = append(res.Builds, build)
+		}
+	}
 
-			for _, op := range kdBenchOps {
-				cell := KDBenchCell{Op: op, Dim: dim, N: n, Eps: eps, Queries: ds.Len()}
-				for rep := 0; rep < reps; rep++ {
-					ns := float64(fullPass(tree, ds, eps, op).Nanoseconds()) / float64(ds.Len())
-					if rep == 0 || ns < cell.NsPerQuery {
-						cell.NsPerQuery = ns
-					}
-				}
-				res.Cells = append(res.Cells, cell)
-				fmt.Fprintf(tw, "%s\t%d\t%d\t%g\t%.0f\n", op, dim, n, eps, cell.NsPerQuery)
-			}
+	res := &KDBenchResult{Reps: reps}
+	tw := newTabWriter(w)
+	fmt.Fprintln(tw, "op\td\tn\teps\tns/q\tp25\tp75")
+	for _, s := range sets {
+		dim, n := s.ds.Dim, s.ds.Len()
+		build := KDBenchBuild{Dim: dim, N: n, MemoryBytes: s.tree.MemoryBytes()}
+		build.BuildMsP25, build.BuildMs, build.BuildMsP75 = quartiles(s.buildMs)
+		res.Builds = append(res.Builds, build)
+		for k, op := range kdBenchOps {
+			cell := KDBenchCell{Op: op, Dim: dim, N: n, Eps: s.eps, Queries: n}
+			cell.NsP25, cell.NsPerQuery, cell.NsP75 = quartiles(s.ns[k])
+			res.Cells = append(res.Cells, cell)
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%g\t%.0f\t%.0f\t%.0f\n", op, dim, n, s.eps, cell.NsPerQuery, cell.NsP25, cell.NsP75)
 		}
 	}
 	if err := tw.Flush(); err != nil {
 		return Report{}, err
 	}
 	return Report{
-		Method: "full pass: every dataset point queried once per op; build and each pass " +
-			"repeated, best repetition reported",
+		Method: "full pass: every dataset point queried once per op; each repetition builds " +
+			"and queries the whole grid in turn, and each figure is the median over " +
+			"repetitions with its 25th and 75th percentiles",
 		Result: res,
 	}, nil
 }

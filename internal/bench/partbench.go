@@ -130,7 +130,6 @@ func (m partMeasure) project(n int64, cores int, basePoints int, logGrows bool, 
 	w := m.execW
 	scale := func(v int64, by float64) int64 { return int64(float64(v) * by) }
 	w.KDNodes = scale(w.KDNodes, f*lc)
-	w.KDIncluded = scale(w.KDIncluded, f*lc)
 	w.TreeBuildOps = scale(w.TreeBuildOps, f*lc)
 	w.DistComps = scale(w.DistComps, f)
 	w.QueueOps = scale(w.QueueOps, f)

@@ -18,30 +18,30 @@ import (
 // print in Go's shortest round-trip form, so equal strings mean equal
 // bits.
 var partitionFiltersGolden = map[string]string{
-	"c10k/range/parallel/none":      "labels=2e96c4072f7df968 partials=112 dropped=0 noise=109 merges=109 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 5.066785786291993 0.25009512500000003 0 0] driver=0.274576005 executor=5.066785786291993",
-	"c10k/range/parallel/maxnb16":   "labels=9b2ac2ccfe246d13 partials=1182 dropped=0 noise=115 merges=1179 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 1.2054799324749221 2.49456825 0 0] driver=2.51904913 executor=1.2054799324749221",
-	"c10k/range/parallel/minlocal8": "labels=2e96c4072f7df968 partials=78 dropped=0 noise=143 merges=75 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 5.066781183612801 0.17877075000000003 0 0] driver=0.20325163000000004 executor=5.066781183612801",
-	"c10k/range/parallel/both":      "labels=ddcf5f0bb6474e8e partials=1128 dropped=0 noise=169 merges=1125 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 1.2054730284561335 2.3812948125 0 0] driver=2.4057756925000002 executor=1.2054730284561335",
-	"c10k/range/paper/none":         "labels=fd1a733e13a52bc3 partials=112 dropped=0 noise=109 merges=109 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 5.441468707847663 0.9502787500000001 0 0] driver=0.9747596300000001 executor=5.441468707847663",
-	"c10k/range/paper/maxnb16":      "labels=19bb58f0b0b0626c partials=1182 dropped=0 noise=115 merges=1179 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 4.800144382150746 9.92413625 0 0] driver=9.94861713 executor=4.800144382150746",
-	"c10k/range/paper/minlocal8":    "labels=5bbce2aa3d59d68e partials=41 dropped=0 noise=180 merges=38 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 5.441457776484581 0.3547 0 0] driver=0.37918088 executor=5.441457776484581",
-	"c10k/range/paper/both":         "labels=2168a217a3f520c7 partials=685 dropped=0 noise=614 merges=682 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 4.800058753139937 5.755458750000001 0 0] driver=5.77993963 executor=4.800058753139937",
+	"c10k/range/parallel/none":      "labels=2e96c4072f7df968 partials=112 dropped=0 noise=109 merges=109 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.0666849862919925 0.25009512500000003 0 0] driver=0.274570965 executor=5.0666849862919925",
+	"c10k/range/parallel/maxnb16":   "labels=9b2ac2ccfe246d13 partials=1182 dropped=0 noise=115 merges=1179 phases=[0.006150000000000001 0.014399999999999998 0.00392584 1.2053791324749221 2.49456825 0 0] driver=2.51904409 executor=1.2053791324749221",
+	"c10k/range/parallel/minlocal8": "labels=2e96c4072f7df968 partials=78 dropped=0 noise=143 merges=75 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.066680383612801 0.17877075000000003 0 0] driver=0.20324659000000003 executor=5.066680383612801",
+	"c10k/range/parallel/both":      "labels=ddcf5f0bb6474e8e partials=1128 dropped=0 noise=169 merges=1125 phases=[0.006150000000000001 0.014399999999999998 0.00392584 1.2053722284561335 2.3812948125 0 0] driver=2.4057706525 executor=1.2053722284561335",
+	"c10k/range/paper/none":         "labels=fd1a733e13a52bc3 partials=112 dropped=0 noise=109 merges=109 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.441367907847662 0.9502787500000001 0 0] driver=0.9747545900000001 executor=5.441367907847662",
+	"c10k/range/paper/maxnb16":      "labels=19bb58f0b0b0626c partials=1182 dropped=0 noise=115 merges=1179 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.800043582150746 9.92413625 0 0] driver=9.94861209 executor=4.800043582150746",
+	"c10k/range/paper/minlocal8":    "labels=5bbce2aa3d59d68e partials=41 dropped=0 noise=180 merges=38 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.441356976484581 0.3547 0 0] driver=0.37917584000000004 executor=5.441356976484581",
+	"c10k/range/paper/both":         "labels=2168a217a3f520c7 partials=685 dropped=0 noise=614 merges=682 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.799957953139937 5.755458750000001 0 0] driver=5.779934590000001 executor=4.799957953139937",
 	"c10k/cell/none":                "labels=2e96c4072f7df968 partials=215 dropped=0 noise=101 merges=212 phases=[0.006150000000000001 0 8.732000000000184e-05 4.641821559874635 0.4768073125 0 0.09000000000000001] driver=0.5730446325 executor=4.641821559874635",
-	"c10k/cell/maxnb16":             "labels=711abcbb9ebb86d8 partials=768 dropped=0 noise=113 merges=765 phases=[0.006150000000000001 0 8.732000000000184e-05 1.5960393289226578 1.622913875 0 0.09000000000000001] driver=1.719151195 executor=1.5960393289226578",
+	"c10k/cell/maxnb16":             "labels=711abcbb9ebb86d8 partials=768 dropped=0 noise=113 merges=765 phases=[0.006150000000000001 0 8.732000000000184e-05 1.5962948716811511 1.622913875 0 0.09000000000000001] driver=1.719151195 executor=1.5962948716811511",
 	"c10k/cell/minlocal8":           "labels=2e96c4072f7df968 partials=192 dropped=0 noise=124 merges=189 phases=[0.006150000000000001 0 8.732000000000184e-05 4.641814451175844 0.428552625 0 0.09000000000000001] driver=0.524789945 executor=4.641814451175844",
-	"c10k/cell/both":                "labels=7a403dd330e0b87a partials=714 dropped=0 noise=167 merges=711 phases=[0.006150000000000001 0 8.732000000000184e-05 1.5960317478208224 1.509646375 0 0.09000000000000001] driver=1.605883695 executor=1.5960317478208224",
-	"r10k/range/parallel/none":      "labels=d6239cce576309ac partials=242 dropped=0 noise=454 merges=239 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 4.555057636307506 0.5208695000000001 0 0] driver=0.5453503800000001 executor=4.555057636307506",
-	"r10k/range/parallel/maxnb16":   "labels=5066bd84dcef56b0 partials=1007 dropped=0 noise=471 merges=1004 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 1.9698417358964553 2.1253910625 0 0] driver=2.1498719425 executor=1.9698417358964553",
-	"r10k/range/parallel/minlocal8": "labels=70bad27ffc3b78dd partials=164 dropped=0 noise=532 merges=161 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 4.555052074736816 0.35724950000000005 0 0] driver=0.38173038000000004 executor=4.555052074736816",
-	"r10k/range/parallel/both":      "labels=c4032c166c14cad3 partials=898 dropped=0 noise=580 merges=895 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 1.9698299415310245 1.89675825 0 0] driver=1.92123913 executor=1.9698299415310245",
-	"r10k/range/paper/none":         "labels=ba4eacfd4019725c partials=242 dropped=0 noise=454 merges=239 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 5.176045942556424 2.03964375 0 0] driver=2.0641246300000002 executor=5.176045942556424",
-	"r10k/range/paper/maxnb16":      "labels=b812edb9b6e4177b partials=1007 dropped=0 noise=471 merges=1004 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 4.969039167727569 8.454765 0 0] driver=8.47924588 executor=4.969039167727569",
-	"r10k/range/paper/minlocal8":    "labels=72673746612e72a9 partials=73 dropped=0 noise=627 merges=70 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 5.176017976755736 0.6221025 0 0] driver=0.64658338 executor=5.176017976755736",
-	"r10k/range/paper/both":         "labels=632bb0e03ab74dee partials=503 dropped=0 noise=986 merges=500 phases=[0.006150000000000001 0.014399999999999998 0.003930880000000001 4.968965141303891 4.227855 0 0] driver=4.2523358799999995 executor=4.968965141303891",
-	"r10k/cell/none":                "labels=d6239cce576309ac partials=285 dropped=0 noise=445 merges=282 phases=[0.006150000000000001 0 0.00019412000000000595 3.929357488375654 0.6137835625000001 0 0.09187500000000001] driver=0.7120026825000001 executor=3.929357488375654",
-	"r10k/cell/maxnb16":             "labels=71a018b2f9e3822d partials=610 dropped=0 noise=460 merges=607 phases=[0.006150000000000001 0 0.00019412000000000595 1.9631034491044896 1.2894929375 0 0.09187500000000001] driver=1.3877120575 executor=1.9631034491044896",
-	"r10k/cell/minlocal8":           "labels=d6239cce576309ac partials=236 dropped=0 noise=494 merges=233 phases=[0.006150000000000001 0 0.00019412000000000595 3.929347425412431 0.5109916875 0 0.09187500000000001] driver=0.6092108075 executor=3.929347425412431",
-	"r10k/cell/both":                "labels=132d4c6a9e57b94e partials=528 dropped=0 noise=542 merges=525 phases=[0.006150000000000001 0 0.00019412000000000595 1.9630945902888617 1.1174860625 0 0.09187500000000001] driver=1.2157051825 executor=1.9630945902888617",
+	"c10k/cell/both":                "labels=7a403dd330e0b87a partials=714 dropped=0 noise=167 merges=711 phases=[0.006150000000000001 0 8.732000000000184e-05 1.5962872905793157 1.509646375 0 0.09000000000000001] driver=1.605883695 executor=1.5962872905793157",
+	"r10k/range/parallel/none":      "labels=d6239cce576309ac partials=242 dropped=0 noise=454 merges=239 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.554956836307506 0.5208695000000001 0 0] driver=0.5453453400000001 executor=4.554956836307506",
+	"r10k/range/parallel/maxnb16":   "labels=5066bd84dcef56b0 partials=1007 dropped=0 noise=471 merges=1004 phases=[0.006150000000000001 0.014399999999999998 0.00392584 1.9697409358964553 2.1253910625 0 0] driver=2.1498669025 executor=1.9697409358964553",
+	"r10k/range/parallel/minlocal8": "labels=70bad27ffc3b78dd partials=164 dropped=0 noise=532 merges=161 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.5549512747368155 0.35724950000000005 0 0] driver=0.38172534 executor=4.5549512747368155",
+	"r10k/range/parallel/both":      "labels=c4032c166c14cad3 partials=898 dropped=0 noise=580 merges=895 phases=[0.006150000000000001 0.014399999999999998 0.00392584 1.9697291415310245 1.89675825 0 0] driver=1.92123409 executor=1.9697291415310245",
+	"r10k/range/paper/none":         "labels=ba4eacfd4019725c partials=242 dropped=0 noise=454 merges=239 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.175945142556424 2.03964375 0 0] driver=2.0641195900000002 executor=5.175945142556424",
+	"r10k/range/paper/maxnb16":      "labels=b812edb9b6e4177b partials=1007 dropped=0 noise=471 merges=1004 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.968938367727569 8.454765 0 0] driver=8.47924084 executor=4.968938367727569",
+	"r10k/range/paper/minlocal8":    "labels=72673746612e72a9 partials=73 dropped=0 noise=627 merges=70 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.1759171767557355 0.6221025 0 0] driver=0.64657834 executor=5.1759171767557355",
+	"r10k/range/paper/both":         "labels=632bb0e03ab74dee partials=503 dropped=0 noise=986 merges=500 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.968864341303891 4.227855 0 0] driver=4.25233084 executor=4.968864341303891",
+	"r10k/cell/none":                "labels=d6239cce576309ac partials=285 dropped=0 noise=445 merges=282 phases=[0.006150000000000001 0 0.00019412000000000595 3.929819092193223 0.6137835625000001 0 0.09187500000000001] driver=0.7120026825000001 executor=3.929819092193223",
+	"r10k/cell/maxnb16":             "labels=71a018b2f9e3822d partials=610 dropped=0 noise=460 merges=607 phases=[0.006150000000000001 0 0.00019412000000000595 1.9635463898858785 1.2894929375 0 0.09187500000000001] driver=1.3877120575 executor=1.9635463898858785",
+	"r10k/cell/minlocal8":           "labels=d6239cce576309ac partials=236 dropped=0 noise=494 merges=233 phases=[0.006150000000000001 0 0.00019412000000000595 3.9298090292299994 0.5109916875 0 0.09187500000000001] driver=0.6092108075 executor=3.9298090292299994",
+	"r10k/cell/both":                "labels=132d4c6a9e57b94e partials=528 dropped=0 noise=542 merges=525 phases=[0.006150000000000001 0 0.00019412000000000595 1.9635375310702508 1.1174860625 0 0.09187500000000001] driver=1.2157051825 executor=1.9635375310702508",
 }
 
 // fingerprint summarizes one Run: a labels SHA-256 prefix, the merge

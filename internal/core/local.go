@@ -306,6 +306,5 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 	}
 	// Fold the index work into the ledger.
 	w.KDNodes += res.Stats.NodesVisited
-	w.KDIncluded += res.Stats.NodesIncluded
 	w.DistComps += res.Stats.DistComps
 }

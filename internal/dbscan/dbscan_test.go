@@ -201,13 +201,9 @@ func TestStatsMetered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A ball covering the whole dataset may be answered entirely by
-	// bbox inclusion (zero distance computations), but some work must
-	// always be metered.
-	if res.Stats.DistComps == 0 && res.Stats.NodesIncluded == 0 {
-		t.Fatalf("no work metered: %+v", res.Stats)
-	}
-	if res.Stats.NodesVisited == 0 || res.Stats.Reported == 0 {
+	// The ball covers the whole dataset, and every query still scans
+	// the one leaf: nodes, distances and neighbours are all metered.
+	if res.Stats.NodesVisited == 0 || res.Stats.DistComps == 0 || res.Stats.Reported == 0 {
 		t.Fatalf("stats incomplete: %+v", res.Stats)
 	}
 }

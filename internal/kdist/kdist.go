@@ -86,10 +86,9 @@ func ComputeDistributed(sctx *spark.Context, ds *geom.Dataset, k, partitions int
 				c.Dist[j] = d
 			}
 			tc.Charge(simtime.Work{
-				KDNodes:    stats.NodesVisited,
-				KDIncluded: stats.NodesIncluded,
-				DistComps:  stats.DistComps,
-				Elems:      int64(len(in)),
+				KDNodes:   stats.NodesVisited,
+				DistComps: stats.DistComps,
+				Elems:     int64(len(in)),
 			})
 			return []chunk{c}, nil
 		}).Collect()

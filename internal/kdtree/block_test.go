@@ -67,8 +67,9 @@ func checkBlocks(t *testing.T, tree *Tree, ds *geom.Dataset, eps float64, want [
 
 // TestRadiusBlockMatchesBruteForce covers both leaf paths (float32 at
 // d ≤ 32, float64 above), leaf sizes from 1 to 128, duplicated and
-// all-identical points, and an eps at exactly one pair's distance, so
-// the boundary is decided by the certainty band and SqDistD's bits.
+// all-identical points, an eps at exactly one pair's distance, so the
+// boundary is decided by the certainty band and SqDistD's bits, and an
+// eps beyond the dataset's diameter, whose ball covers every node.
 func TestRadiusBlockMatchesBruteForce(t *testing.T) {
 	for _, dim := range []int{1, 2, 10, 33, 64} {
 		clustered := clusteredDataset(uint64(dim), 500, dim, 4, 6)
@@ -86,7 +87,7 @@ func TestRadiusBlockMatchesBruteForce(t *testing.T) {
 		}{{"clustered", clustered}, {"duplicates", dup}, {"identical", same}} {
 			bf := NewBruteForce(tc.ds)
 			boundary := math.Sqrt(geom.SqDistD(tc.ds.At(0), tc.ds.At(12)))
-			for _, eps := range []float64{4 * math.Sqrt(float64(dim)), boundary} {
+			for _, eps := range []float64{4 * math.Sqrt(float64(dim)), boundary, 1e5} {
 				want := make([][]int32, tc.ds.Len())
 				for p := range want {
 					want[p] = sortedCopy(bf.Radius(tc.ds.At(int32(p)), eps, nil, nil))

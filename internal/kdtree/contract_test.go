@@ -94,7 +94,8 @@ func TestIndexContractAgreement(t *testing.T) {
 // implementations: a negative max is uncapped (the whole Radius
 // neighbourhood), max 0 returns out unchanged, and a positive max
 // counts only the neighbours appended after what out already holds
-// (the huge eps reports whole subtrees at once). The DeltaIndex holds
+// (the huge eps puts every point in the ball, so the cap ends the scan
+// mid-leaf). The DeltaIndex holds
 // the same points as its overlay, inserted over a one-point base far
 // from them.
 func TestRadiusLimitCaps(t *testing.T) {

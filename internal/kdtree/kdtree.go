@@ -11,8 +11,7 @@
 // portable fallback), so range scans stream sequential memory instead
 // of chasing the order permutation into the full dataset; every node
 // carries its bounding box, letting searches skip subtrees whose box
-// misses the query ball entirely and report subtrees whose box lies
-// inside it wholesale; and traversals are iterative over an explicit
+// misses the query ball; and traversals are iterative over an explicit
 // stack. Narrowed float32 classifications stay exact through an
 // interval band around eps² (see epsBand).
 //
@@ -33,16 +32,14 @@ import (
 // SearchStats accumulates the work performed by one or more queries.
 // The cost model converts these counts into simulated time.
 type SearchStats struct {
-	NodesVisited  int64 // tree nodes touched (internal + leaf)
-	NodesIncluded int64 // subtrees reported wholesale by bbox inclusion
-	DistComps     int64 // full d-dimensional distance computations
-	Reported      int64 // neighbours returned
+	NodesVisited int64 // tree nodes touched (internal + leaf)
+	DistComps    int64 // full d-dimensional distance computations
+	Reported     int64 // neighbours returned
 }
 
 // Add accumulates other into s.
 func (s *SearchStats) Add(other SearchStats) {
 	s.NodesVisited += other.NodesVisited
-	s.NodesIncluded += other.NodesIncluded
 	s.DistComps += other.DistComps
 	s.Reported += other.Reported
 }
@@ -96,10 +93,8 @@ type node struct {
 	splitDim int32
 	left     int32 // node index; leaf: unused
 	right    int32
-	// start, end delimit the subtree's range into Tree.order (and the
-	// leaf-packed coordinate blocks). It is populated for internal nodes
-	// too, so bbox inclusion can report a whole subtree as one
-	// contiguous copy.
+	// start, end delimit a leaf's range into Tree.order (and its
+	// leaf-packed coordinate block); internal nodes leave them zero.
 	start, end int32
 	splitVal   float64
 }
@@ -139,20 +134,13 @@ type Tree struct {
 	bboxMin, bboxMax []float64
 	// rect32 is the query-path copy of the boxes: per node, dim
 	// interleaved (lo, hi) float32 pairs, rounded outward so the box
-	// always contains the exact one. Outward rounding keeps the
-	// conservative classification sound (see rectTest32); interleaving
-	// halves the cache lines a box test touches.
-	rect32 []float32
-	// halfDiagSq holds each box's squared half-diagonal. A box can only
-	// lie inside a query ball if its half-diagonal is at most eps (the
-	// farthest corner from any point is at least that far), so one scalar
-	// compare gates the whole-box inclusion test — in high dimensions,
-	// where boxes are wide relative to useful eps values, the inclusion
-	// arithmetic is skipped at almost every node.
-	halfDiagSq []float64
-	root       int32
-	leafSize   int
-	buildOps   int64
+	// always contains the exact one. Outward rounding keeps exclusion
+	// sound (see misses32); interleaving halves the cache lines a box
+	// test touches.
+	rect32   []float32
+	root     int32
+	leafSize int
+	buildOps int64
 }
 
 var _ Index = (*Tree)(nil)
@@ -243,7 +231,6 @@ func buildTree(ds *geom.Dataset, leafSize, workers int) *Tree {
 		}
 	}
 	t.nodes, t.bboxMin, t.bboxMax = b.nodes, b.bboxMin, b.bboxMax
-	t.halfDiagSq = b.halfDiagSq
 	t.buildOps = b.ops
 	t.packLeaves()
 	return t
@@ -259,7 +246,6 @@ type builder struct {
 	nodes      []node
 	bboxMin    []float64
 	bboxMax    []float64
-	halfDiagSq []float64
 	mins, maxs []float64
 	ops        int64
 }
@@ -302,7 +288,7 @@ func (b *builder) build(lo, hi, cutoff int32, jobs *[]buildJob) int32 {
 	selectNth(b.ds, b.order, lo, hi, mid, dim)
 	splitVal := b.ds.Coords[int(b.order[mid])*b.ds.Dim+dim]
 	// Reserve our slot before recursing so children get higher indices.
-	self := b.emit(node{splitDim: int32(dim), splitVal: splitVal, start: lo, end: hi})
+	self := b.emit(node{splitDim: int32(dim), splitVal: splitVal})
 	left := b.build(lo, mid, cutoff, jobs)
 	right := b.build(mid, hi, cutoff, jobs)
 	if left >= 0 {
@@ -324,12 +310,6 @@ func (b *builder) emit(nd node) int32 {
 	b.nodes = append(b.nodes, nd)
 	b.bboxMin = append(b.bboxMin, b.mins...)
 	b.bboxMax = append(b.bboxMax, b.maxs...)
-	var hd float64
-	for j := range b.mins {
-		span := (b.maxs[j] - b.mins[j]) / 2
-		hd += span * span
-	}
-	b.halfDiagSq = append(b.halfDiagSq, hd)
 	return int32(len(b.nodes) - 1)
 }
 
@@ -363,7 +343,6 @@ func (b *builder) graft(j *buildJob, sub *builder) {
 	}
 	b.bboxMin = append(b.bboxMin, sub.bboxMin...)
 	b.bboxMax = append(b.bboxMax, sub.bboxMax...)
-	b.halfDiagSq = append(b.halfDiagSq, sub.halfDiagSq...)
 	b.ops += sub.ops
 	if j.isLeft {
 		b.nodes[j.parent].left = off
@@ -461,9 +440,10 @@ type query struct {
 	// slice of q32buf kept here would point the struct at itself and
 	// move every caller's query to the heap.)
 	narrow bool
-	// Boxes and narrowed distances are classified against sLo =
-	// eps2-band and sHi = eps2+band; sLo32 and sHi32 are sLo rounded
-	// down and sHi rounded up, the kernel's float32 thresholds.
+	// Boxes are excluded above sHi = eps2+band, and narrowed distances
+	// are classified against sLo = eps2-band and sHi; sLo32 and sHi32
+	// are sLo rounded down and sHi rounded up, the kernel's float32
+	// thresholds.
 	eps2, sLo, sHi float64
 	sLo32, sHi32   float32
 	q32buf         [maxKernelDim]float32
@@ -537,7 +517,7 @@ func absMax(xs []float64) float64 {
 //
 // Derivation: narrowing a coordinate loses at most maxAbs·2⁻²⁴ (half a
 // ulp at the largest magnitude; same for the query side with qMax, one
-// more ulp for the outward-rounded rect bounds rectTest32 consumes),
+// more ulp for the outward-rounded rect bounds misses32 consumes),
 // the float32 subtraction rounds once more, and subnormal narrowing
 // adds an absolute floor — e below bounds the per-dimension delta error
 // with slack to spare. The squared distance s over d dimensions carries
@@ -570,13 +550,12 @@ func (t *Tree) epsBand(dim int, eps2, qMax float64) float64 {
 
 // exactBand is the exact path's band: the half-width around a squared
 // radius s within which float64 sums of d squared per-dimension gaps
-// may disagree with SqDistD's bits. Either sum — a box's nearest or
-// farthest-corner sum, or SqDistD over a point in the box — makes at
-// most d+2 roundings of relative size 2⁻⁵³ (subtraction, product,
-// additions), and products that underflow add an absolute error below
-// 2⁻¹⁰⁷⁵ each. So a box sum above s+band puts every SqDistD inside the
-// box above s, and one at or below s-band puts every one at or below
-// it; the factor 4 leaves slack for both sums and their orders.
+// may disagree with SqDistD's bits. Either sum — a box's nearest-point
+// sum, or SqDistD over a point in the box — makes at most d+2 roundings
+// of relative size 2⁻⁵³ (subtraction, product, additions), and products
+// that underflow add an absolute error below 2⁻¹⁰⁷⁵ each. So a box sum
+// above s+band puts every SqDistD inside the box above s; the factor 4
+// leaves slack for both sums and their orders.
 func exactBand(dim int, s float64) float64 {
 	const u = 1.0 / (1 << 53)
 	return 4*float64(dim+4)*u*s + float64(dim)*0x1p-1022
@@ -685,76 +664,49 @@ func (t *Tree) MemoryBytes() int64 {
 		int32Bytes*int64(len(t.order)) +
 		int64Bytes*int64(len(t.leafOff)) +
 		f32Bytes*int64(len(t.packed)+len(t.rect32)) +
-		f64Bytes*int64(len(t.bboxMin)+len(t.bboxMax)+len(t.halfDiagSq))
+		f64Bytes*int64(len(t.bboxMin)+len(t.bboxMax))
 }
 
-// Outcomes of the fused bbox-vs-query-ball classification.
-const (
-	rectOutside = iota // bbox misses the ball: skip the subtree
-	rectPartial        // bbox straddles the ball: descend / scan
-	rectInside         // bbox inside the ball: report wholesale
-)
-
-// rectTest is rectTest32's exact-path twin over the float64 boxes, for
-// queries the float32 kernel does not serve (d > maxKernelDim). Its
-// sums round too, so it excludes a box only above sHi and includes one
-// only at or below sLo, eps2 ∓ exactBand: a box on either side of that
-// band holds only points SqDistD decides the same way, and a box
-// inside it is left to the leaf rows. The per-dimension nearest and
-// farthest contributions use the builtin float max, which compiles
-// branch-free; the exclusion sum short-circuits (a predictable,
-// rarely-taken branch) so far subtrees are rejected after a few
-// dimensions, and the inclusion sum runs only when the precomputed
-// half-diagonal says inclusion is geometrically possible at all.
-func (t *Tree) rectTest(ni int32, q []float64, eps2, sLo, sHi float64) int {
-	d := len(q)
+// boxMisses reports whether node ni's float64 box misses the eps ball
+// of every point in the box [lo, hi]: the boxes' nearest-point squared
+// distance exceeds sHi = eps2+band. That sum bounds every query–point
+// pair's from below, and the band covers its rounding (see exactBand),
+// so a box holding a neighbour is never excluded. A query point is the
+// box [q, q], which makes this the exact path's point test too (d >
+// maxKernelDim). The sum short-circuits (a predictable, rarely-taken
+// branch), so far subtrees are rejected after a few dimensions. A NaN
+// coordinate excludes nothing.
+func (t *Tree) boxMisses(ni int32, lo, hi []float64, sHi float64) bool {
+	d := len(lo)
 	off := int(ni) * d
 	mins := t.bboxMin[off : off+d : off+d]
 	maxs := t.bboxMax[off : off+d : off+d]
 	var minSq float64
-	for j, v := range q {
-		// Nearest-point contribution: max(lo-v, v-hi, 0).
-		m := max(mins[j]-v, v-maxs[j], 0)
+	for j := range lo {
+		// Nearest-gap contribution; the builtin max compiles branch-free.
+		m := max(mins[j]-hi[j], lo[j]-maxs[j], 0)
 		minSq += m * m
 		if minSq > sHi {
-			return rectOutside
+			return true
 		}
 	}
-	if t.halfDiagSq[ni] > eps2 {
-		// The farthest corner is at least half a diagonal from any query
-		// point; a box wider than the ball can never be inside it.
-		return rectPartial
-	}
-	var maxSq float64
-	for j, v := range q {
-		// Farthest-corner contribution: max(v-lo, hi-v).
-		f := max(v-mins[j], maxs[j]-v)
-		maxSq += f * f
-	}
-	if maxSq <= sLo {
-		return rectInside
-	}
-	return rectPartial
+	return false
 }
 
-// rectTest32 is the query-path box classification over the float32
+// misses32 is boxMisses for a narrowed query point over the float32
 // interleaved rect copy. The outward-rounded boxes make the float32
 // nearest-point sum an underestimate of the exact one up to the
-// arithmetic rounding covered by the query's certainty band, so
-// exclusion compares against sHi = eps2+band; symmetrically the
-// farthest-corner sum overestimates and inclusion compares against
-// sLo = eps2-band. Boundary boxes land on rectPartial and are resolved
-// by descent — never misclassified.
-func (t *Tree) rectTest32(ni int32, q32 []float32, eps2, sLo, sHi float64) int {
+// arithmetic rounding the query's certainty band covers, so comparing
+// it against sHi = eps2+band never excludes a box holding a neighbour.
+func (t *Tree) misses32(ni int32, q32 []float32, sHi float64) bool {
 	d := len(q32)
 	off := int(ni) * 2 * d
 	r := t.rect32[off : off+2*d : off+2*d]
-	var minSq float32
 	if d == 10 {
 		// The paper's dimensionality gets a fully unrolled, branch-free
-		// exclusion sum: on the search frontier the per-dimension early
-		// exit below mispredicts roughly half the time, which costs more
-		// than the ten spare multiplies.
+		// sum: on the search frontier the per-dimension early exit below
+		// mispredicts roughly half the time, which costs more than the
+		// ten spare multiplies.
 		m0 := max(r[0]-q32[0], q32[0]-r[1], 0)
 		m1 := max(r[2]-q32[1], q32[1]-r[3], 0)
 		m2 := max(r[4]-q32[2], q32[2]-r[5], 0)
@@ -765,33 +717,20 @@ func (t *Tree) rectTest32(ni int32, q32 []float32, eps2, sLo, sHi float64) int {
 		m7 := max(r[14]-q32[7], q32[7]-r[15], 0)
 		m8 := max(r[16]-q32[8], q32[8]-r[17], 0)
 		m9 := max(r[18]-q32[9], q32[9]-r[19], 0)
-		minSq = ((m0*m0 + m1*m1) + (m2*m2 + m3*m3)) +
+		minSq := ((m0*m0 + m1*m1) + (m2*m2 + m3*m3)) +
 			((m4*m4 + m5*m5) + (m6*m6 + m7*m7)) +
 			(m8*m8 + m9*m9)
-		if float64(minSq) > sHi {
-			return rectOutside
-		}
-	} else {
-		for j, v := range q32 {
-			m := max(r[2*j]-v, v-r[2*j+1], 0)
-			minSq += m * m
-			if float64(minSq) > sHi {
-				return rectOutside
-			}
-		}
+		return float64(minSq) > sHi
 	}
-	if t.halfDiagSq[ni] > eps2 {
-		return rectPartial
-	}
-	var maxSq float32
+	var minSq float32
 	for j, v := range q32 {
-		f := max(v-r[2*j], r[2*j+1]-v)
-		maxSq += f * f
+		m := max(r[2*j]-v, v-r[2*j+1], 0)
+		minSq += m * m
+		if float64(minSq) > sHi {
+			return true
+		}
 	}
-	if float64(maxSq) <= sLo {
-		return rectInside
-	}
-	return rectPartial
+	return false
 }
 
 // Radius implements Index.
@@ -825,14 +764,14 @@ func (t *Tree) search(q []float64, eps float64, max int, out []int32, stats *Sea
 }
 
 // radiusIter is the iterative range search: pop a node, skip it if its
-// bbox misses the query ball, report its whole order range if the bbox
-// sits inside the ball, otherwise scan (leaf) or descend (internal).
-// The near child is pushed last so it is explored first, which lets
-// RadiusLimit fill up with close neighbours before the cap triggers.
+// bbox misses the query ball, otherwise scan (leaf) or descend
+// (internal). The near child is pushed last so it is explored first,
+// which lets RadiusLimit fill up with close neighbours before the cap
+// triggers.
 func (t *Tree) radiusIter(q []float64, eps2 float64, max int, out []int32, stats *SearchStats) []int32 {
 	var qs query
 	t.prepare(&qs, q, eps2)
-	q32, sLo, sHi := qs.q32(), qs.sLo, qs.sHi
+	q32, sHi := qs.q32(), qs.sHi
 	var stack [maxDepth]int32
 	stack[0] = t.root
 	sp := 1
@@ -840,28 +779,16 @@ func (t *Tree) radiusIter(q []float64, eps2 float64, max int, out []int32, stats
 		sp--
 		ni := stack[sp]
 		stats.NodesVisited++
-		var cls int
+		var miss bool
 		if q32 != nil {
-			cls = t.rectTest32(ni, q32, eps2, sLo, sHi)
+			miss = t.misses32(ni, q32, sHi)
 		} else {
-			cls = t.rectTest(ni, q, eps2, sLo, sHi)
+			miss = t.boxMisses(ni, q, q, sHi)
 		}
-		if cls == rectOutside {
+		if miss {
 			continue
 		}
 		nd := &t.nodes[ni]
-		if cls == rectInside {
-			stats.NodesIncluded++
-			take := int(nd.end - nd.start)
-			if max >= 0 && len(out)+take > max {
-				take = max - len(out)
-			}
-			out = append(out, t.order[nd.start:nd.start+int32(take)]...)
-			if max >= 0 && len(out) >= max {
-				return out
-			}
-			continue
-		}
 		if nd.splitDim < 0 {
 			var capped bool
 			out, capped = t.scanLeaf(ni, &qs, max, out, stats)
@@ -872,7 +799,7 @@ func (t *Tree) radiusIter(q []float64, eps2 float64, max int, out []int32, stats
 		}
 		// The children's own bbox tests subsume this hyperplane check,
 		// but skipping a far child here is one multiply instead of a
-		// pop + rect classification. It is exact: every point beyond the
+		// pop + box test. It is exact: every point beyond the
 		// plane has a gap on this axis at least |dd|, so SqDistD's
 		// monotone sum is at least dd*dd. Near child is pushed last so it
 		// pops first.

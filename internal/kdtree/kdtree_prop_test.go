@@ -72,9 +72,9 @@ func TestPackedTreeEquivalenceAcrossLeafSizes(t *testing.T) {
 
 func TestPackedTreeEquivalenceAllIdentical(t *testing.T) {
 	// The degenerate dataset: every point identical, which forces one
-	// oversized leaf regardless of leaf size and exercises the bbox
-	// inclusion fast path (a point-sized box is always fully inside or
-	// fully outside the ball).
+	// oversized leaf regardless of leaf size. A ball around the points
+	// scans that leaf (in leafChunk pieces) and computes one distance
+	// per point.
 	for _, ls := range propLeafSizes {
 		ds := geom.NewDataset(257, 3)
 		for i := int32(0); i < 257; i++ {
@@ -87,11 +87,8 @@ func TestPackedTreeEquivalenceAllIdentical(t *testing.T) {
 		checkEquivalence(t, tree, bf, []float64{4, 5, 6.5}, 0.5, 300)
 		var stats SearchStats
 		tree.Radius([]float64{4, 5, 6}, 1, nil, &stats)
-		if stats.NodesIncluded == 0 {
-			t.Fatalf("expected bbox inclusion on identical points: %+v", stats)
-		}
-		if stats.DistComps != 0 {
-			t.Fatalf("inclusion should not compute distances: %+v", stats)
+		if stats.DistComps != 257 || stats.Reported != 257 {
+			t.Fatalf("want the one leaf scanned, 257 distances for 257 neighbours: %+v", stats)
 		}
 	}
 }
@@ -160,15 +157,19 @@ func TestRadiusQuickProperty(t *testing.T) {
 }
 
 // FuzzRadiusEquivalence is the go-native fuzz entry for the same
-// property; `go test` runs the seed corpus, `go test -fuzz=Radius`
-// explores further.
+// property, over every descent: Radius, RadiusLimit, MinKey and one
+// RadiusBlock over the first run of the leaf order, on both leaf paths
+// (float32 at d ≤ 32, float64 above). `go test` runs the seed corpus,
+// `go test -fuzz=Radius` explores further.
 func FuzzRadiusEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint8(2), uint8(1), 12.0)
 	f.Add(uint64(99), uint16(333), uint8(10), uint8(0), 30.0)
 	f.Add(uint64(7), uint16(1), uint8(1), uint8(3), 1.0)
+	f.Add(uint64(5), uint16(500), uint8(4), uint8(2), 1e5) // ball covers the dataset
+	f.Add(uint64(3), uint16(200), uint8(35), uint8(1), 300.0)
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, dimRaw, lsRaw uint8, eps float64) {
 		n := int(nRaw%600) + 1
-		dim := int(dimRaw%12) + 1
+		dim := int(dimRaw%40) + 1
 		ls := propLeafSizes[int(lsRaw)%len(propLeafSizes)]
 		if eps != eps || eps <= 0 || eps > 1e6 { // NaN / nonpositive / absurd
 			return
@@ -181,7 +182,25 @@ func FuzzRadiusEquivalence(f *testing.F) {
 		for j := range q {
 			q[j] = r.Float64() * 100
 		}
-		checkEquivalence(t, tree, bf, q, eps, 1+int(seed%16))
+		limit := 1 + int(seed%16)
+		checkEquivalence(t, tree, bf, q, eps, limit)
+		keys := make([]int32, n)
+		for i := range keys {
+			keys[i] = int32(r.Intn(n))
+		}
+		wantKey, wantCount := bruteMinKey(bf, keys, q, eps, limit)
+		if key, count := tree.MinKey(q, eps, keys, tree.KeyMins(keys), limit, nil); key != wantKey || count != wantCount {
+			t.Fatalf("MinKey = (%d, %d), brute force (%d, %d)", key, count, wantKey, wantCount)
+		}
+		var blk Block
+		pts := tree.Order()[:min(n, BlockSize)]
+		tree.RadiusBlock(pts, eps, &blk, nil)
+		for k, p := range pts {
+			got, want := sortedCopy(blk.Neighbors(k)), sortedCopy(bf.Radius(ds.At(p), eps, nil, nil))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("RadiusBlock query %d: got %v want %v", p, got, want)
+			}
+		}
 	})
 }
 
@@ -236,24 +255,6 @@ func TestMemoryBytesTracksPayload(t *testing.T) {
 	small := BuildLeafSize(geom.NewDataset(0, 3), 16)
 	if small.MemoryBytes() != 0 {
 		t.Fatalf("empty tree reports %d bytes", small.MemoryBytes())
-	}
-}
-
-func TestInclusionStatsMetered(t *testing.T) {
-	// A huge ball over a clustered dataset must trigger subtree
-	// inclusion, and the inclusion events must be metered.
-	ds := clusteredDataset(91, 5000, 2, 3, 5)
-	tree := Build(ds)
-	var stats SearchStats
-	out := tree.Radius(ds.At(0), 1e6, nil, &stats)
-	if len(out) != 5000 {
-		t.Fatalf("cover-all query returned %d", len(out))
-	}
-	if stats.NodesIncluded == 0 {
-		t.Fatalf("no inclusion events on cover-all query: %+v", stats)
-	}
-	if stats.Reported != 5000 {
-		t.Fatalf("Reported = %d", stats.Reported)
 	}
 }
 

@@ -39,10 +39,9 @@ func (t *Tree) KeyMins(keys []int32) []int32 {
 // limit it visits every node Radius would; from then on it skips,
 // with no box test, every node whose minimum is not below the least
 // key found so far, because nothing under such a node can lower the
-// answer and the count no longer needs to grow. A node inside the
-// ball adds its size and its minimum; a leaf's points are classified
-// by leafHits, as scanLeaf classifies them, so every point counts
-// exactly when Radius would report it. stats may be nil.
+// answer and the count no longer needs to grow. A leaf's points are
+// classified by leafHits, as scanLeaf classifies them, so every point
+// counts exactly when Radius would report it. stats may be nil.
 func (t *Tree) MinKey(q []float64, eps float64, keys, mins []int32, limit int, stats *SearchStats) (key int32, count int) {
 	key = NoKey
 	if t.root < 0 {
@@ -50,7 +49,7 @@ func (t *Tree) MinKey(q []float64, eps float64, keys, mins []int32, limit int, s
 	}
 	var qs query
 	t.prepare(&qs, q, eps*eps)
-	q32, eps2, sLo, sHi := qs.q32(), qs.eps2, qs.sLo, qs.sHi
+	q32, eps2, sHi := qs.q32(), qs.eps2, qs.sHi
 	var local SearchStats
 	var stack [maxDepth]int32
 	stack[0] = t.root
@@ -62,22 +61,16 @@ func (t *Tree) MinKey(q []float64, eps float64, keys, mins []int32, limit int, s
 			continue
 		}
 		local.NodesVisited++
-		var cls int
+		var miss bool
 		if q32 != nil {
-			cls = t.rectTest32(ni, q32, eps2, sLo, sHi)
+			miss = t.misses32(ni, q32, sHi)
 		} else {
-			cls = t.rectTest(ni, q, eps2, sLo, sHi)
+			miss = t.boxMisses(ni, q, q, sHi)
 		}
-		if cls == rectOutside {
+		if miss {
 			continue
 		}
 		nd := &t.nodes[ni]
-		if cls == rectInside {
-			local.NodesIncluded++
-			count += int(nd.end - nd.start)
-			key = min(key, mins[ni])
-			continue
-		}
 		if nd.splitDim < 0 {
 			local.DistComps += int64(nd.end - nd.start)
 			for lo := nd.start; lo < nd.end; lo += leafChunk {

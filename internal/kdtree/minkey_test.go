@@ -24,7 +24,8 @@ func bruteMinKey(bf *BruteForce, keys []int32, q []float64, eps float64, limit i
 // contract against brute force on both distance paths (d ≤ 32 float32
 // kernel, d > 32 float64 rows), at every property-test leaf size, for
 // key arrays with sparse, dense and no finite keys, caps from 0 to
-// beyond n, and queries on, near and far from the data.
+// beyond n, queries on, near and far from the data, and a ball wider
+// than the whole dataset.
 func TestMinKeyMatchesBruteForce(t *testing.T) {
 	identical := geom.NewDataset(300, 3)
 	for i := range identical.Coords {
@@ -41,6 +42,7 @@ func TestMinKeyMatchesBruteForce(t *testing.T) {
 		{"clustered/d33", clusteredDataset(4, 800, 33, 5, 2), 14},
 		{"uniform/d64", randomDataset(5, 400, 64), 250},
 		{"identical/d3", identical, 1},
+		{"cover-all/d2", clusteredDataset(91, 2000, 2, 3, 5), 1e5},
 	} {
 		n := tc.ds.Len()
 		r := rng.New(uint64(n) ^ 0x3e7)

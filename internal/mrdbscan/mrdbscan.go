@@ -158,7 +158,6 @@ func Run(ds *geom.Dataset, cfg Config) (*Result, error) {
 					}
 				}
 				w.KDNodes += stats.NodesVisited
-				w.KDIncluded += stats.NodesIncluded
 				w.DistComps += stats.DistComps
 				return nil
 			},

@@ -156,7 +156,6 @@ func Run(ds *geom.Dataset, tree *kdtree.Tree, cfg Config) (*Result, error) {
 		res.Stats.Add(st)
 		res.Work.Add(shards[i].work)
 		res.Work.KDNodes += st.NodesVisited
-		res.Work.KDIncluded += st.NodesIncluded
 		res.Work.DistComps += st.DistComps
 	}
 	for _, l := range res.Labels {

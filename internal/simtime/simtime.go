@@ -21,7 +21,6 @@ package simtime
 // empty ledger.
 type Work struct {
 	KDNodes        int64 // kd-tree nodes visited during queries
-	KDIncluded     int64 // kd-subtrees reported wholesale via bbox inclusion
 	DistComps      int64 // full d-dimensional distance computations
 	QueueOps       int64 // FIFO push/pop during cluster expansion
 	HashOps        int64 // visited/membership table operations
@@ -59,7 +58,6 @@ type Work struct {
 // Add accumulates o into w.
 func (w *Work) Add(o Work) {
 	w.KDNodes += o.KDNodes
-	w.KDIncluded += o.KDIncluded
 	w.DistComps += o.DistComps
 	w.QueueOps += o.QueueOps
 	w.HashOps += o.HashOps
@@ -93,7 +91,6 @@ func (w Work) IsZero() bool { return w == Work{} }
 // walks the struct by reflection to enforce exactly that).
 func Scale(w Work, f float64) Work {
 	w.KDNodes = int64(float64(w.KDNodes) * f)
-	w.KDIncluded = int64(float64(w.KDIncluded) * f)
 	w.DistComps = int64(float64(w.DistComps) * f)
 	w.QueueOps = int64(float64(w.QueueOps) * f)
 	w.HashOps = int64(float64(w.HashOps) * f)
@@ -121,7 +118,6 @@ func Scale(w Work, f float64) Work {
 // single unit (per node, per byte, ...).
 type CostModel struct {
 	KDNode        float64
-	KDInclude     float64 // per subtree reported wholesale by bbox inclusion
 	DistComp      float64
 	QueueOp       float64
 	HashOp        float64
@@ -186,7 +182,6 @@ type CostModel struct {
 func DefaultModel() *CostModel {
 	return &CostModel{
 		KDNode:        2e-6,
-		KDInclude:     2e-6,
 		DistComp:      1e-5,
 		QueueOp:       6e-7,
 		HashOp:        9e-7,
@@ -213,7 +208,6 @@ func DefaultModel() *CostModel {
 // Seconds converts a ledger into simulated seconds under m.
 func (m *CostModel) Seconds(w Work) float64 {
 	return float64(w.KDNodes)*m.KDNode +
-		float64(w.KDIncluded)*m.KDInclude +
 		float64(w.DistComps)*m.DistComp +
 		float64(w.QueueOps)*m.QueueOp +
 		float64(w.HashOps)*m.HashOp +

@@ -11,7 +11,7 @@ func TestAddAccumulatesEveryField(t *testing.T) {
 	a := Work{KDNodes: 1, DistComps: 2, QueueOps: 3, HashOps: 4, Elems: 5,
 		TreeBuildOps: 6, MergeOps: 7, SortComps: 8, SerBytes: 9,
 		DiskWriteBytes: 10, DiskReadBytes: 11, NetBytes: 12, HDFSBytes: 13, TaskLaunches: 14,
-		KDIncluded: 15, ChecksumBytes: 16, HDFSRereadBytes: 17, ReReplBytes: 18,
+		ChecksumBytes: 16, HDFSRereadBytes: 17, ReReplBytes: 18,
 		StorageRetries: 19, StorageBackoffSecs: 0.5}
 	var w Work
 	w.Add(a)
@@ -19,7 +19,7 @@ func TestAddAccumulatesEveryField(t *testing.T) {
 	if w != (Work{KDNodes: 2, DistComps: 4, QueueOps: 6, HashOps: 8, Elems: 10,
 		TreeBuildOps: 12, MergeOps: 14, SortComps: 16, SerBytes: 18,
 		DiskWriteBytes: 20, DiskReadBytes: 22, NetBytes: 24, HDFSBytes: 26, TaskLaunches: 28,
-		KDIncluded: 30, ChecksumBytes: 32, HDFSRereadBytes: 34, ReReplBytes: 36,
+		ChecksumBytes: 32, HDFSRereadBytes: 34, ReReplBytes: 36,
 		StorageRetries: 38, StorageBackoffSecs: 1}) {
 		t.Fatalf("Add missed a field: %+v", w)
 	}
@@ -66,7 +66,7 @@ func TestDefaultModelAnchors(t *testing.T) {
 	m := DefaultModel()
 	// All unit costs must be positive.
 	for name, v := range map[string]float64{
-		"KDNode": m.KDNode, "KDInclude": m.KDInclude, "DistComp": m.DistComp, "QueueOp": m.QueueOp,
+		"KDNode": m.KDNode, "DistComp": m.DistComp, "QueueOp": m.QueueOp,
 		"HashOp": m.HashOp, "Elem": m.Elem, "TreeBuildOp": m.TreeBuildOp,
 		"MergeOp": m.MergeOp, "SortComp": m.SortComp, "SerByte": m.SerByte,
 		"DiskWriteByte": m.DiskWriteByte, "DiskReadByte": m.DiskReadByte,
