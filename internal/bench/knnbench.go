@@ -23,18 +23,29 @@ import (
 // exact DBSCAN reference (brute-force radius scan — the honest exact
 // baseline at d=128, where the kd-tree cannot prune) with NMI and ARI.
 //
-// Gates: at the default k (16) both graphs must reach NMI >= 0.99
-// against exact DBSCAN; KNN-DBSCAN labels on the approximate graph
-// must be byte-identical across DSU worker counts; and outside a smoke
-// run (the full n=20k, d=128) the approximate build must be >= 3x
-// faster than the exact build at the same k.
+// At the default k (16) the two builds are timed in defaultKReps
+// alternating repetitions and each arm reports its median, so the
+// speed gate compares the two builders across the same stretch of host
+// drift rather than across one window each; the other k values run
+// one pass each.
+//
+// Gates: at the default k both graphs must reach NMI >= 0.99 against
+// exact DBSCAN; KNN-DBSCAN labels on the approximate graph must be
+// byte-identical across DSU worker counts; and outside a smoke run (the
+// full n=20k, d=128) the approximate build's median must be >= 3x
+// faster than the exact build's.
+
+// defaultKReps is how many alternating exact/NN-descent build pairs
+// the default k times.
+const defaultKReps = 3
 
 // KNNBenchArm is one (builder, k) cell of the frontier.
 type KNNBenchArm struct {
 	Algo string `json:"algo"`
 	K    int    `json:"k"`
-	// BuildSeconds is the wall-clock graph construction time;
-	// ClusterSeconds the KNN-DBSCAN pass over the finished graph.
+	// BuildSeconds is the wall-clock graph construction time (at the
+	// default k, the median of defaultKReps builds); ClusterSeconds the
+	// KNN-DBSCAN pass over the finished graph.
 	BuildSeconds   float64 `json:"build_seconds"`
 	ClusterSeconds float64 `json:"cluster_seconds"`
 	// Recall is the mean fraction of the exact k-nearest lists the
@@ -148,19 +159,29 @@ func runKNNBench(w io.Writer, c Config) (Report, error) {
 	tw := newTabWriter(w)
 	fmt.Fprintln(tw, "algo\tk\tbuild\tcluster\trecall\tNMI\tARI\tclusters\tnoise\tspeedup")
 	for _, k := range ks {
-		start := time.Now()
-		exact, err := knng.BuildExact(ds, k, 0)
-		if err != nil {
-			return Report{}, err
+		reps := 1
+		if k == defaultK {
+			reps = defaultKReps
 		}
-		exactSec := time.Since(start).Seconds()
+		// Both builders are deterministic, so every repetition yields
+		// the same graphs; the last pair is scored.
+		var exact, approx *knng.Graph
+		var exactTimes, approxTimes []float64
+		for range reps {
+			start := time.Now()
+			if exact, err = knng.BuildExact(ds, k, 0); err != nil {
+				return Report{}, err
+			}
+			exactTimes = append(exactTimes, time.Since(start).Seconds())
 
-		start = time.Now()
-		approx, err := knng.BuildNNDescent(ds, k, knng.ApproxOptions{Seed: seed})
-		if err != nil {
-			return Report{}, err
+			start = time.Now()
+			if approx, err = knng.BuildNNDescent(ds, k, knng.ApproxOptions{Seed: seed}); err != nil {
+				return Report{}, err
+			}
+			approxTimes = append(approxTimes, time.Since(start).Seconds())
 		}
-		approxSec := time.Since(start).Seconds()
+		_, exactSec, _ := quartiles(exactTimes)
+		_, approxSec, _ := quartiles(approxTimes)
 		recall, err := eval.RecallAtK(approx.Idx, exact.Idx, k)
 		if err != nil {
 			return Report{}, err
@@ -212,13 +233,15 @@ func runKNNBench(w io.Writer, c Config) (Report, error) {
 		defaultK, report.NMIExactAtDefaultK, report.NMIApproxAtDefaultK, report.SpeedupAtDefaultK)
 
 	rep := Report{
-		Method: "For each k, time the exact blocked brute-force kNN build and the seeded " +
+		Method: "For each k, time the exact tiled brute-force kNN build and the seeded " +
 			"NN-descent build on the embed20k mixture (d=128 unit-sphere Gaussian caps), " +
 			"score NN-descent's neighbour recall against the exact lists, run KNN-DBSCAN " +
 			"on every graph and score its labels against the exact DBSCAN reference " +
 			"(brute-force radius scan) with NMI/ARI. Gates: NMI >= 0.99 at k=16 on both " +
 			"graphs, labels byte-identical across DSU worker counts, and outside a smoke " +
-			"run the approximate build >= 3x faster than exact at the same k.",
+			"run the approximate build >= 3x faster than exact at k=16. At k=16 the two " +
+			"builds alternate three times and each arm reports its median build time; " +
+			"k=8 and k=32 are one pass each.",
 		Result: report,
 	}
 	rep.gate("labels-deterministic", report.LabelsDeterministic,

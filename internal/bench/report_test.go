@@ -101,6 +101,60 @@ func TestCommittedReports(t *testing.T) {
 	}
 }
 
+// TestSimulatedReportsReproduce reruns every simulated-clock bench at
+// its full default configuration and checks that the result body equals
+// the committed BENCH_<name>.json's: those figures are a pure function
+// of the code, so a change that moves one must re-record the report.
+func TestSimulatedReportsReproduce(t *testing.T) {
+	for _, b := range Benches() {
+		if b.Clock != ClockSimulated {
+			continue
+		}
+		t.Run(b.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			var out bytes.Buffer
+			if err := RunBenches(&out, b.Name, Config{}, dir); err != nil {
+				t.Fatalf("%v\noutput:\n%s", err, out.String())
+			}
+			file := "BENCH_" + b.Name + ".json"
+			want := resultLines(t, filepath.Join("..", "..", file))
+			got := resultLines(t, filepath.Join(dir, file))
+			for i := 0; i < len(want) || i < len(got); i++ {
+				if i >= len(want) || i >= len(got) || want[i] != got[i] {
+					t.Fatalf("%s does not reproduce: result line %d is %q, committed %q; re-record it with `benchrunner -bench %s -out .`",
+						file, i+1, lineAt(got, i), lineAt(want, i), b.Name)
+				}
+			}
+		})
+	}
+}
+
+// resultLines reads a report's result body and returns it as indented
+// JSON lines with object keys sorted.
+func resultLines(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct{ Result any }
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	norm, err := json.MarshalIndent(env.Result, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(norm), "\n")
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return strings.TrimSpace(lines[i])
+	}
+	return "(end)"
+}
+
 func TestParseBenches(t *testing.T) {
 	all, err := parseBenches("all")
 	if err != nil || len(all) != len(Benches()) {

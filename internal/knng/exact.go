@@ -7,19 +7,27 @@ import (
 	"sparkdbscan/internal/geom"
 )
 
-// queryBlock is how many query points one worker claims at a time.
-// Blocks keep the work queue coarse (one atomic per block, not per
-// point) while staying small enough that the last block never leaves a
-// worker idle for long.
-const queryBlock = 256
+// Exact-scan tiling. A worker claims queryBlock query points at a time
+// (one atomic per block, not per point, while the last block never
+// leaves a worker idle for long). Within a block, each group of
+// querySubBlock queries sweeps the dataset in rowTile-row tiles: at
+// d=128 a tile is 512 KB, so it stays in L2 while every query of the
+// group scans it, and the dataset streams from memory once per group
+// instead of once per query.
+const (
+	queryBlock    = 256
+	querySubBlock = 32
+	rowTile       = 512
+)
 
 // BuildExact builds the exact kNN graph by blocked brute force: each
-// worker claims a block of query points and scans the whole dataset,
-// keeping the k best per query in a bounded heap with an early-exit
-// distance kernel thresholded at the current worst. O(n²d) worst case —
-// this is the baseline the approximate builder is benchmarked against,
-// and the only exact option once d is high enough that tree pruning
-// stops working (see the kd-tree high-dimension tests).
+// worker claims a block of query points and sweeps the dataset tile by
+// tile, keeping the k best per query in a bounded heap with an
+// early-exit distance kernel thresholded at the current worst. O(n²d)
+// worst case — this is the baseline the approximate builder is
+// benchmarked against, and the only exact option once d is high enough
+// that tree pruning stops working (see the kd-tree high-dimension
+// tests).
 //
 // Every query's list depends only on the dataset, so the result is
 // byte-identical for every worker count. workers <= 0 uses GOMAXPROCS.
@@ -42,15 +50,20 @@ func BuildExact(ds *geom.Dataset, k, workers int) (*Graph, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := heapList{idx: make([]int32, k), d2: make([]float64, k)}
+			idx := make([]int32, querySubBlock*k)
+			d2 := make([]float64, querySubBlock*k)
+			var heaps [querySubBlock]heapList
+			for i := range heaps {
+				heaps[i] = heapList{idx: idx[i*k : (i+1)*k], d2: d2[i*k : (i+1)*k]}
+			}
 			for lo := range blocks {
-				hi := lo + queryBlock
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					exactQuery(ds, int32(i), &h)
-					h.extract(g.Idx[i*k:(i+1)*k], g.Dist[i*k:(i+1)*k])
+				hi := min(lo+queryBlock, n)
+				for s := lo; s < hi; s += querySubBlock {
+					e := min(s+querySubBlock, hi)
+					sweepTiles(ds, int32(s), heaps[:e-s])
+					for i := s; i < e; i++ {
+						heaps[i-s].extract(g.Idx[i*k:(i+1)*k], g.Dist[i*k:(i+1)*k])
+					}
 				}
 			}
 		}()
@@ -63,38 +76,53 @@ func BuildExact(ds *geom.Dataset, k, workers int) (*Graph, error) {
 	return g, nil
 }
 
-// exactQuery fills h with query point q's k nearest neighbours.
-func exactQuery(ds *geom.Dataset, q int32, h *heapList) {
+// sweepTiles fills heaps[i] with query point q0+i's k nearest
+// neighbours. Tiles run in ascending row order and each query keeps its
+// heap and its seeding count from one tile to the next, so every query
+// still sees the rows in ascending order.
+func sweepTiles(ds *geom.Dataset, q0 int32, heaps []heapList) {
+	var filled [querySubBlock]int
+	n := int32(ds.Len())
+	for lo := int32(0); lo < n; lo += rowTile {
+		hi := min(lo+rowTile, n)
+		for i := range heaps {
+			filled[i] = scanRows(ds, q0+int32(i), &heaps[i], filled[i], lo, hi)
+		}
+	}
+}
+
+// scanRows offers rows [lo, hi) to query point q's list and returns the
+// updated seeding count. The first k non-self rows of the dataset seed
+// the list at full distance; the heap is ordered once the k-th arrives.
+// The rest run four at a time through the fused early-exit kernel: a
+// candidate whose partial sum already clears the heap's worst at the
+// start of its group (plus an ulp margin for checkpoint rounding) is
+// dropped mid-scan; a completed scan returns the canonical SqDistD
+// value bit-identically, so the stored distance is the one any other
+// code path would compute. push re-tests against the current worst, so
+// the list equals a one-row-at-a-time scan whatever the group and tile
+// boundaries (DESIGN §16).
+func scanRows(ds *geom.Dataset, q int32, h *heapList, filled int, lo, hi int32) int {
 	k := len(h.idx)
 	qc := ds.At(q)
-	n := int32(ds.Len())
-	// Seed the heap with the first k non-self points at full distance.
-	filled := 0
-	var j int32
-	for ; filled < k; j++ {
+	j := lo
+	for ; filled < k && j < hi; j++ {
 		if j == q {
 			continue
 		}
 		h.idx[filled] = j
 		h.d2[filled] = geom.SqDistD(qc, ds.At(j))
-		filled++
+		if filled++; filled == k {
+			h.heapify()
+		}
 	}
-	h.heapify()
-	// Scan the rest four rows at a time through the fused early-exit
-	// kernel: a candidate whose partial sum already clears the heap's
-	// worst at the start of its group (plus an ulp margin for checkpoint
-	// rounding) is dropped mid-scan; a completed scan returns the
-	// canonical SqDistD value bit-identically, so the stored distance is
-	// the one any other code path would compute. push re-tests against
-	// the current worst, so the list equals a one-row-at-a-time scan
-	// (DESIGN §16).
 	var rows [4][]float64
 	var ids [4]int32
 	var d2 [4]float64
 	var ok [4]bool
-	for j < n {
+	for j < hi {
 		m := 0
-		for ; m < 4 && j < n; j++ {
+		for ; m < 4 && j < hi; j++ {
 			if j != q {
 				ids[m], rows[m] = j, ds.At(j)
 				m++
@@ -108,6 +136,7 @@ func exactQuery(ds *geom.Dataset, q int32, h *heapList) {
 			}
 		}
 	}
+	return filled
 }
 
 // distFilterMargin inflates early-exit filter thresholds so that

@@ -79,13 +79,22 @@ func (g *Graph) Prefix(k int) (*Graph, error) {
 }
 
 // validateBuild checks the (dataset, k) combination shared by both
-// builders: every point needs k distinct other points.
+// builders: every point needs k distinct other points, and every
+// coordinate must be finite — a NaN distance orders neither before nor
+// after anything, so it would break the ascending, measured lists a
+// Graph promises.
 func validateBuild(ds *geom.Dataset, k int) error {
 	if k <= 0 {
 		return fmt.Errorf("knng: k must be positive, got %d", k)
 	}
-	if n := ds.Len(); k >= n {
+	n := ds.Len()
+	if k >= n {
 		return fmt.Errorf("knng: k=%d needs at least k+1 points, dataset has %d", k, n)
+	}
+	for i := int32(0); i < int32(n); i++ {
+		if err := geom.CheckFinite(ds.At(i)); err != nil {
+			return fmt.Errorf("knng: point %d: %w", i, err)
+		}
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package knng
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"sparkdbscan/internal/eval"
@@ -94,21 +96,46 @@ func graphsEqual(a, b *Graph) bool {
 }
 
 func TestBuildExactMatchesNaive(t *testing.T) {
-	for _, tc := range []struct{ n, dim, k int }{
+	for _, tc := range []struct {
+		n, dim, k int
+		// dupAt, when set, copies row 3 over rows dupAt-2..dupAt+1 so
+		// equal rows straddle the row tile boundary at dupAt.
+		dupAt int
+	}{
 		{n: 200, dim: 3, k: 5},
 		{n: 150, dim: 16, k: 10},
 		{n: 64, dim: 128, k: 8},
 		{n: 10, dim: 2, k: 9}, // k = n-1: every other point listed
+		// Tile edges. n=1100 leaves a partial last row tile and a
+		// partial last query sub-block. Four equal rows straddle a tile
+		// boundary and k=3, so each of them has one more tie at distance
+		// 0 than its list holds and the index decides across tiles. d=3
+		// takes the portable kernel, d=128 the vector one.
+		{n: 1100, dim: 3, k: 3, dupAt: rowTile},
+		{n: 1100, dim: 128, k: 3, dupAt: 2 * rowTile},
+		// k >= rowTile: seeding crosses a tile boundary, and every query
+		// below k skips itself while seeding.
+		{n: 600, dim: 3, k: rowTile + 8},
+		{n: 600, dim: 128, k: rowTile + 4},
 	} {
-		ds := randomDataset(t, tc.n, tc.dim, uint64(tc.n*tc.dim))
-		want := naiveKNN(ds, tc.k)
-		got, err := BuildExact(ds, tc.k, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graphsEqual(got, want) {
-			t.Fatalf("n=%d dim=%d k=%d: exact graph differs from the naive oracle", tc.n, tc.dim, tc.k)
-		}
+		t.Run(fmt.Sprintf("n=%d/dim=%d/k=%d/dupAt=%d", tc.n, tc.dim, tc.k, tc.dupAt), func(t *testing.T) {
+			ds := randomDataset(t, tc.n, tc.dim, uint64(tc.n*tc.dim))
+			if tc.dupAt > 0 {
+				for j := tc.dupAt - 2; j <= tc.dupAt+1; j++ {
+					copy(ds.At(int32(j)), ds.At(3))
+				}
+			}
+			want := naiveKNN(ds, tc.k)
+			for _, workers := range []int{1, 3} {
+				got, err := BuildExact(ds, tc.k, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !graphsEqual(got, want) {
+					t.Fatalf("workers=%d: exact graph differs from the naive oracle", workers)
+				}
+			}
+		})
 	}
 }
 
@@ -228,6 +255,25 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := BuildNNDescent(ds, 12, ApproxOptions{}); err == nil {
 		t.Fatal("k>n should fail")
+	}
+}
+
+// TestBuildRejectsNonFinite: a NaN or infinite coordinate has no
+// ordered distance, so both builders refuse the dataset, naming the
+// point.
+func TestBuildRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ds := randomDataset(t, 50, 4, 3)
+		ds.At(10)[2] = bad
+		for name, build := range map[string]func() (*Graph, error){
+			"exact":     func() (*Graph, error) { return BuildExact(ds, 5, 2) },
+			"nndescent": func() (*Graph, error) { return BuildNNDescent(ds, 5, ApproxOptions{Seed: 1}) },
+		} {
+			g, err := build()
+			if err == nil || !strings.Contains(err.Error(), "point 10") {
+				t.Errorf("%s with coordinate %v: graph %v, error %v; want an error naming point 10", name, bad, g != nil, err)
+			}
+		}
 	}
 }
 

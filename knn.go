@@ -95,7 +95,7 @@ type KNNResult struct {
 
 // ClusterKNN clusters ds through a kNN graph. Deterministic: exact
 // mode depends only on (ds, cfg); approximate mode additionally only
-// on Seed.
+// on Seed. A NaN or infinite coordinate is an error naming the point.
 func ClusterKNN(ds *Dataset, cfg KNNConfig) (*KNNResult, error) {
 	if cfg.K == 0 {
 		cfg.K = DefaultKNNK

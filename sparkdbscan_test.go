@@ -2,8 +2,10 @@ package sparkdbscan
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -231,6 +233,25 @@ func TestInvalidParams(t *testing.T) {
 	}
 	if _, err := ClusterSequential(ds, 25, 0); err == nil {
 		t.Fatal("minPts=0 accepted")
+	}
+}
+
+// TestClusterKNNRejectsNonFinite: both graph builders refuse a NaN or
+// infinite coordinate, so ClusterKNN fails naming the point instead of
+// clustering on unordered distances.
+func TestClusterKNNRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, algo := range []KNNAlgo{KNNExact, KNNDescent} {
+			ds := NewDataset(30, 3)
+			for i := range ds.Coords {
+				ds.Coords[i] = float64(i % 7)
+			}
+			ds.At(10)[1] = bad
+			res, err := ClusterKNN(ds, KNNConfig{Eps: 2, MinPts: 3, K: 4, Algo: algo, Seed: 1})
+			if err == nil || !strings.Contains(err.Error(), "point 10") {
+				t.Errorf("%v with coordinate %v: result %v, error %v; want an error naming point 10", algo, bad, res != nil, err)
+			}
+		}
 	}
 }
 
