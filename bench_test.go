@@ -288,14 +288,15 @@ func BenchmarkAblationBroadcast(b *testing.B) {
 }
 
 // BenchmarkAblationSpatialPartitioning quantifies the paper's §VI
-// future work: Z-order (neighbourhood-aware) partitioning versus the
-// paper's raw index ranges, at 16 partitions.
+// future work: range partitions cut from the kd-tree's leaf order
+// (neighbourhood-aware) versus the paper's raw index ranges, at 16
+// partitions.
 func BenchmarkAblationSpatialPartitioning(b *testing.B) {
 	ds := benchDataset(b, "r10k", 5000)
 	for _, tc := range []struct {
 		name    string
 		spatial bool
-	}{{"indexRange", false}, {"zorder", true}} {
+	}{{"indexRange", false}, {"leaforder", true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			var partials int
 			var merge float64

@@ -115,7 +115,7 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 		paper   = fs.Bool("paper", false, "use the paper's SEED rule and Algorithm 4 merge (default: exact seeds and the canonical parallel merge)")
 		prune   = fs.Int("prune", 0, "cap neighbour lists at this size (0 = exact search)")
 		real    = fs.Bool("realtime", false, "wall-clock timing instead of the virtual cluster")
-		spatial = fs.Bool("spatial", false, "Z-order (neighbourhood-aware) partitioning")
+		spatial = fs.Bool("spatial", false, "cut range partitions from the kd-tree's leaf order (range mode only; exact labels unchanged)")
 
 		partition = fs.String("partition", "range", "spatial partitioning: range (broadcast the dataset) or cell (eps-halo shuffle)")
 		cellPts   = fs.Int("cellpoints", 0, "cell mode: target home points per cell (0 = default)")

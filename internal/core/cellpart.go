@@ -347,13 +347,6 @@ func cellLocalDBSCAN(ds *geom.Dataset, cell cellInput, rank int32, opts LocalOpt
 	res.Work.TreeBuildOps += tree.BuildOps()
 
 	clusterRange(local, tree, 0, int32(nHome), Partitioner{}, opts, res)
-	for i := range res.Clusters {
-		pc := &res.Clusters[i]
-		for _, s := range [][]int32{pc.Members, pc.Seeds, pc.Borders} {
-			for j, k := range s {
-				s[j] = ids[k]
-			}
-		}
-	}
+	mapIDs(res.Clusters, ids)
 	return res, nil
 }

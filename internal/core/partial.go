@@ -19,7 +19,8 @@ const (
 	// independent of partition shape or accumulator commit order:
 	// Members holds only *core* owned points (Members[0] is the
 	// lowest-index core, because the local scan proceeds in ascending
-	// index order), every owned non-core point reached goes to Borders
+	// index order and mapIDs keeps it lowest when it remaps the ids),
+	// every owned non-core point reached goes to Borders
 	// of EVERY cluster that reaches it, and every foreign point reached
 	// goes to Seeds (its coreness is resolved at the driver: a seed that
 	// is a member somewhere is core, one that is a member nowhere is a
@@ -48,7 +49,8 @@ type PartialCluster struct {
 	// Seq numbers the cluster within its partition.
 	Seq int32
 	// Members are the owned points of the cluster ("regular
-	// elements"): every index lies inside the partition's range.
+	// elements"): every one lies in the partition's range (of the
+	// leaf order under SpatialPartitioning).
 	Members []int32
 	// Seeds are foreign points recorded as merge markers. Per the
 	// paper they are also elements of the final merged cluster
@@ -77,4 +79,26 @@ func (pc *PartialCluster) SizeBytes() int64 {
 func (pc *PartialCluster) String() string {
 	return fmt.Sprintf("PC{part=%d seq=%d members=%d seeds=%d borders=%d}",
 		pc.Partition, pc.Seq, len(pc.Members), len(pc.Seeds), len(pc.Borders))
+}
+
+// mapIDs rewrites the partial clusters' point ids from an executor's
+// local index space to input ids: local id k becomes ids[k]. The
+// canonical merge ranks components by Members[0], so the lowest mapped
+// member is swapped into Members[0]; the others are left in no
+// particular order.
+func mapIDs(clusters []PartialCluster, ids []int32) {
+	for i := range clusters {
+		pc := &clusters[i]
+		for _, s := range [][]int32{pc.Members, pc.Seeds, pc.Borders} {
+			for j, k := range s {
+				s[j] = ids[k]
+			}
+		}
+		m := pc.Members
+		for j := 1; j < len(m); j++ {
+			if m[j] < m[0] {
+				m[0], m[j] = m[j], m[0]
+			}
+		}
+	}
 }

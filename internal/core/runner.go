@@ -30,10 +30,15 @@ type Config struct {
 	// MinLocalClusterSize > 1 makes executors drop partial clusters
 	// below this size before sending them (the paper's r1m filter).
 	MinLocalClusterSize int
-	// SpatialPartitioning reorders points along a Z-order curve before
-	// partitioning, so executors receive spatially coherent blocks —
-	// the paper's §VI future work. Labels in the result refer to the
-	// original point order regardless.
+	// SpatialPartitioning makes range partitions runs of the driver
+	// kd-tree's leaf order instead of input index ranges, so executors
+	// receive spatially coherent blocks — the paper's §VI future work.
+	// The driver reorders the dataset by the tree's leaf order (no sort,
+	// no rebuild) and broadcasts the permutation; executors map their
+	// partial clusters back to input ids. Labels therefore refer to the
+	// input order, and under the exact pair they stay byte-identical to
+	// sequential DBSCAN. Range mode only: cell partitions are spatial
+	// already and ignore it.
 	SpatialPartitioning bool
 	// Partitioning selects how points reach executors: PartRange (the
 	// paper's index ranges over a full-dataset broadcast, the default)
@@ -100,10 +105,13 @@ type Result struct {
 
 // broadcastPayload is what the driver ships to every executor: the
 // dataset, the kd-tree over it, the parameters and the partition table
-// (§IV-B lists exactly these).
+// (§IV-B lists exactly these). Under SpatialPartitioning DS and Tree
+// are in leaf order and Perm maps a leaf position to its input id;
+// otherwise Perm is nil.
 type broadcastPayload struct {
 	DS   *geom.Dataset
 	Tree *kdtree.Tree
+	Perm []int32
 	Part Partitioner
 	Opts LocalOptions
 }
@@ -144,10 +152,7 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 	// Phase 1: Δ — read the input from the (simulated) distributed
 	// filesystem and transform it into Point RDD form (Algorithm 2
 	// lines 1–2). The work is the byte volume plus one transform per
-	// point. With SpatialPartitioning the driver additionally sorts
-	// the points along a Z-order curve (an O(n log n) pass, charged as
-	// such) and the rest of the pipeline runs on the reordered data.
-	var order []int32
+	// point.
 	d0 := driverBefore()
 	err := sctx.RunInDriver("read+transform", func(w *simtime.Work) error {
 		if st != nil && st.InputFile != "" {
@@ -160,12 +165,6 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 			w.HDFSBytes += ds.SizeBytes()
 		}
 		w.Elems += int64(n)
-		if cfg.SpatialPartitioning {
-			order = SpatialOrder(ds)
-			ds = ReorderDataset(ds, order)
-			w.SortComps += sortCost(n)
-			w.Elems += int64(n)
-		}
 		return nil
 	})
 	if err != nil {
@@ -305,9 +304,6 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	if cfg.SpatialPartitioning {
-		res.Global.Labels = InvertOrder(order, res.Global.Labels)
-	}
 	res.Report = sctx.Report()
 	return res, nil
 }

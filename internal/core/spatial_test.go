@@ -1,152 +1,81 @@
 package core
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
+	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/geom"
-	"sparkdbscan/internal/rng"
+	"sparkdbscan/internal/kdtree"
 	"sparkdbscan/internal/spark"
 )
 
-func TestSpatialOrderIsPermutation(t *testing.T) {
-	ds := testDataset(t, "r10k", 2000)
-	order := SpatialOrder(ds)
-	if len(order) != ds.Len() {
-		t.Fatalf("order length %d", len(order))
-	}
-	seen := make([]bool, ds.Len())
-	for _, idx := range order {
-		if idx < 0 || int(idx) >= ds.Len() || seen[idx] {
-			t.Fatalf("not a permutation at %d", idx)
-		}
-		seen[idx] = true
-	}
-}
-
-func TestSpatialOrderImprovesLocality(t *testing.T) {
-	ds := testDataset(t, "r10k", 3000)
-	order := SpatialOrder(ds)
-	reordered := ReorderDataset(ds, order)
-	// Mean distance between index-consecutive points must shrink a lot
-	// compared to the shuffled original.
-	meanStep := func(d *geom.Dataset) float64 {
-		var sum float64
-		for i := int32(0); i+1 < int32(d.Len()); i++ {
-			sum += geom.Dist(d.At(i), d.At(i+1))
-		}
-		return sum / float64(d.Len()-1)
-	}
-	before, after := meanStep(ds), meanStep(reordered)
-	if after > before/2 {
-		t.Fatalf("Z-order did not improve locality: %.1f -> %.1f", before, after)
-	}
-}
-
-func TestSpatialOrderDegenerate(t *testing.T) {
-	// All-identical points: zero span in every dimension.
-	ds := geom.NewDataset(50, 3)
-	for i := int32(0); i < 50; i++ {
-		ds.Set(i, []float64{1, 1, 1})
-	}
-	order := SpatialOrder(ds)
-	if len(order) != 50 {
-		t.Fatal("degenerate order wrong length")
-	}
-	// Empty dataset.
-	if got := SpatialOrder(geom.NewDataset(0, 3)); len(got) != 0 {
-		t.Fatalf("empty order = %v", got)
-	}
-}
-
-func TestReorderAndInvertRoundTrip(t *testing.T) {
-	ds := testDataset(t, "c10k", 500)
-	order := SpatialOrder(ds)
-	reordered := ReorderDataset(ds, order)
-	// Labels on the reordered data, mapped back, must line up with the
-	// reordered ground truth.
-	back := InvertOrder(order, reordered.Label)
-	for i := range ds.Label {
-		if back[i] != ds.Label[i] {
-			t.Fatalf("label %d: %d != %d", i, back[i], ds.Label[i])
-		}
-	}
-	// Coordinates moved with their labels.
-	for k, src := range order {
-		a, b := reordered.At(int32(k)), ds.At(src)
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("point %d coord %d mismatch", k, j)
-			}
-		}
-	}
-}
-
-func TestInterleaveOrdering(t *testing.T) {
-	// In 2-d with 2 bits, (0,0) < (0,1)... along the Z curve; key of the
-	// max cell must exceed key of the min cell, and interleaving must
-	// weight high bits of either dimension above low bits.
-	lo := interleave([]uint64{0, 0}, 2)
-	hi := interleave([]uint64{3, 3}, 2)
-	if lo != 0 || hi != 15 {
-		t.Fatalf("corner keys: lo=%d hi=%d", lo, hi)
-	}
-	// (2,0) shares the high-x half: key must exceed any (1,y).
-	if interleave([]uint64{2, 0}, 2) <= interleave([]uint64{1, 3}, 2) {
-		t.Fatal("high bit of x not dominant")
-	}
-}
-
+// TestSpatialPartitioningReducesPartialClusters: leaf-order range
+// partitions cut the partial-cluster count at least in half against
+// input index ranges, and under the exact pair the labels stay
+// byte-identical to sequential DBSCAN's, in input order.
 func TestSpatialPartitioningReducesPartialClusters(t *testing.T) {
 	ds := testDataset(t, "r10k", 5000)
-	run := func(spatial bool) *Result {
-		sctx := spark.NewContext(spark.Config{Cores: 16, Seed: 3})
-		res, err := Run(sctx, ds, Config{
-			Params:              tableParams,
-			Partitions:          16,
-			SpatialPartitioning: spatial,
-		})
+	ref, _ := sequential(t, ds)
+	for _, parts := range []int{16, 64} {
+		run := func(spatial bool) *Result {
+			sctx := spark.NewContext(spark.Config{Cores: 16, Seed: 3})
+			res, err := Run(sctx, ds, Config{
+				Params:              tableParams,
+				Partitions:          parts,
+				SpatialPartitioning: spatial,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		plain, spatial := run(false), run(true)
+		if spatial.Global.NumPartialClusters*2 > plain.Global.NumPartialClusters {
+			t.Fatalf("parts=%d: spatial partitioning did not reduce partial clusters: %d vs %d",
+				parts, spatial.Global.NumPartialClusters, plain.Global.NumPartialClusters)
+		}
+		compareLabels(t, fmt.Sprintf("parts=%d/spatial", parts), ref.Labels, spatial.Global.Labels)
+	}
+}
+
+// FuzzRangePartitioning checks range mode's exact pair against
+// sequential DBSCAN over brute-force neighbourhoods, byte for byte, with
+// SpatialPartitioning on and off. grid holds the points' coordinates,
+// dim bytes per point and at most 256 points, each byte taken mod 16
+// (so ASCII digits read as their value). An integer grid with integer
+// eps puts duplicates and pairs at exactly eps in most inputs.
+//
+// The committed seed corpus (testdata/fuzz/FuzzRangePartitioning)
+// holds one case per exactness condition of Wang, Gu and Shun's
+// parallel DBSCAN (arXiv:1912.06255): a closed ball counting the point
+// itself and its duplicates toward minPts, core connectivity through
+// chains that cross partitions, a border within eps of two clusters'
+// cores, which takes the lower label, minPts 1 and all-noise inputs,
+// and the float64 path at d = 33.
+func FuzzRangePartitioning(f *testing.F) {
+	f.Fuzz(func(t *testing.T, dimRaw, minPtsRaw, partsRaw, epsRaw uint8, spatial bool, grid []byte) {
+		dim := []int{1, 2, 3, 33}[dimRaw%4]
+		n := min(len(grid)/dim, 256)
+		if n == 0 {
+			return
+		}
+		ds := geom.NewDataset(n, dim)
+		for i := range ds.Coords {
+			ds.Coords[i] = float64(grid[i] % 16)
+		}
+		params := dbscan.Params{Eps: float64(1 + epsRaw%3), MinPts: 1 + int(minPtsRaw%8)}
+		parts := 1 + int(partsRaw%8)
+		ref, err := dbscan.Run(ds, kdtree.NewBruteForce(ds), params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	plain := run(false)
-	spatial := run(true)
-	if spatial.Global.NumPartialClusters*2 > plain.Global.NumPartialClusters {
-		t.Fatalf("spatial partitioning did not reduce partial clusters: %d vs %d",
-			spatial.Global.NumPartialClusters, plain.Global.NumPartialClusters)
-	}
-	// Same clustering, expressed in the original point order.
-	if spatial.Global.NumClusters != plain.Global.NumClusters ||
-		spatial.Global.NumNoise != plain.Global.NumNoise {
-		t.Fatalf("spatial run changed the clustering: %d/%d vs %d/%d",
-			spatial.Global.NumClusters, spatial.Global.NumNoise,
-			plain.Global.NumClusters, plain.Global.NumNoise)
-	}
-	agree := 0
-	for i := range plain.Global.Labels {
-		if (plain.Global.Labels[i] < 0) == (spatial.Global.Labels[i] < 0) {
-			agree++
+		sctx := spark.NewContext(spark.Config{Cores: parts, Seed: 1})
+		res, err := Run(sctx, ds, Config{Params: params, Partitions: parts, SpatialPartitioning: spatial})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if frac := float64(agree) / float64(ds.Len()); frac < 0.999 {
-		t.Fatalf("noise sets diverge: %.4f agreement", frac)
-	}
-}
-
-func TestSpatialOrderDeterministic(t *testing.T) {
-	r := rng.New(5)
-	ds := geom.NewDataset(400, 4)
-	for i := range ds.Coords {
-		ds.Coords[i] = r.Float64()*200 - 100
-	}
-	a := SpatialOrder(ds)
-	b := SpatialOrder(ds)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic at %d", i)
-		}
-	}
-	_ = math.Pi // keep math import for potential tolerance tweaks
+		compareLabels(t, fmt.Sprintf("n=%d d=%d %+v parts=%d spatial=%v", n, dim, params, parts, spatial),
+			ref.Labels, res.Global.Labels)
+	})
 }

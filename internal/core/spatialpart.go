@@ -124,7 +124,8 @@ func (e *stageEnv) collect(tc *spark.TaskContext, w *simtime.Work, lr *LocalResu
 
 // rangeStage is the paper-faithful baseline: driver kd-tree over the
 // full dataset, full-payload broadcast, one LocalDBSCAN task per index
-// range.
+// range. Under SpatialPartitioning the ranges index the tree's leaf
+// order instead of the input order.
 func rangeStage(env *stageEnv, ds *geom.Dataset) error {
 	sctx, cfg := env.sctx, env.cfg
 	n := ds.Len()
@@ -133,12 +134,20 @@ func rangeStage(env *stageEnv, ds *geom.Dataset) error {
 		return err
 	}
 
-	// Build the kd-tree in the driver.
+	// Build the kd-tree in the driver. Spatial partitions swap to the
+	// leaf-ordered dataset and tree: one copy pass over the points,
+	// and perm, the tree's order, maps positions back to input ids.
 	var tree *kdtree.Tree
+	var perm []int32
 	d0 := env.driverSeconds()
 	err = sctx.RunInDriver("kdtree build", func(w *simtime.Work) error {
 		tree = kdtree.Build(ds)
 		w.TreeBuildOps += tree.BuildOps()
+		if cfg.SpatialPartitioning {
+			perm = tree.Order()
+			ds, tree = tree.LeafOrdered()
+			w.Elems += int64(n)
+		}
 		return nil
 	})
 	if err != nil {
@@ -147,12 +156,13 @@ func rangeStage(env *stageEnv, ds *geom.Dataset) error {
 	env.res.Phases.TreeBuild = env.driverSeconds() - d0
 
 	// Broadcast dataset + tree + parameters + partition table (§IV-B
-	// lists exactly these).
-	bcBytes := ds.SizeBytes() + tree.MemoryBytes() + 64
+	// lists exactly these), plus the permutation at 4 B per point.
+	bcBytes := ds.SizeBytes() + tree.MemoryBytes() + 64 + 4*int64(len(perm))
 	d0 = env.driverSeconds()
 	bc := spark.NewBroadcast(sctx, broadcastPayload{
 		DS:   ds,
 		Tree: tree,
+		Perm: perm,
 		Part: part,
 		Opts: env.opts,
 	}, bcBytes)
@@ -179,6 +189,9 @@ func rangeStage(env *stageEnv, ds *geom.Dataset) error {
 		lr, err := LocalDBSCAN(payload.DS, payload.Tree, payload.Part, split, payload.Opts)
 		if err != nil {
 			return err
+		}
+		if payload.Perm != nil {
+			mapIDs(lr.Clusters, payload.Perm)
 		}
 		var w simtime.Work
 		env.collect(tc, &w, lr)

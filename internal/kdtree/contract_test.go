@@ -1,6 +1,7 @@
 package kdtree_test
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -150,5 +151,119 @@ func TestRadiusLimitCaps(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLeafOrderedAnswersMapThroughOrder pins LeafOrdered's contract:
+// the leaf-ordered tree answers every Radius, RadiusLimit, RadiusBlock
+// and MinKey query as the original tree does, with id k standing for
+// Order()[k], in the same order and with the same SearchStats. The
+// sizes end the last leaf at every pad offset of the 8-lane kernel;
+// d = 40 takes the exact float64 path. Coordinates on a half-integer
+// grid put duplicates and pairs at exactly eps in the larger datasets.
+func TestLeafOrderedAnswersMapThroughOrder(t *testing.T) {
+	var blk, lblk kdtree.Block
+	for _, dim := range []int{3, 40} {
+		for _, n := range []int{0, 1, 7, 8, 9, 1003} {
+			for _, leaf := range []int{3, 128} {
+				r := rng.New(uint64(n*dim + leaf))
+				ds := geom.NewDataset(n, dim)
+				for i := range ds.Coords {
+					ds.Coords[i] = float64(r.Intn(10)) / 2
+				}
+				tree := kdtree.BuildLeafSize(ds, leaf)
+				lds, ltree := tree.LeafOrdered()
+				order := tree.Order()
+				name := fmt.Sprintf("d=%d/n=%d/leaf=%d", dim, n, leaf)
+				if lds.Len() != n || ltree.Size() != n {
+					t.Fatalf("%s: leaf-ordered dataset %d points, tree %d", name, lds.Len(), ltree.Size())
+				}
+				for k, p := range order {
+					if !slices.Equal(lds.At(int32(k)), ds.At(p)) || ltree.Order()[k] != int32(k) {
+						t.Fatalf("%s: position %d does not hold point %d", name, k, p)
+					}
+				}
+				mapped := func(ids []int32) []int32 {
+					out := make([]int32, len(ids))
+					for i, k := range ids {
+						out[i] = order[k]
+					}
+					return out
+				}
+				keys := make([]int32, n)
+				lkeys := make([]int32, n)
+				for i := range keys {
+					keys[i] = kdtree.NoKey
+					if r.Intn(3) > 0 {
+						keys[i] = int32(r.Intn(n))
+					}
+				}
+				for k, p := range order {
+					lkeys[k] = keys[p]
+				}
+				mins, lmins := tree.KeyMins(keys), ltree.KeyMins(lkeys)
+
+				queries := [][]float64{make([]float64, dim)}
+				for qi := 0; qi < n; qi += 1 + n/32 {
+					q := slices.Clone(ds.At(int32(qi)))
+					queries = append(queries, q, slices.Clone(q))
+					for j := range q {
+						q[j] += 0.25
+					}
+				}
+				epsList := []float64{1, 2.5}
+				if dim == 40 {
+					epsList = []float64{9, 12}
+				}
+				for _, eps := range epsList {
+					for qi, q := range queries {
+						for _, max := range []int{-1, 3} {
+							var st, lst kdtree.SearchStats
+							want := tree.RadiusLimit(q, eps, max, nil, &st)
+							got := mapped(ltree.RadiusLimit(q, eps, max, nil, &lst))
+							if !slices.Equal(got, want) || st != lst {
+								t.Fatalf("%s eps=%g q=%d max=%d: leaf-ordered %v %+v, original %v %+v",
+									name, eps, qi, max, got, lst, want, st)
+							}
+						}
+						var st, lst kdtree.SearchStats
+						want := tree.Radius(q, eps, nil, &st)
+						if got := mapped(ltree.Radius(q, eps, nil, &lst)); !slices.Equal(got, want) || st != lst {
+							t.Fatalf("%s eps=%g q=%d: Radius leaf-ordered %v %+v, original %v %+v",
+								name, eps, qi, got, lst, want, st)
+						}
+						for _, limit := range []int{1, 4, n + 1} {
+							var st, lst kdtree.SearchStats
+							key, count := tree.MinKey(q, eps, keys, mins, limit, &st)
+							lkey, lcount := ltree.MinKey(q, eps, lkeys, lmins, limit, &lst)
+							if key != lkey || count != lcount || st != lst {
+								t.Fatalf("%s eps=%g q=%d limit=%d: MinKey leaf-ordered (%d, %d) %+v, original (%d, %d) %+v",
+									name, eps, qi, limit, lkey, lcount, lst, key, count, st)
+							}
+						}
+					}
+					// The first, a middle and the last block, which ends
+					// in the last leaf's pad slots.
+					for _, lo := range []int{0, n / 2, max(n-kdtree.BlockSize, 0)} {
+						hi := min(lo+kdtree.BlockSize, n)
+						pos := make([]int32, hi-lo)
+						for i := range pos {
+							pos[i] = int32(lo + i)
+						}
+						var st, lst kdtree.SearchStats
+						tree.RadiusBlock(order[lo:hi], eps, &blk, &st)
+						ltree.RadiusBlock(pos, eps, &lblk, &lst)
+						if st != lst {
+							t.Fatalf("%s eps=%g block %d: stats leaf-ordered %+v, original %+v", name, eps, lo, lst, st)
+						}
+						for k := range pos {
+							if got, want := mapped(lblk.Neighbors(k)), blk.Neighbors(k); !slices.Equal(got, want) {
+								t.Fatalf("%s eps=%g block %d query %d: leaf-ordered %v, original %v", name, eps, lo, k, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestContractsOnPortableKernel reruns the Radius, RadiusLimit,
-// RadiusBlock and MinKey contract tests with the AVX2 kernels switched
+// RadiusBlock, MinKey and LeafOrdered contract tests with the AVX2 kernels switched
 // off, so an amd64 run also executes the portable paths other
 // architectures use. It must not run in parallel: it flips a global.
 func TestContractsOnPortableKernel(t *testing.T) {
@@ -25,6 +25,7 @@ func TestContractsOnPortableKernel(t *testing.T) {
 	}{
 		{"IndexContractAgreement", TestIndexContractAgreement},
 		{"RadiusLimitCaps", TestRadiusLimitCaps},
+		{"LeafOrderedAnswersMapThroughOrder", TestLeafOrderedAnswersMapThroughOrder},
 		{"RadiusMatchesBruteForce", kdtree.TestRadiusMatchesBruteForce},
 		{"RadiusLimit", kdtree.TestRadiusLimit},
 		{"PackedTreeEquivalenceAcrossLeafSizes", kdtree.TestPackedTreeEquivalenceAcrossLeafSizes},

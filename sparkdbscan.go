@@ -69,12 +69,14 @@ type Config struct {
 	// MinLocalClusterSize > 1 drops tiny partial clusters on the
 	// executors (the paper's large-dataset filter).
 	MinLocalClusterSize int
-	// SpatialPartitioning reorders points along a Z-order curve before
-	// index-range partitioning, implementing the paper's future-work
-	// suggestion of neighbourhood-aware partitioning. It slashes the
-	// partial-cluster count (and with it merge cost) at high core
-	// counts; returned labels always refer to the caller's point
-	// order.
+	// SpatialPartitioning makes each executor's range a run of the
+	// kd-tree's leaf order instead of a run of input indices,
+	// implementing the paper's future-work suggestion of
+	// neighbourhood-aware partitioning. It slashes the partial-cluster
+	// count (and with it merge cost) at high core counts. Returned
+	// labels refer to the caller's point order and, without
+	// PaperFidelity, equal sequential DBSCAN's byte for byte. Range
+	// mode only: cell partitions are spatial already.
 	SpatialPartitioning bool
 	// RealTime switches timing from the calibrated virtual cluster to
 	// wall-clock goroutine execution (Cores then should not exceed the

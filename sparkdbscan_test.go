@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -223,6 +224,9 @@ func TestSpatialPartitioningFacade(t *testing.T) {
 	if spatial.PartialClusters >= plain.PartialClusters {
 		t.Fatalf("spatial partials %d not below plain %d",
 			spatial.PartialClusters, plain.PartialClusters)
+	}
+	if !slices.Equal(spatial.Labels, plain.Labels) {
+		t.Fatal("spatial labels differ from the plain run's")
 	}
 }
 
