@@ -505,9 +505,8 @@ func runServeDemo(stdout io.Writer, ds *geom.Dataset, labels []int32, core []boo
 }
 
 // runServeLiveDemo is the -serve-live smoke path: wrap the clustering
-// just computed in a mutable live model, route a handful of inserts
-// and deletions through the single-writer server while answering
-// queries, force a reconciliation, and verify the final labels match a
+// just computed in a mutable live model, apply a handful of inserts
+// and deletions through the live server while answering queries, force a reconciliation, and verify the final labels match a
 // from-scratch DBSCAN on the surviving points.
 func runServeLiveDemo(stdout io.Writer, ds *geom.Dataset, labels []int32, p dbscan.Params) error {
 	if ds.Len() == 0 {

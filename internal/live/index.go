@@ -10,8 +10,8 @@ import (
 // searched through the base's overlay grid. Its index space is the
 // model's *global* space (base.n + overlay slot), so results compose
 // directly with base-tree results in one neighbour list; overlay hits
-// come back in ascending index. Obtain one from Guard.Delta; it is
-// valid while the Guard is open.
+// come back in ascending index. Obtain one from Guard.Delta; it
+// answers from that Guard's epoch for as long as it is held.
 //
 // The grid is an eps-side hash of cells over a few axes, not a second
 // tree: a query visits only the buckets of the cells its eps-box

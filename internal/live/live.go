@@ -13,7 +13,8 @@
 // the affected border points — a bounded local re-expansion instead of
 // a full recluster.
 //
-// Four structures make reads wait-free while writes mutate:
+// Three structures, plus immutable epochs, make reads wait-free while
+// writes mutate:
 //
 //   - an append-only point arena (fixed-size coordinate chunks; a slot
 //     is written once, before the view exposing it is published, and
@@ -25,11 +26,13 @@
 //     writer's and the readers' overlay search to nearby cells,
 //   - chunked copy-on-write label state (label / core / tombstone bits
 //     in 256-point chunks; a write copies the dirty chunks and the
-//     spine, never touching chunks a published view can see),
-//   - epoch-based reclamation: every mutation publishes a new immutable
-//     view through one atomic pointer; readers pin a view with two
-//     atomic ops and a validation loop, and replaced chunks are
-//     recycled only after every reader of every older epoch drains.
+//     spine, never touching chunks a published view can see).
+//
+// Every mutation publishes a new immutable view through one atomic
+// pointer, and a reader pins a view with one atomic load. Nothing a
+// published view reaches is ever rewritten, so an epoch needs no
+// manual reclamation: the garbage collector frees its replaced chunks
+// once no reader holds it.
 //
 // Deletions only tombstone and demote; they never split a cluster
 // in place (a split requires global re-expansion, which is exactly
@@ -40,7 +43,7 @@
 // Reconcile (triggered by overlay-size or drift thresholds, or by
 // ReconcileNow) reclusters the survivors from scratch with the exact
 // parallel engine of internal/pdsdbscan and swaps the result in as a
-// new frozen base under the same epoch protocol.
+// new frozen base through the same atomic publish.
 // DESIGN.md §17 states and proves the invariants; the property tests
 // in live_test.go pin them.
 package live
@@ -111,9 +114,6 @@ type view struct {
 	eps    float64
 	minPts int
 	dim    int
-
-	readers atomic.Int64 // pin count (epoch-based reclamation)
-	garbage []*chunk     // chunks this view is the last to reference
 }
 
 // Options configures a Model's reconciliation thresholds.
@@ -194,8 +194,6 @@ type Model struct {
 
 	nbrBuf    []int32            // reusable writer-side neighbour buffer
 	dirty     map[int32]struct{} // chunk ids to copy at next publish
-	retired   []*view            // drained in epoch order by sweep
-	pool      []*chunk
 	epoch     uint64
 	mutations int // since base
 
@@ -203,8 +201,8 @@ type Model struct {
 	lastReconcile                                       ReconcileStats
 
 	// testOnPublish, when set (tests only), runs under the writer lock
-	// immediately after each view is published and before retired views
-	// are swept — the stress tests use it to pin epochs deterministically.
+	// immediately after each view is published — the stress tests use it
+	// to snapshot every epoch deterministically.
 	testOnPublish func(v *view)
 }
 
@@ -256,29 +254,22 @@ func NewModel(ds *geom.Dataset, labels []int32, tree *kdtree.Tree, p dbscan.Para
 		m.compMin[h] = int32(h)
 		m.canon[h] = int32(h)
 	}
-	m.publishInitial()
+	m.publishAll()
 	return m, nil
 }
 
-// publishInitial builds the epoch-1 view covering every base point.
-func (m *Model) publishInitial() {
-	nChunks := (m.base.n + chunkPts - 1) / chunkPts
-	spine := make([]*chunk, nChunks)
-	for cid := 0; cid < nChunks; cid++ {
-		c := &chunk{}
-		m.fillChunk(c, int32(cid))
-		spine[cid] = c
+// publishAll publishes a view whose every chunk is fresh: the first
+// epoch, and the first one over each reconciled base.
+func (m *Model) publishAll() {
+	for cid := 0; cid*chunkPts < len(m.labels); cid++ {
+		m.dirty[int32(cid)] = struct{}{}
 	}
-	m.epoch = 1
-	m.cur.Store(&view{
-		epoch: 1, base: m.base, chunks: spine, canon: m.canon,
-		live: m.live, eps: m.p.Eps, minPts: m.p.MinPts, dim: m.base.ds.Dim,
-	})
+	m.publish()
 }
 
-// fillChunk loads chunk cid from the flat writer state.
-func (m *Model) fillChunk(c *chunk, cid int32) {
-	*c = chunk{}
+// newChunk builds chunk cid from the flat writer state.
+func (m *Model) newChunk(cid int32) *chunk {
+	c := &chunk{}
 	start := int(cid) * chunkPts
 	end := start + chunkPts
 	if end > len(m.labels) {
@@ -297,37 +288,23 @@ func (m *Model) fillChunk(c *chunk, cid int32) {
 	for s := end - start; s < chunkPts; s++ {
 		c.label[s] = Noise
 	}
+	return c
 }
 
 // markDirty records that global point g's chunk must be republished.
 func (m *Model) markDirty(g int32) { m.dirty[g/chunkPts] = struct{}{} }
 
-func (m *Model) getChunk() *chunk {
-	if n := len(m.pool); n > 0 {
-		c := m.pool[n-1]
-		m.pool = m.pool[:n-1]
-		return c
-	}
-	return &chunk{}
-}
-
 // publish builds and installs the next epoch's view: copy the spine,
-// replace the dirty chunks with pool-allocated copies of the flat
-// state, recompute canon if the union-find changed, and hand the
-// replaced chunks to the outgoing view as garbage. Runs under m.mu.
+// replace the dirty chunks with fresh copies of the flat state, and
+// recompute canon if the union-find changed. The outgoing view keeps
+// its own chunks for whoever still holds it. Runs under m.mu.
 func (m *Model) publish() {
-	old := m.cur.Load()
-	nChunks := (m.base.n + m.overlayN + chunkPts - 1) / chunkPts
-	spine := make([]*chunk, nChunks)
-	copy(spine, old.chunks)
-	var garbage []*chunk
+	spine := make([]*chunk, (len(m.labels)+chunkPts-1)/chunkPts)
+	if old := m.cur.Load(); old != nil {
+		copy(spine, old.chunks)
+	}
 	for cid := range m.dirty {
-		fresh := m.getChunk()
-		m.fillChunk(fresh, cid)
-		if int(cid) < len(old.chunks) && old.chunks[cid] != nil {
-			garbage = append(garbage, old.chunks[cid])
-		}
-		spine[cid] = fresh
+		spine[cid] = m.newChunk(cid)
 	}
 	clear(m.dirty)
 	if m.canonDirty {
@@ -338,81 +315,34 @@ func (m *Model) publish() {
 		m.canon = canon
 		m.canonDirty = false
 	}
-	extra := make([]*coordChunk, len(m.extra))
-	copy(extra, m.extra)
 	m.epoch++
 	v := &view{
-		epoch: m.epoch, base: m.base, chunks: spine, extra: extra,
-		extraN: m.overlayN, canon: m.canon, live: m.live,
+		epoch: m.epoch, base: m.base, chunks: spine,
+		extra: append([]*coordChunk(nil), m.extra...), extraN: m.overlayN,
+		canon: m.canon, live: m.live,
 		eps: m.p.Eps, minPts: m.p.MinPts, dim: m.base.ds.Dim,
 	}
-	old.garbage = garbage
-	m.retired = append(m.retired, old)
 	m.cur.Store(v)
 	if m.testOnPublish != nil {
 		m.testOnPublish(v)
 	}
-	m.sweep()
 }
 
-// sweep recycles the garbage of drained retired views. Views are
-// processed strictly in epoch order and the scan stops at the first
-// still-pinned view: a chunk replaced at epoch k+1 may be shared by
-// every view <= k, and attaching it to view k (the last referencer)
-// plus prefix-only recycling guarantees no pinned reader can still
-// see a recycled chunk.
-func (m *Model) sweep() {
-	i := 0
-	for ; i < len(m.retired); i++ {
-		v := m.retired[i]
-		if v.readers.Load() != 0 {
-			break
-		}
-		if len(m.pool) < 256 {
-			m.pool = append(m.pool, v.garbage...)
-		}
-		v.garbage = nil
-	}
-	if i > 0 {
-		m.retired = append(m.retired[:0], m.retired[i:]...)
-	}
-}
-
-// Pin takes a read lease on the current epoch. The validation loop
-// (increment, then re-check the pointer) makes the pair {pointer load,
-// refcount} atomic enough: if the re-check passes, the view was still
-// current after the increment, so the writer's sweep — which runs
-// strictly after retiring the view — must observe the count. Readers
-// never take m.mu and never loop more than once per concurrent publish:
-// the read path is wait-free in practice and lock-free by construction.
-func (m *Model) Pin() *Guard {
-	for {
-		v := m.cur.Load()
-		v.readers.Add(1)
-		if m.cur.Load() == v {
-			return &Guard{v: v}
-		}
-		v.readers.Add(-1)
-	}
-}
+// Pin returns the current epoch as a Guard: one atomic load. Readers
+// never take m.mu, so the read path is wait-free.
+func (m *Model) Pin() *Guard { return &Guard{v: m.cur.Load()} }
 
 // Guard is a pinned epoch: a consistent snapshot of the model at one
-// epoch. Close releases the pin (required — an unpinned epoch's memory
-// is held until released). A Guard's methods are read-only and safe to
-// call from the pinning goroutine; a Guard must not be shared across
-// goroutines without external synchronization of Close.
+// epoch, for as long as the Guard is held. Its methods are read-only,
+// and a Guard may be shared across goroutines. Once no Guard holds an
+// epoch, the garbage collector frees the memory only that epoch used.
 type Guard struct {
-	v      *view
-	closed bool
+	v *view
 }
 
-// Close releases the epoch pin. Idempotent.
-func (g *Guard) Close() {
-	if !g.closed {
-		g.closed = true
-		g.v.readers.Add(-1)
-	}
-}
+// Close releases nothing: the garbage collector owns epochs. It is
+// kept so that callers may scope a Guard; the Guard stays readable.
+func (g *Guard) Close() {}
 
 // Epoch identifies the pinned snapshot; it increases by one per
 // published mutation or reconcile.
@@ -444,8 +374,8 @@ func (g *Guard) At(i int32) []float64 { return g.v.at(i) }
 
 // Delta returns the snapshot's overlay index: the points inserted
 // since the last reconcile, searched through the overlay grid,
-// reporting global indices. It implements kdtree.Index and stays
-// valid as long as the Guard is open.
+// reporting global indices. It implements kdtree.Index and answers
+// from the Guard's epoch.
 func (g *Guard) Delta() kdtree.Index { return &DeltaIndex{v: g.v} }
 
 // Survivors materializes the snapshot's live points as a compact

@@ -121,31 +121,7 @@ func (m *Model) reconcileLocked() (ReconcileStats, error) {
 	m.mutations = 0
 	m.reconciles++
 	clear(m.dirty)
-
-	// Publish the rebuilt state as a full fresh spine. Every old chunk
-	// is replaced at once, so the outgoing view is the last referencer
-	// of all of them.
-	old := m.cur.Load()
-	nChunks := (n + chunkPts - 1) / chunkPts
-	spine := make([]*chunk, nChunks)
-	for cid := 0; cid < nChunks; cid++ {
-		c := m.getChunk()
-		m.fillChunk(c, int32(cid))
-		spine[cid] = c
-	}
-	m.epoch++
-	v := &view{
-		epoch: m.epoch, base: m.base, chunks: spine,
-		extraN: 0, canon: m.canon, live: n,
-		eps: m.p.Eps, minPts: m.p.MinPts, dim: ds.Dim,
-	}
-	old.garbage = append(old.garbage, old.chunks...)
-	m.retired = append(m.retired, old)
-	m.cur.Store(v)
-	if m.testOnPublish != nil {
-		m.testOnPublish(v)
-	}
-	m.sweep()
+	m.publishAll()
 
 	st.Duration = time.Since(start)
 	m.lastReconcile = st

@@ -7,9 +7,8 @@ import (
 	"sparkdbscan/internal/serve"
 )
 
-// servingView adapts a Model to serve.Snapshot: every call pins the
-// current epoch, answers against that one consistent snapshot, and
-// unpins.
+// servingView adapts a Model to serve.Snapshot: every call answers
+// against the epoch current when it starts, one consistent snapshot.
 type servingView struct {
 	m *Model
 }
@@ -26,13 +25,10 @@ func (m *Model) Serving() serve.Snapshot { return servingView{m: m} }
 // Dim implements serve.Snapshot.
 func (sv servingView) Dim() int { return sv.m.cur.Load().dim }
 
-// Assign implements serve.Snapshot: it pins the current epoch,
-// answers against it, and unpins.
+// Assign implements serve.Snapshot: it answers against the current
+// epoch.
 func (sv servingView) Assign(q []float64) serve.Assignment {
-	g := sv.m.Pin()
-	a := g.v.assign(q)
-	g.Close()
-	return a
+	return sv.m.cur.Load().assign(q)
 }
 
 // Assign answers one query against the pinned snapshot, with the same
@@ -72,114 +68,78 @@ func (v *view) assign(q []float64) serve.Assignment {
 	return a
 }
 
-// writeOp is one mutation routed to the writer goroutine.
-type writeOp struct {
-	del  bool
-	id   int64
-	pt   []float64
-	resp chan error
-}
-
 // Server is a serve.Server over a live Model plus the write path the
-// frozen server lacks: Insert and Delete route through one writer
-// goroutine per model (the single-writer discipline that keeps the
-// overlay coherent), while the embedded Server's read path stays
-// wait-free — readers pin epochs, they never contend with the writer.
-// When a write pushes the model over a reconciliation threshold the
-// reconcile runs on the writer goroutine and the swapped-in base is
-// published to readers under the existing generation contract (the
-// generation counter advances, exactly like a frozen hot-swap).
+// frozen server lacks. Insert and Delete apply their mutation under
+// the server's mutex, and the Model serializes them with any other
+// writer on its own lock. The embedded Server's read path stays
+// wait-free: readers load epochs and never contend with writes. When
+// a write pushes the model over a reconciliation threshold, the write
+// swaps the reconciled model in under the existing generation
+// contract: the generation counter advances once per reconcile,
+// exactly like a frozen hot-swap.
 type Server struct {
 	*serve.Server
 	m *Model
 
-	mu     sync.Mutex // guards closed vs. in-flight submits
+	mu     sync.Mutex // held by each write and its swap; guards closed
 	closed bool
-	writes chan writeOp
-	wg     sync.WaitGroup
 }
 
 // NewServer starts a serving pool over m's current and future epochs.
 // The caller must Close (or Drain) it.
 func NewServer(m *Model, opts serve.Options) *Server {
-	s := &Server{
-		Server: serve.NewServer(m.Serving(), opts),
-		m:      m,
-		writes: make(chan writeOp, 512),
-	}
-	s.wg.Add(1)
-	go s.runWriter()
-	return s
+	return &Server{Server: serve.NewServer(m.Serving(), opts), m: m}
 }
 
-// Model returns the live model being served.
+// LiveModel returns the live model being served.
 func (s *Server) LiveModel() *Model { return s.m }
 
-// Insert routes an insertion through the writer goroutine and waits
-// for the new epoch to be published (the answer is durable in the
-// model when Insert returns). The coordinate slice is copied.
+// Insert applies an insertion; the new epoch is published when it
+// returns.
 func (s *Server) Insert(id int64, p []float64) error {
-	return s.submit(writeOp{id: id, pt: append([]float64(nil), p...), resp: make(chan error, 1)})
+	return s.write(func() error { return s.m.Insert(id, p) })
 }
 
-// Delete routes a deletion through the writer goroutine and waits for
-// the new epoch to be published.
+// Delete applies a deletion; the new epoch is published when it
+// returns.
 func (s *Server) Delete(id int64) error {
-	return s.submit(writeOp{del: true, id: id, resp: make(chan error, 1)})
+	return s.write(func() error { return s.m.Delete(id) })
 }
 
-func (s *Server) submit(op writeOp) error {
+// write applies op unless the server is closed and, when op triggered
+// a reconcile, re-swaps the serving snapshot so the generation counter
+// records the base change.
+func (s *Server) write(op func() error) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return serve.ErrClosed
 	}
-	s.writes <- op // under mu, so closeWrites cannot close the channel mid-send
-	s.mu.Unlock()
-	return <-op.resp
-}
-
-// runWriter is the single writer goroutine: it applies mutations in
-// arrival order and, when one triggered a reconcile, re-swaps the
-// serving snapshot so the generation counter records the base change.
-func (s *Server) runWriter() {
-	defer s.wg.Done()
-	for op := range s.writes {
-		before := s.m.Reconciles()
-		var err error
-		if op.del {
-			err = s.m.Delete(op.id)
-		} else {
-			err = s.m.Insert(op.id, op.pt)
-		}
-		if s.m.Reconciles() != before {
-			_, _ = s.Server.Swap(s.m.Serving())
-		}
-		op.resp <- err
+	before := s.m.Reconciles()
+	err := op()
+	if s.m.Reconciles() != before {
+		_, _ = s.Server.Swap(s.m.Serving())
 	}
+	return err
 }
 
-// closeWrites stops accepting mutations and waits for the writer to
-// apply every already-accepted one.
+// closeWrites stops accepting mutations. A write already holding the
+// mutex finishes first.
 func (s *Server) closeWrites() {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.writes)
-	}
+	s.closed = true
 	s.mu.Unlock()
-	s.wg.Wait()
 }
 
-// Close stops the write path (accepted mutations are still applied),
+// Close stops the write path (a write in progress still completes),
 // then closes the read pool abruptly.
 func (s *Server) Close() {
 	s.closeWrites()
 	s.Server.Close()
 }
 
-// Drain stops the write path, applies accepted mutations, then drains
-// the read pool gracefully within timeout.
+// Drain stops the write path, then drains the read pool gracefully
+// within timeout.
 func (s *Server) Drain(timeout time.Duration) int {
 	s.closeWrites()
 	return s.Server.Drain(timeout)

@@ -5,13 +5,16 @@ package live
 // against a snapshot of exactly the epoch that served it, while a
 // writer storms mutations and swaps a reconciled base underneath.
 // Run with -race: the assertions catch torn updates, the detector
-// catches any unsynchronized reuse of reclaimed chunks.
+// catches any write to memory a published view can reach.
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/geom"
@@ -41,12 +44,11 @@ func stressModel(t *testing.T, n int, seed uint64) *Model {
 	return m
 }
 
-// epochWindow keeps the last few published views pinned (via the
+// epochWindow keeps the last few published views (via the
 // testOnPublish hook, under the writer lock) together with a label
 // snapshot materialized at publish time. Readers that land on a
 // windowed epoch verify every label against the snapshot; readers on
-// an evicted epoch skip verification (their pin still exercises the
-// reclamation protocol).
+// an evicted epoch skip verification.
 type epochWindow struct {
 	mu    sync.Mutex
 	snaps map[uint64]*epochSnap
@@ -60,7 +62,6 @@ type epochSnap struct {
 }
 
 func (w *epochWindow) publishHook(v *view) {
-	v.readers.Add(1) // pin before any later epoch can retire-and-sweep it
 	labels := make([]int32, v.base.n+v.extraN)
 	for i := range labels {
 		labels[i] = v.labelAt(int32(i))
@@ -69,10 +70,8 @@ func (w *epochWindow) publishHook(v *view) {
 	w.snaps[v.epoch] = &epochSnap{v: v, labels: labels}
 	w.order = append(w.order, v.epoch)
 	for len(w.order) > w.keep {
-		old := w.order[0]
+		delete(w.snaps, w.order[0])
 		w.order = w.order[1:]
-		w.snaps[old].v.readers.Add(-1)
-		delete(w.snaps, old)
 	}
 	w.mu.Unlock()
 }
@@ -81,16 +80,6 @@ func (w *epochWindow) lookup(epoch uint64) *epochSnap {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.snaps[epoch]
-}
-
-func (w *epochWindow) drain() {
-	w.mu.Lock()
-	for _, e := range w.order {
-		w.snaps[e].v.readers.Add(-1)
-	}
-	w.order = nil
-	w.snaps = map[uint64]*epochSnap{}
-	w.mu.Unlock()
 }
 
 func TestConcurrentReadersAcrossEpochs(t *testing.T) {
@@ -183,7 +172,6 @@ func TestConcurrentReadersAcrossEpochs(t *testing.T) {
 		t.Fatal(e)
 	default:
 	}
-	w.drain()
 }
 
 // overlayWant counts, per query, the pinned epoch's surviving overlay
@@ -308,16 +296,23 @@ func TestDeltaPinnedWhileWriterAppends(t *testing.T) {
 }
 
 // TestReclamationWaitsForReaders pins one epoch through a mutation
-// storm and checks the protocol end to end: while the pin is held no
-// retired view is swept past it (the guard's snapshot stays intact and
-// the retired list grows); after release, one more publish recycles
-// the backlog into the chunk pool.
+// storm and a reconcile. The garbage collector is the only reclaimer of
+// views, so the held view must outlive every collection with its
+// labels intact, while each superseded view nobody holds is freed; once
+// the Guard is dropped the model keeps nothing of the held view alive.
 func TestReclamationWaitsForReaders(t *testing.T) {
 	m := stressModel(t, 300, 13)
 	g := m.Pin()
 	before := make([]int32, g.NumPoints())
 	for i := range before {
 		before[i] = g.Label(int32(i))
+	}
+	var pinnedFreed atomic.Bool
+	runtime.SetFinalizer(g.v, func(*view) { pinnedFreed.Store(true) })
+	var published, freed atomic.Int64
+	m.testOnPublish = func(v *view) {
+		published.Add(1)
+		runtime.SetFinalizer(v, func(*view) { freed.Add(1) })
 	}
 
 	r := rng.New(14)
@@ -326,15 +321,13 @@ func TestReclamationWaitsForReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.mu.Lock()
-	held := len(m.retired)
-	pooled := len(m.pool)
-	m.mu.Unlock()
-	if held < 100 {
-		t.Fatalf("retired views were swept past a pinned epoch: %d held", held)
+	if _, err := m.ReconcileNow(); err != nil {
+		t.Fatal(err)
 	}
-	if pooled != 0 {
-		t.Fatalf("chunks recycled while the oldest epoch was pinned: %d", pooled)
+	// Every published view but the current one is unreachable.
+	awaitCollection(t, "superseded views", func() bool { return freed.Load() == published.Load()-1 })
+	if pinnedFreed.Load() {
+		t.Fatal("pinned epoch was collected while its Guard was held")
 	}
 	for i := range before {
 		if got := g.Label(int32(i)); got != before[i] {
@@ -342,24 +335,30 @@ func TestReclamationWaitsForReaders(t *testing.T) {
 		}
 	}
 	g.Close()
-	if err := m.Insert(9999, []float64{1, 1}); err != nil {
-		t.Fatal(err)
+	awaitCollection(t, "released epoch", pinnedFreed.Load)
+	if freed.Load() != published.Load()-1 {
+		t.Fatal("the model's current view was collected")
 	}
-	m.mu.Lock()
-	held = len(m.retired)
-	pooled = len(m.pool)
-	m.mu.Unlock()
-	if held != 0 {
-		t.Fatalf("retired backlog not swept after release: %d", held)
-	}
-	if pooled == 0 {
-		t.Fatal("no chunks recycled after release")
+	runtime.KeepAlive(m)
+}
+
+// awaitCollection runs the garbage collector until done reports that
+// the expected finalizers ran, failing after a few seconds.
+func awaitCollection(t *testing.T, what string, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !done() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s still reachable after repeated collections", what)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestServerChurnWithSwap drives the full serving stack — wait-free
-// reads through serve.Server workers, writes through the single-writer
-// goroutine, auto-reconcile swaps — under -race.
+// reads through serve.Server workers, writes through live.Server's
+// write path, auto-reconcile swaps — under -race.
 func TestServerChurnWithSwap(t *testing.T) {
 	m := stressModel(t, 400, 17)
 	// Re-enable thresholds so the storm crosses them and swaps happen.

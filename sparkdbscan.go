@@ -367,8 +367,9 @@ func NewServer(m *Model, opts ServeOptions) *Server {
 // and examples/liveserving.
 
 // LiveModel is a mutable DBSCAN model: a frozen base plus a delta
-// overlay, read through pinned epoch snapshots. One goroutine may
-// mutate (Insert, Delete, ReconcileNow) while any number read.
+// overlay, read through pinned epoch snapshots. Mutators (Insert,
+// Delete, ReconcileNow) may be called from any goroutine and serialize
+// on the model's lock, while any number of goroutines read wait-free.
 type LiveModel = live.Model
 
 // LiveOptions configures a LiveModel's reconciliation thresholds; the
@@ -377,7 +378,9 @@ type LiveModel = live.Model
 type LiveOptions = live.Options
 
 // LiveGuard is a pinned epoch of a LiveModel: a consistent, immutable
-// snapshot. Close it to release the epoch's memory.
+// snapshot that stays readable for as long as it is held. The garbage
+// collector frees the epoch once no Guard holds it; Close releases
+// nothing.
 type LiveGuard = live.Guard
 
 // LiveStats snapshots a LiveModel's mutation counters.
@@ -388,8 +391,10 @@ type LiveStats = live.Stats
 type ReconcileStats = live.ReconcileStats
 
 // LiveServer is a serving pool over a LiveModel: the wait-free read
-// path of Server plus a single-writer mutation path (Insert, Delete)
-// that publishes each change as a new epoch.
+// path of Server plus a mutation path (Insert, Delete) that publishes
+// each change as a new epoch before returning, advances the serving
+// generation once per reconcile, and refuses writes with ErrClosed
+// once Close or Drain has begun.
 type LiveServer = live.Server
 
 // NewLiveModel wraps a finished clustering in a mutable live model.
