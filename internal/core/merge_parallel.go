@@ -2,19 +2,24 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/dsu"
+	"sparkdbscan/internal/par"
 )
 
+// mergeGrain is how many points or partial clusters a merge worker
+// claims per step of par.For's cursor.
+const mergeGrain = 1024
+
 // mergeParallel is the canonical merge executed on
-// opts.effectiveWorkers() real goroutines. Every pass shards the partial-cluster slice (or the
-// point range) into contiguous chunks with a barrier between passes:
+// opts.effectiveWorkers() real goroutines. Every pass is one par.For
+// over the partial-cluster slice (or the point range), which returns
+// only once the pass is done — the barrier between passes:
 //
 //	receive ─ masterOf build ─ edge scan (concurrent DSU) ─ Find all
-//	  ─ per-shard min-core maps ─ [serial: reduce + sort components]
+//	  ─ per-worker min-core maps ─ [serial: reduce + sort components]
 //	  ─ member paint ─ seed/border claims (atomic min-CAS) ─ noise scan
 //
 // Determinism argument, pass by pass: Members are disjoint across
@@ -25,10 +30,10 @@ import (
 // which goroutine's Union won each race; border/seed claims take the
 // minimum claiming label via CAS, and min is commutative; all metered
 // counts are per-item sums, so the Work ledger is byte-identical at
-// every worker count no matter how the shards interleave. The only
-// genuinely sequential step — sorting the merged components by their
-// canonical core index — is metered into SerialWork so the pricing
-// model charges it at full cost.
+// every worker count no matter which worker runs which block. The
+// only genuinely sequential step — sorting the merged components by
+// their canonical core index — is metered into SerialWork so the
+// pricing model charges it at full cost.
 func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalResult {
 	workers := opts.effectiveWorkers()
 	res := &GlobalResult{
@@ -38,7 +43,7 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 	w := &res.Work
 
 	// Accumulator reception: the per-cluster deserialization constant
-	// (see Merge). Each shard rebuilds its own clusters' object graphs,
+	// (see Merge). Each worker rebuilds its own clusters' object graphs,
 	// so the receive parallelizes with the rest.
 	w.MergeOps += int64(len(partials)) * perClusterReceiveOps
 
@@ -55,7 +60,7 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 	}
 	m := len(partials)
 
-	parallelDo(workers, n, func(_, lo, hi int) {
+	par.For(n, mergeGrain, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			res.Labels[i] = dbscan.Noise
 		}
@@ -65,20 +70,20 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 		return res
 	}
 
-	// ops collects the metered MergeOps of the sharded passes; each
-	// shard sums locally and adds once, so the total is exact and
+	// ops collects the metered MergeOps of the parallel passes; each
+	// block sums locally and adds once, so the total is exact and
 	// schedule-independent.
 	var ops atomic.Int64
 
 	// Index: point -> partial cluster owning it as a regular member.
 	// Disjoint writes: a point is a Member of at most one partial.
 	masterOf := make([]int32, n)
-	parallelDo(workers, n, func(_, lo, hi int) {
+	par.For(n, mergeGrain, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			masterOf[i] = -1
 		}
 	})
-	parallelDo(workers, m, func(_, lo, hi int) {
+	par.For(m, mergeGrain, workers, func(_, lo, hi int) {
 		var local int64
 		for ci := lo; ci < hi; ci++ {
 			for _, pt := range partials[ci].Members {
@@ -93,7 +98,7 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 	// derived from the surviving set count rather than per-Union return
 	// values so it cannot depend on which goroutine won a racing Union.
 	d := dsu.NewConcurrent(m)
-	parallelDo(workers, m, func(_, lo, hi int) {
+	par.For(m, mergeGrain, workers, func(_, lo, hi int) {
 		var local int64
 		for ci := lo; ci < hi; ci++ {
 			for _, s := range partials[ci].Seeds {
@@ -109,18 +114,21 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 	res.NumMerges = m - d.Sets()
 
 	componentOf := make([]int32, m)
-	parallelDo(workers, m, func(_, lo, hi int) {
+	par.For(m, mergeGrain, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			componentOf[i] = d.Find(int32(i))
 		}
 	})
 
 	// Canonical component ids: minimum Members[0] per component, reduced
-	// shard-locally then merged (min is commutative and associative, so
-	// the reduction tree doesn't matter).
+	// into each worker's map across its blocks, then merged (min is
+	// commutative and associative, so the reduction tree doesn't matter).
 	partMin := make([]map[int32]int32, workers)
-	parallelDo(workers, m, func(k, lo, hi int) {
-		local := make(map[int32]int32)
+	par.For(m, mergeGrain, workers, func(k, lo, hi int) {
+		if partMin[k] == nil {
+			partMin[k] = make(map[int32]int32)
+		}
+		local := partMin[k]
 		var cnt int64
 		for ci := lo; ci < hi; ci++ {
 			if len(partials[ci].Members) == 0 {
@@ -133,7 +141,6 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 			}
 			cnt++
 		}
-		partMin[k] = local
 		ops.Add(cnt)
 	})
 	minCore := make(map[int32]int32, len(partMin[0]))
@@ -165,7 +172,7 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 
 	// Cores: every member belongs to exactly one partial — disjoint
 	// plain writes, no synchronization needed within the pass.
-	parallelDo(workers, m, func(_, lo, hi int) {
+	par.For(m, mergeGrain, workers, func(_, lo, hi int) {
 		var local int64
 		for ci := lo; ci < hi; ci++ {
 			lbl, ok := compLabel[componentOf[ci]]
@@ -182,7 +189,7 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 
 	// Borders (and seeds not owned as members anywhere): minimum
 	// claiming label via CAS loop. Min-claims commute, so the final
-	// label is the same whichever shard claims first.
+	// label is the same whichever worker claims first.
 	claim := func(pt, lbl int32) {
 		addr := &res.Labels[pt]
 		for {
@@ -195,7 +202,7 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 			}
 		}
 	}
-	parallelDo(workers, m, func(_, lo, hi int) {
+	par.For(m, mergeGrain, workers, func(_, lo, hi int) {
 		var local int64
 		for ci := lo; ci < hi; ci++ {
 			lbl, ok := compLabel[componentOf[ci]]
@@ -218,7 +225,7 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 
 	// Final label scan for the noise count.
 	var noise atomic.Int64
-	parallelDo(workers, n, func(_, lo, hi int) {
+	par.For(n, mergeGrain, workers, func(_, lo, hi int) {
 		local := int64(0)
 		for i := lo; i < hi; i++ {
 			if res.Labels[i] == dbscan.Noise {
@@ -232,34 +239,4 @@ func mergeParallel(partials []PartialCluster, n int, opts MergeOptions) *GlobalR
 
 	w.MergeOps += ops.Load()
 	return res
-}
-
-// parallelDo splits [0, n) into up to `workers` contiguous shards and
-// runs fn(shard, lo, hi) for each on its own goroutine, returning after
-// all shards complete (the barrier between merge passes). The shard
-// index is always < workers.
-func parallelDo(workers, n int, fn func(shard, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		lo, hi := k*n/workers, (k+1)*n/workers
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			fn(k, lo, hi)
-		}(k, lo, hi)
-	}
-	wg.Wait()
 }

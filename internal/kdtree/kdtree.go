@@ -22,11 +22,10 @@ package kdtree
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"unsafe"
 
 	"sparkdbscan/internal/geom"
+	"sparkdbscan/internal/par"
 )
 
 // SearchStats accumulates the work performed by one or more queries.
@@ -152,12 +151,12 @@ func Build(ds *geom.Dataset) *Tree { return BuildLeafSize(ds, defaultLeafSize) }
 // points. Splits are made at the median of the widest-spread dimension,
 // which keeps the tree balanced (depth O(log n)) even for clustered
 // inputs. Large builds are parallelized: once subranges drop below a
-// cutoff they are handed to a bounded goroutine pool, each worker
-// building its subtree into private arrays that are stitched into the
-// final node table afterwards. The resulting tree is bit-identical
-// regardless of worker count.
+// cutoff they become jobs that par.For spreads over GOMAXPROCS
+// goroutines, each job building its subtree into private arrays that
+// are stitched into the final node table afterwards, in job order. The
+// resulting tree is bit-identical regardless of worker count.
 func BuildLeafSize(ds *geom.Dataset, leafSize int) *Tree {
-	return buildTree(ds, leafSize, runtime.GOMAXPROCS(0))
+	return buildTree(ds, leafSize, 0)
 }
 
 // minParallelBuild is the dataset size below which the build stays
@@ -172,6 +171,8 @@ type buildJob struct {
 	isLeft bool
 }
 
+// buildTree builds the deferred subtree jobs on par.Workers(workers)
+// goroutines.
 func buildTree(ds *geom.Dataset, leafSize, workers int) *Tree {
 	if leafSize < 1 {
 		leafSize = 1
@@ -189,10 +190,6 @@ func buildTree(ds *geom.Dataset, leafSize, workers int) *Tree {
 		t.root = -1
 		return t
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	b := newBuilder(ds, t.order, leafSize)
 	b.nodes = make([]node, 0, 2*(n/leafSize+1))
 
@@ -210,25 +207,16 @@ func buildTree(ds *geom.Dataset, leafSize, workers int) *Tree {
 	root := b.build(0, int32(n), cutoff, &jobs)
 	t.root = root
 
-	if len(jobs) > 0 {
-		subs := make([]*builder, len(jobs))
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for ji := range jobs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(ji int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				sb := newBuilder(ds, t.order, leafSize)
-				sb.build(jobs[ji].lo, jobs[ji].hi, 0, nil)
-				subs[ji] = sb
-			}(ji)
+	subs := make([]*builder, len(jobs))
+	par.For(len(jobs), 1, workers, func(_, lo, hi int) {
+		for ji := lo; ji < hi; ji++ {
+			sb := newBuilder(ds, t.order, leafSize)
+			sb.build(jobs[ji].lo, jobs[ji].hi, 0, nil)
+			subs[ji] = sb
 		}
-		wg.Wait()
-		for ji := range jobs {
-			b.graft(&jobs[ji], subs[ji])
-		}
+	})
+	for ji := range jobs {
+		b.graft(&jobs[ji], subs[ji])
 	}
 	t.nodes, t.bboxMin, t.bboxMax = b.nodes, b.bboxMin, b.bboxMax
 	t.buildOps = b.ops

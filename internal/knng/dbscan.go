@@ -5,6 +5,7 @@ import (
 
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/dsu"
+	"sparkdbscan/internal/par"
 )
 
 // EdgeRule selects which graph edges connect two core points.
@@ -37,9 +38,9 @@ func (e EdgeRule) String() string {
 // Options tunes DBSCAN beyond the two standard parameters.
 type Options struct {
 	// Workers is the goroutine count for the core test, the
-	// dsu.Concurrent union pass and border assignment (<= 1 runs them
-	// inline). Labels are pinned byte-identical across every worker
-	// count.
+	// dsu.Concurrent union pass and border assignment (<= 0: all host
+	// cores, par.Workers). Labels are pinned byte-identical across
+	// every worker count.
 	Workers int
 	// Edges selects the core-core edge rule (default EdgeOneSided).
 	Edges EdgeRule
@@ -96,7 +97,7 @@ func DBSCAN(g *Graph, p dbscan.Params, opt Options) (*Result, error) {
 
 	// Core rule: with self counted, i is core iff its (minPts-1)-th
 	// nearest other point is within eps.
-	runBlocks(n, opt.Workers, func(lo, hi int) {
+	par.For(n, queryBlock, opt.Workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if p.MinPts <= 1 {
 				res.Core[i] = true
@@ -106,11 +107,11 @@ func DBSCAN(g *Graph, p dbscan.Params, opt Options) (*Result, error) {
 		}
 	})
 
-	// Union core-core edges, points sharded across workers.
+	// Union core-core edges, points split into blocks across workers.
 	// dsu.Concurrent's quiescent roots are component minima, so the
 	// dense relabeling below cannot see the schedule.
 	forest := dsu.NewConcurrent(n)
-	runBlocks(n, opt.Workers, func(lo, hi int) {
+	par.For(n, queryBlock, opt.Workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			unionEdges(g, res.Core, p, opt.Edges, int32(i), forest.Union)
 		}
@@ -137,7 +138,7 @@ func DBSCAN(g *Graph, p dbscan.Params, opt Options) (*Result, error) {
 	// Borders and noise: nearest listed core within eps wins; lists
 	// are (distance, index)-sorted, so the first core hit is the
 	// deterministic choice.
-	runBlocks(n, opt.Workers, func(lo, hi int) {
+	par.For(n, queryBlock, opt.Workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if res.Core[i] {
 				continue

@@ -66,8 +66,9 @@ func TestExactGraphModeReproducesExactDBSCAN(t *testing.T) {
 }
 
 // Labels must be byte-identical across DSU worker counts (dsu.Concurrent
-// unioned inline at 1, sharded beyond) and across repeated runs — for
-// both edge rules, on both exact and approximate graphs.
+// unioned inline at 1, in parallel blocks beyond, 0 meaning all host
+// cores) and across repeated runs — for both edge rules, on both exact
+// and approximate graphs.
 func TestLabelsIdenticalAcrossDSUWorkers(t *testing.T) {
 	ds := clusteredDataset(t, 1200)
 	p := dbscan.Params{Eps: quest.TableIEps, MinPts: quest.TableIMinPts}
@@ -82,7 +83,7 @@ func TestLabelsIdenticalAcrossDSUWorkers(t *testing.T) {
 	for _, g := range []*Graph{exact, approx} {
 		for _, rule := range []EdgeRule{EdgeOneSided, EdgeMutual} {
 			var base []byte
-			for _, workers := range []int{1, 2, 4, 8} {
+			for _, workers := range []int{1, 2, 4, 8, 0} {
 				res, err := DBSCAN(g, p, Options{Workers: workers, Edges: rule})
 				if err != nil {
 					t.Fatal(err)

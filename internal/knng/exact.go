@@ -1,19 +1,18 @@
 package knng
 
 import (
-	"runtime"
-	"sync"
-
 	"sparkdbscan/internal/geom"
+	"sparkdbscan/internal/par"
 )
 
 // Exact-scan tiling. A worker claims queryBlock query points at a time
-// (one atomic per block, not per point, while the last block never
-// leaves a worker idle for long). Within a block, each group of
-// querySubBlock queries sweeps the dataset in rowTile-row tiles: at
-// d=128 a tile is 512 KB, so it stays in L2 while every query of the
-// group scans it, and the dataset streams from memory once per group
-// instead of once per query.
+// from par.For's cursor (one atomic per block, not per point, while the
+// last block never leaves a worker idle for long); the package's other
+// parallel passes claim points in blocks of the same length. Within a
+// block, each group of querySubBlock queries sweeps the dataset in
+// rowTile-row tiles: at d=128 a tile is 512 KB, so it stays in L2 while
+// every query of the group scans it, and the dataset streams from
+// memory once per group instead of once per query.
 const (
 	queryBlock    = 256
 	querySubBlock = 32
@@ -37,42 +36,29 @@ func BuildExact(ds *geom.Dataset, k, workers int) (*Graph, error) {
 	}
 	n := ds.Len()
 	g := &Graph{K: k, Idx: make([]int32, n*k), Dist: make([]float64, n*k)}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > (n+queryBlock-1)/queryBlock {
-		workers = (n + queryBlock - 1) / queryBlock
-	}
-
-	var wg sync.WaitGroup
-	blocks := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	workers = min(par.Workers(workers), (n+queryBlock-1)/queryBlock)
+	// heaps[w] is worker w's sub-block of query heaps, made on its
+	// first block.
+	heaps := make([][]heapList, workers)
+	par.For(n, queryBlock, workers, func(w, lo, hi int) {
+		hs := heaps[w]
+		if hs == nil {
 			idx := make([]int32, querySubBlock*k)
 			d2 := make([]float64, querySubBlock*k)
-			var heaps [querySubBlock]heapList
-			for i := range heaps {
-				heaps[i] = heapList{idx: idx[i*k : (i+1)*k], d2: d2[i*k : (i+1)*k]}
+			hs = make([]heapList, querySubBlock)
+			for i := range hs {
+				hs[i] = heapList{idx: idx[i*k : (i+1)*k], d2: d2[i*k : (i+1)*k]}
 			}
-			for lo := range blocks {
-				hi := min(lo+queryBlock, n)
-				for s := lo; s < hi; s += querySubBlock {
-					e := min(s+querySubBlock, hi)
-					sweepTiles(ds, int32(s), heaps[:e-s])
-					for i := s; i < e; i++ {
-						heaps[i-s].extract(g.Idx[i*k:(i+1)*k], g.Dist[i*k:(i+1)*k])
-					}
-				}
+			heaps[w] = hs
+		}
+		for s := lo; s < hi; s += querySubBlock {
+			e := min(s+querySubBlock, hi)
+			sweepTiles(ds, int32(s), hs[:e-s])
+			for i := s; i < e; i++ {
+				hs[i-s].extract(g.Idx[i*k:(i+1)*k], g.Dist[i*k:(i+1)*k])
 			}
-		}()
-	}
-	for lo := 0; lo < n; lo += queryBlock {
-		blocks <- lo
-	}
-	close(blocks)
-	wg.Wait()
+		}
+	})
 	return g, nil
 }
 

@@ -1,12 +1,11 @@
 package knng
 
 import (
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"sparkdbscan/internal/geom"
+	"sparkdbscan/internal/par"
 	"sparkdbscan/internal/rng"
 )
 
@@ -34,9 +33,7 @@ type ApproxOptions struct {
 }
 
 func (o ApproxOptions) withDefaults(k int) ApproxOptions {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
+	o.Workers = par.Workers(o.Workers)
 	if o.Iters <= 0 {
 		o.Iters = 12
 	}
@@ -95,7 +92,7 @@ func BuildNNDescent(ds *geom.Dataset, k int, opt ApproxOptions) (*Graph, error) 
 
 	// Finalize: sort each list ascending and take square roots.
 	g := &Graph{K: k, Idx: make([]int32, n*k), Dist: make([]float64, n*k)}
-	runBlocks(n, opt.Workers, func(lo, hi int) {
+	par.For(n, queryBlock, opt.Workers, func(_, lo, hi int) {
 		h := heapList{}
 		for i := lo; i < hi; i++ {
 			h.idx = d.idx[i*k : (i+1)*k]
@@ -136,10 +133,10 @@ type descent struct {
 
 	order  []int32 // graphOrder's walk, reused across rounds
 	queued []bool
-	// idle holds the sweep workers between rounds, so each keeps its
-	// n-sized visited array and carries its epoch on.
-	mu   sync.Mutex
-	idle []*descentWorker
+	// workers[w] is par.For worker w's sweep scratch, made on its first
+	// block and kept across rounds, so it keeps its n-sized visited
+	// array and carries its epoch on.
+	workers []*descentWorker
 }
 
 func newDescent(ds *geom.Dataset, k int, opt ApproxOptions) *descent {
@@ -200,7 +197,7 @@ func (d *descent) prepare(round int) {
 		d.hopStart[p+1] = d.hopStart[p] + int32(m)
 	}
 	d.hops = slices.Grow(d.hops[:0], int(d.hopStart[n]))[:d.hopStart[n]]
-	runBlocks(n, d.opt.Workers, func(lo, hi int) {
+	par.For(n, queryBlock, d.opt.Workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			c := d.hopStart[p]
 			off, stride := strideWalk(k, sample, seed, round, int32(p), saltFwdHop)
@@ -249,15 +246,27 @@ func (d *descent) graphOrder() []int32 {
 
 // sweep improves every point in the given order (a permutation of the
 // point indices), writing the next graph, and returns how many lists
-// changed. Workers take contiguous spans of order. Each list is a pure
-// function of the current graph and the round's tables, so neither the
-// order nor the split changes the output (DESIGN §16).
+// changed. Workers claim queryBlock-long runs of order. Each list is a
+// pure function of the current graph and the round's tables, so neither
+// the order nor the split changes the output (DESIGN §16).
 func (d *descent) sweep(round int, order []int32) int {
 	k := d.k
 	var changed atomic.Int64
-	runBlocks(len(order), d.opt.Workers, func(lo, hi int) {
-		w := d.worker()
-		defer d.release(w)
+	workers := min(d.opt.Workers, (len(order)+queryBlock-1)/queryBlock)
+	if extra := workers - len(d.workers); extra > 0 {
+		d.workers = append(d.workers, make([]*descentWorker, extra)...)
+	}
+	par.For(len(order), queryBlock, workers, func(wi, lo, hi int) {
+		w := d.workers[wi]
+		if w == nil {
+			w = &descentWorker{
+				descent: d,
+				visited: make([]int32, d.ds.Len()),
+				h:       heapList{idx: make([]int32, d.k), d2: make([]float64, d.k)},
+				hFresh:  make([]bool, d.k),
+			}
+			d.workers[wi] = w
+		}
 		w.round = round
 		local := 0
 		for _, i := range order[lo:hi] {
@@ -269,30 +278,6 @@ func (d *descent) sweep(round int, order []int32) int {
 		changed.Add(int64(local))
 	})
 	return int(changed.Load())
-}
-
-// worker takes an idle sweep worker, or makes one.
-func (d *descent) worker() *descentWorker {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n := len(d.idle); n > 0 {
-		w := d.idle[n-1]
-		d.idle = d.idle[:n-1]
-		return w
-	}
-	return &descentWorker{
-		descent: d,
-		visited: make([]int32, d.ds.Len()),
-		h:       heapList{idx: make([]int32, d.k), d2: make([]float64, d.k)},
-		hFresh:  make([]bool, d.k),
-	}
-}
-
-// release returns w to the idle workers.
-func (d *descent) release(w *descentWorker) {
-	d.mu.Lock()
-	d.idle = append(d.idle, w)
-	d.mu.Unlock()
 }
 
 // advance makes the graph sweep wrote the current one.
@@ -308,7 +293,7 @@ func (d *descent) advance() {
 // stream, so the init is independent of worker scheduling.
 func initRandomLists(ds *geom.Dataset, k int, seed uint64, workers int, idx []int32, d2 []float64, fresh []bool) {
 	n := ds.Len()
-	runBlocks(n, workers, func(lo, hi int) {
+	par.For(n, queryBlock, workers, func(_, lo, hi int) {
 		var h heapList
 		for i := lo; i < hi; i++ {
 			r := rng.New(rng.Hash64(seed^0x6b6e6e67<<24) + rng.Hash64(uint64(i)))
@@ -516,32 +501,4 @@ func walkLen(length, off, stride int) int {
 		return 0
 	}
 	return (length - off + stride - 1) / stride
-}
-
-// runBlocks splits [0, n) into contiguous per-worker spans and runs fn
-// on each concurrently. Spans are a pure function of (n, workers), but
-// since every fn writes only its own span's outputs the results are
-// identical for any worker count.
-func runBlocks(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 2*queryBlock {
-		fn(0, n)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	span := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += span {
-		hi := lo + span
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

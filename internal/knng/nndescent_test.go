@@ -80,8 +80,8 @@ func TestNNDescentSweepOrderIrrelevant(t *testing.T) {
 }
 
 // TestNNDescentEdgeCases covers inputs the main tests do not reach: n
-// below 2*queryBlock, where runBlocks runs inline whatever the worker
-// count; k = n-1, where the initial lists already hold every other
+// one short of 2*queryBlock, where every parallel pass ends in a short
+// block; k = n-1, where the initial lists already hold every other
 // point so the graph must equal the exact one; and duplicate points,
 // where every tie breaks by index.
 func TestNNDescentEdgeCases(t *testing.T) {

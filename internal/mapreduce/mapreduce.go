@@ -14,8 +14,8 @@ package mapreduce
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"sparkdbscan/internal/par"
 	"sparkdbscan/internal/simtime"
 	"sparkdbscan/internal/vcluster"
 )
@@ -47,8 +47,6 @@ type Config struct {
 	// StragglerFrac and Seed mirror the spark scheduler's jitter.
 	StragglerFrac float64
 	Seed          uint64
-	// HostParallelism bounds real goroutines (wall-clock only).
-	HostParallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -69,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StragglerFrac == 0 {
 		c.StragglerFrac = 0.15
-	}
-	if c.HostParallelism < 1 {
-		c.HostParallelism = 4
 	}
 	return c
 }
@@ -116,7 +111,9 @@ type Report struct {
 func (r Report) Total() float64 { return r.SetupSeconds + r.MapSeconds + r.ReduceSeconds }
 
 // Run executes the job over the given input splits (one map task per
-// split) and returns the reducer outputs in unspecified order.
+// split) and returns the reducer outputs in unspecified order. Each
+// phase's tasks run on GOMAXPROCS goroutines (par.For); that affects
+// only the wall clock, never the simulated makespans.
 func Run[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], splits [][]I) ([]O, *Report, error) {
 	cfg = cfg.withDefaults()
 	if job.Map == nil || job.Reduce == nil {
@@ -139,60 +136,56 @@ func Run[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], spl
 	}
 	outs := make([]mapOut, len(splits))
 	errs := make([]error, len(splits))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.HostParallelism)
-	for s := range splits {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var w simtime.Work
-			buckets := make([][]Pair[K, V], cfg.ReduceTasks)
-			emitted := int64(0)
-			var bytes int64
-			emit := func(k K, v V) {
-				b := int(hashKey(k) % uint64(cfg.ReduceTasks))
-				buckets[b] = append(buckets[b], Pair[K, V]{k, v})
-				emitted++
-				bytes += kvBytes(k, v)
-			}
-			if err := job.Map(s, splits[s], emit, &w); err != nil {
-				errs[s] = err
-				return
-			}
-			if job.Combine != nil {
-				emitted, bytes = 0, 0
-				for bi, bucket := range buckets {
-					groups := make(map[K][]V)
-					var keyOrder []K
-					for _, p := range bucket {
-						w.HashOps++
-						if _, ok := groups[p.Key]; !ok {
-							keyOrder = append(keyOrder, p.Key)
-						}
-						groups[p.Key] = append(groups[p.Key], p.Value)
+	mapTask := func(s int) error {
+		var w simtime.Work
+		buckets := make([][]Pair[K, V], cfg.ReduceTasks)
+		emitted := int64(0)
+		var bytes int64
+		emit := func(k K, v V) {
+			b := int(hashKey(k) % uint64(cfg.ReduceTasks))
+			buckets[b] = append(buckets[b], Pair[K, V]{k, v})
+			emitted++
+			bytes += kvBytes(k, v)
+		}
+		if err := job.Map(s, splits[s], emit, &w); err != nil {
+			return err
+		}
+		if job.Combine != nil {
+			emitted, bytes = 0, 0
+			for bi, bucket := range buckets {
+				groups := make(map[K][]V)
+				var keyOrder []K
+				for _, p := range bucket {
+					w.HashOps++
+					if _, ok := groups[p.Key]; !ok {
+						keyOrder = append(keyOrder, p.Key)
 					}
-					combined := make([]Pair[K, V], 0, len(groups))
-					for _, k := range keyOrder {
-						v := job.Combine(k, groups[k], &w)
-						combined = append(combined, Pair[K, V]{k, v})
-						emitted++
-						bytes += kvBytes(k, v)
-					}
-					buckets[bi] = combined
+					groups[p.Key] = append(groups[p.Key], p.Value)
 				}
+				combined := make([]Pair[K, V], 0, len(groups))
+				for _, k := range keyOrder {
+					v := job.Combine(k, groups[k], &w)
+					combined = append(combined, Pair[K, V]{k, v})
+					emitted++
+					bytes += kvBytes(k, v)
+				}
+				buckets[bi] = combined
 			}
-			// Hadoop sorts map output by key before spilling.
-			if emitted > 1 {
-				w.SortComps += int64(float64(emitted) * math.Log2(float64(emitted)))
-			}
-			w.SerBytes += bytes
-			w.DiskWriteBytes += bytes
-			outs[s] = mapOut{buckets: buckets, work: w}
-		}(s)
+		}
+		// Hadoop sorts map output by key before spilling.
+		if emitted > 1 {
+			w.SortComps += int64(float64(emitted) * math.Log2(float64(emitted)))
+		}
+		w.SerBytes += bytes
+		w.DiskWriteBytes += bytes
+		outs[s] = mapOut{buckets: buckets, work: w}
+		return nil
 	}
-	wg.Wait()
+	par.For(len(splits), 1, 0, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			errs[s] = mapTask(s)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, fmt.Errorf("mapreduce: %q map failed: %w", job.Name, err)
@@ -224,47 +217,44 @@ func Run[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], spl
 	}
 	reds := make([]redOut, cfg.ReduceTasks)
 	redErrs := make([]error, cfg.ReduceTasks)
-	var rwg sync.WaitGroup
-	for r := 0; r < cfg.ReduceTasks; r++ {
-		rwg.Add(1)
-		sem <- struct{}{}
-		go func(r int) {
-			defer rwg.Done()
-			defer func() { <-sem }()
-			var w simtime.Work
-			// Remote-read every map task's bucket for this reducer.
-			groups := make(map[K][]V)
-			order := []K{} // deterministic key order: first appearance
-			var total int64
-			for s := range outs {
-				for _, p := range outs[s].buckets[r] {
-					sz := kvBytes(p.Key, p.Value)
-					w.DiskReadBytes += sz
-					w.NetBytes += sz
-					if _, ok := groups[p.Key]; !ok {
-						order = append(order, p.Key)
-					}
-					groups[p.Key] = append(groups[p.Key], p.Value)
-					total++
-					w.HashOps++
+	reduceTask := func(r int) error {
+		var w simtime.Work
+		// Remote-read every map task's bucket for this reducer.
+		groups := make(map[K][]V)
+		order := []K{} // deterministic key order: first appearance
+		var total int64
+		for s := range outs {
+			for _, p := range outs[s].buckets[r] {
+				sz := kvBytes(p.Key, p.Value)
+				w.DiskReadBytes += sz
+				w.NetBytes += sz
+				if _, ok := groups[p.Key]; !ok {
+					order = append(order, p.Key)
 				}
+				groups[p.Key] = append(groups[p.Key], p.Value)
+				total++
+				w.HashOps++
 			}
-			// Merge sort of the fetched runs.
-			if total > 1 {
-				w.SortComps += int64(float64(total) * math.Log2(float64(total)))
+		}
+		// Merge sort of the fetched runs.
+		if total > 1 {
+			w.SortComps += int64(float64(total) * math.Log2(float64(total)))
+		}
+		var out []O
+		emit := func(o O) { out = append(out, o) }
+		for _, k := range order {
+			if err := job.Reduce(k, groups[k], emit, &w); err != nil {
+				return err
 			}
-			var out []O
-			emit := func(o O) { out = append(out, o) }
-			for _, k := range order {
-				if err := job.Reduce(k, groups[k], emit, &w); err != nil {
-					redErrs[r] = err
-					return
-				}
-			}
-			reds[r] = redOut{out: out, work: w}
-		}(r)
+		}
+		reds[r] = redOut{out: out, work: w}
+		return nil
 	}
-	rwg.Wait()
+	par.For(cfg.ReduceTasks, 1, 0, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			redErrs[r] = reduceTask(r)
+		}
+	})
 	for _, err := range redErrs {
 		if err != nil {
 			return nil, nil, fmt.Errorf("mapreduce: %q reduce failed: %w", job.Name, err)

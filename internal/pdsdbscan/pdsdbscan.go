@@ -8,7 +8,7 @@
 // count, so the live layer's reconcile runs on it.
 //
 // The engine makes one pass over the kd-tree's leaf order, in
-// fixed-size chunks that Workers goroutines pull from an atomic cursor.
+// fixed-size chunks that Workers goroutines pull from par.For's cursor.
 // Each run of kdtree.BlockSize leaf-order points shares one
 // kdtree.RadiusBlock descent; a point's neighbour count is the length
 // of its result. A core point publishes its flag, then unions
@@ -29,14 +29,13 @@ package pdsdbscan
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"sparkdbscan/internal/dbscan"
 	"sparkdbscan/internal/dsu"
 	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
+	"sparkdbscan/internal/par"
 	"sparkdbscan/internal/simtime"
 )
 
@@ -71,7 +70,8 @@ type Result struct {
 	Stats kdtree.SearchStats
 }
 
-// shard is one worker's private tally, merged after the pass.
+// shard is one worker's private tally and scratch, indexed by par.For's
+// worker index and merged after the passes.
 type shard struct {
 	stats kdtree.SearchStats
 	work  simtime.Work
@@ -94,7 +94,7 @@ func Run(ds *geom.Dataset, tree *kdtree.Tree, cfg Config) (*Result, error) {
 		Counts: make([]int32, n),
 	}
 	eps, minPts := cfg.Params.Eps, cfg.Params.MinPts
-	shards := make([]shard, workerCount(cfg.Workers, n))
+	shards := make([]shard, par.Workers(cfg.Workers))
 	forest := dsu.NewConcurrent(n)
 	flags := make([]atomic.Bool, n)
 
@@ -171,50 +171,21 @@ func Run(ds *geom.Dataset, tree *kdtree.Tree, cfg Config) (*Result, error) {
 // GOMAXPROCS goroutines. tree must index ds.
 func Census(ds *geom.Dataset, tree *kdtree.Tree, eps float64) []int32 {
 	counts := make([]int32, ds.Len())
-	inBlocks(make([]shard, workerCount(0, ds.Len())), tree, eps, nil, func(_ *shard, x int32, nbrs []int32) {
+	inBlocks(make([]shard, par.Workers(0)), tree, eps, nil, func(_ *shard, x int32, nbrs []int32) {
 		counts[x] = int32(len(nbrs))
 	})
 	return counts
 }
 
-// workerCount resolves a Workers setting: GOMAXPROCS by default, never
-// more than there are chunks to hand out, and at least one.
-func workerCount(workers, n int) int {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(workers, (n+chunkPts-1)/chunkPts))
-}
-
-// inChunks runs f over [0, n) in chunkPts-sized ranges, one goroutine
-// per shard pulling ranges from a shared cursor, and returns once every
-// range is done.
-func inChunks(shards []shard, n int, f func(sh *shard, lo, hi int)) {
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(chunkPts)) - chunkPts
-				if lo >= n {
-					return
-				}
-				f(sh, lo, min(lo+chunkPts, n))
-			}
-		}(&shards[i])
-	}
-	wg.Wait()
-}
-
 // inBlocks calls f(sh, x, nbrs) for every point x of tree's leaf order
 // that keep accepts (nil keeps all), nbrs being x's eps-neighbourhood.
 // The kept points of each kdtree.BlockSize run share one RadiusBlock
-// call; shards run as in inChunks.
+// call. Chunks of chunkPts points go to at most len(shards) workers,
+// worker w tallying into shards[w].
 func inBlocks(shards []shard, tree *kdtree.Tree, eps float64, keep func(int32) bool, f func(sh *shard, x int32, nbrs []int32)) {
 	order := tree.Order()
-	inChunks(shards, len(order), func(sh *shard, lo, hi int) {
+	par.For(len(order), chunkPts, len(shards), func(w, lo, hi int) {
+		sh := &shards[w]
 		for b := lo; b < hi; b += kdtree.BlockSize {
 			pts := order[b:min(b+kdtree.BlockSize, hi)]
 			if keep != nil {

@@ -207,6 +207,10 @@ func runClosedLoop(s *Server, w Workload, o LoadOptions) LoadReport {
 	if clients < 1 {
 		clients = 1
 	}
+	n := w.N()
+	if n == 0 {
+		return LoadReport{Mode: "closed", Clients: clients}
+	}
 	var c loadCounters
 	var issued atomic.Uint64
 	start := time.Now()
@@ -216,7 +220,6 @@ func runClosedLoop(s *Server, w Workload, o LoadOptions) LoadReport {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			n := w.N()
 			for i := g; time.Now().Before(deadline); i += clients {
 				issued.Add(1)
 				a, err := o.assign(s, w.At(i%n))

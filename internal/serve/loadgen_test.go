@@ -117,3 +117,25 @@ func TestRunLoadWithPriorityAndTimeout(t *testing.T) {
 		t.Fatalf("books don't balance: %d != %d", got, r.Issued)
 	}
 }
+
+// TestRunLoadEmptyWorkload runs both loops over a bank with no queries:
+// each returns an empty report of its mode instead of issuing (the
+// closed loop used to divide by the bank size).
+func TestRunLoadEmptyWorkload(t *testing.T) {
+	ds := clusteredDS(23, 200, 2, 2, 4)
+	m, _ := mustFreeze(t, ds, dbscan.Params{Eps: 8, MinPts: 5})
+	srv := NewServer(m, Options{Workers: 1})
+	defer srv.Close()
+	for _, o := range []LoadOptions{
+		{Clients: 2, Duration: 10 * time.Millisecond},
+		{QPS: 1000, Duration: 10 * time.Millisecond},
+	} {
+		r := RunLoad(srv, Workload{Dim: ds.Dim}, o)
+		if r.Issued != 0 || r.Completed != 0 {
+			t.Errorf("%s loop: issued=%d completed=%d on an empty workload", r.Mode, r.Issued, r.Completed)
+		}
+		if want := map[bool]string{true: "open", false: "closed"}[o.QPS > 0]; r.Mode != want {
+			t.Errorf("mode %q, want %q", r.Mode, want)
+		}
+	}
+}
