@@ -287,38 +287,6 @@ func BenchmarkAblationBroadcast(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSpatialPartitioning quantifies the paper's §VI
-// future work: range partitions cut from the kd-tree's leaf order
-// (neighbourhood-aware) versus the paper's raw index ranges, at 16
-// partitions.
-func BenchmarkAblationSpatialPartitioning(b *testing.B) {
-	ds := benchDataset(b, "r10k", 5000)
-	for _, tc := range []struct {
-		name    string
-		spatial bool
-	}{{"indexRange", false}, {"leaforder", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var partials int
-			var merge float64
-			for i := 0; i < b.N; i++ {
-				sctx := spark.NewContext(spark.Config{Cores: 16, Seed: 1})
-				res, err := core.Run(sctx, ds, core.Config{
-					Params:              benchParams,
-					Partitions:          16,
-					SpatialPartitioning: tc.spatial,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				partials = res.Global.NumPartialClusters
-				merge = res.Phases.Merge
-			}
-			b.ReportMetric(float64(partials), "partial-clusters")
-			b.ReportMetric(merge, "merge-simsec")
-		})
-	}
-}
-
 // BenchmarkComparePDSDBSCAN compares the paper's Spark algorithm with
 // the Patwary et al. disjoint-set parallel DBSCAN on metered work: the
 // SEED/merge overhead the Spark design pays for communication-free

@@ -6,7 +6,6 @@
 //	dbscan -in points.txt -eps 25 -minpts 5                 # sequential
 //	dbscan -in points.txt -eps 25 -minpts 5 -cores 8        # distributed
 //	dbscan -in points.bin -eps 25 -minpts 5 -cores 8 -paper # paper's exact variant
-//	dbscan -in points.txt -eps 25 -minpts 5 -cores 8 -spatial # leaf-order range partitions
 //	dbscan -in points.txt -eps 25 -minpts 5 -serve-demo -serve-chaos 53 # serving demo with fault injection
 //	dbscan -in points.txt -eps 25 -minpts 5 -serve-live     # live-update demo: insert/delete, reconcile, verify
 //	dbscan -in embed4k.bin -eps 0.4 -minpts 8 -mode knn     # high-dimensional kNN-graph mode (exact graph)

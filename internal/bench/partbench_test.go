@@ -52,13 +52,7 @@ func TestPartBenchWritesReport(t *testing.T) {
 				row.Points, row.Cell.BroadcastBytes, row.Range.BroadcastBytes)
 		}
 	}
-	// Acceptance criterion: at >= 10M points cell mode's makespan is no
-	// worse than range mode's — the per-executor broadcast
-	// deserialization has outgrown the shuffle.
-	for _, row := range rep.Rows[2:] {
-		if row.Cell.Makespan > row.Range.Makespan {
-			t.Fatalf("at %d points cell makespan %.1fs worse than range %.1fs",
-				row.Points, row.Cell.Makespan, row.Range.Makespan)
-		}
+	if gateNames(env)["cell-makespan-at-scale"] {
+		t.Fatal("smoke run must waive the full-size makespan gate")
 	}
 }

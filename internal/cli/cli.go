@@ -106,16 +106,15 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dbscan", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		in      = fs.String("in", "", "input file (.txt or .bin); required")
-		out     = fs.String("out", "", "label output file (default: summary only)")
-		eps     = fs.Float64("eps", 25, "neighbourhood radius")
-		minPts  = fs.Int("minpts", 5, "density threshold")
-		cores   = fs.Int("cores", 0, "virtual cores for distributed run; 0 = sequential")
-		parts   = fs.Int("partitions", 0, "partitions (default = cores)")
-		paper   = fs.Bool("paper", false, "use the paper's SEED rule and Algorithm 4 merge (default: exact seeds and the canonical parallel merge)")
-		prune   = fs.Int("prune", 0, "cap neighbour lists at this size (0 = exact search)")
-		real    = fs.Bool("realtime", false, "wall-clock timing instead of the virtual cluster")
-		spatial = fs.Bool("spatial", false, "cut range partitions from the kd-tree's leaf order (range mode only; exact labels unchanged)")
+		in     = fs.String("in", "", "input file (.txt or .bin); required")
+		out    = fs.String("out", "", "label output file (default: summary only)")
+		eps    = fs.Float64("eps", 25, "neighbourhood radius")
+		minPts = fs.Int("minpts", 5, "density threshold")
+		cores  = fs.Int("cores", 0, "virtual cores for distributed run; 0 = sequential")
+		parts  = fs.Int("partitions", 0, "partitions (default = cores)")
+		paper  = fs.Bool("paper", false, "use the paper's SEED rule and Algorithm 4 merge (default: exact seeds and the canonical parallel merge)")
+		prune  = fs.Int("prune", 0, "cap neighbour lists at this size (0 = exact search)")
+		real   = fs.Bool("realtime", false, "wall-clock timing instead of the virtual cluster")
 
 		partition = fs.String("partition", "range", "spatial partitioning: range (broadcast the dataset) or cell (eps-halo shuffle)")
 		cellPts   = fs.Int("cellpoints", 0, "cell mode: target home points per cell (0 = default)")
@@ -252,13 +251,12 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 			mergeAlgo = coredbscan.MergePaper
 		}
 		res, err := coredbscan.Run(sctx, ds, coredbscan.Config{
-			Params:              params,
-			Partitions:          *parts,
-			Merge:               coredbscan.MergeOptions{Algo: mergeAlgo, Workers: *mergeWorkers},
-			MaxNeighbors:        *prune,
-			SpatialPartitioning: *spatial,
-			Partitioning:        partMode,
-			Cell:                coredbscan.CellOptions{TargetPointsPerCell: *cellPts},
+			Params:       params,
+			Partitions:   *parts,
+			Merge:        coredbscan.MergeOptions{Algo: mergeAlgo, Workers: *mergeWorkers},
+			MaxNeighbors: *prune,
+			Partitioning: partMode,
+			Cell:         coredbscan.CellOptions{TargetPointsPerCell: *cellPts},
 		})
 		if err != nil {
 			return err

@@ -91,15 +91,10 @@ func TestDBSCANSequentialAndDistributed(t *testing.T) {
 		t.Fatalf("%d labels, want 2000", len(lines))
 	}
 
-	// Paper-fidelity and spatial variants run too.
+	// The paper-fidelity variant runs too.
 	out.Reset()
 	if err := RunDBSCAN([]string{"-in", in, "-eps", "25", "-minpts", "5",
 		"-cores", "4", "-paper"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := RunDBSCAN([]string{"-in", in, "-eps", "25", "-minpts", "5",
-		"-cores", "4", "-spatial"}, &out); err != nil {
 		t.Fatal(err)
 	}
 }

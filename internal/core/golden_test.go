@@ -18,10 +18,10 @@ import (
 // print in Go's shortest round-trip form, so equal strings mean equal
 // bits.
 var partitionFiltersGolden = map[string]string{
-	"c10k/range/parallel/none":      "labels=2e96c4072f7df968 partials=112 dropped=0 noise=109 merges=109 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.0666849862919925 0.25009512500000003 0 0] driver=0.274570965 executor=5.0666849862919925",
-	"c10k/range/parallel/maxnb16":   "labels=9b2ac2ccfe246d13 partials=1182 dropped=0 noise=115 merges=1179 phases=[0.006150000000000001 0.014399999999999998 0.00392584 1.2053791324749221 2.49456825 0 0] driver=2.51904409 executor=1.2053791324749221",
-	"c10k/range/parallel/minlocal8": "labels=2e96c4072f7df968 partials=78 dropped=0 noise=143 merges=75 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.066680383612801 0.17877075000000003 0 0] driver=0.20324659000000003 executor=5.066680383612801",
-	"c10k/range/parallel/both":      "labels=ddcf5f0bb6474e8e partials=1128 dropped=0 noise=169 merges=1125 phases=[0.006150000000000001 0.014399999999999998 0.00392584 1.2053722284561335 2.3812948125 0 0] driver=2.4057706525 executor=1.2053722284561335",
+	"c10k/range/parallel/none":      "labels=2e96c4072f7df968 partials=16 dropped=0 noise=79 merges=13 phases=[0.006150000000000001 0.01815 0.004045840000000002 5.083342072758072 0.0405495 0 0] driver=0.06889534 executor=5.083342072758072",
+	"c10k/range/parallel/maxnb16":   "labels=1d7ac3ae4f27657c partials=51 dropped=0 noise=90 merges=40 phases=[0.006150000000000001 0.01815 0.004045840000000002 1.3889142639183307 0.11071393750000001 0 0] driver=0.1390597775 executor=1.3889142639183307",
+	"c10k/range/parallel/minlocal8": "labels=2e96c4072f7df968 partials=12 dropped=0 noise=83 merges=9 phases=[0.006150000000000001 0.01815 0.004045840000000002 5.083342072758072 0.03215825 0 0] driver=0.06050409 executor=5.083342072758072",
+	"c10k/range/parallel/both":      "labels=df1b072f11936940 partials=16 dropped=0 noise=126 merges=13 phases=[0.006150000000000001 0.01815 0.004045840000000002 1.3889100447957374 0.037261062500000004 0 0] driver=0.06560690250000001 executor=1.3889100447957374",
 	"c10k/range/paper/none":         "labels=fd1a733e13a52bc3 partials=112 dropped=0 noise=109 merges=109 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.441367907847662 0.9502787500000001 0 0] driver=0.9747545900000001 executor=5.441367907847662",
 	"c10k/range/paper/maxnb16":      "labels=19bb58f0b0b0626c partials=1182 dropped=0 noise=115 merges=1179 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.800043582150746 9.92413625 0 0] driver=9.94861209 executor=4.800043582150746",
 	"c10k/range/paper/minlocal8":    "labels=5bbce2aa3d59d68e partials=41 dropped=0 noise=180 merges=38 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.441356976484581 0.3547 0 0] driver=0.37917584000000004 executor=5.441356976484581",
@@ -30,10 +30,10 @@ var partitionFiltersGolden = map[string]string{
 	"c10k/cell/maxnb16":             "labels=711abcbb9ebb86d8 partials=768 dropped=0 noise=113 merges=765 phases=[0.006150000000000001 0 8.732000000000184e-05 1.5962948716811511 1.622913875 0 0.09000000000000001] driver=1.719151195 executor=1.5962948716811511",
 	"c10k/cell/minlocal8":           "labels=2e96c4072f7df968 partials=192 dropped=0 noise=124 merges=189 phases=[0.006150000000000001 0 8.732000000000184e-05 4.641814451175844 0.428552625 0 0.09000000000000001] driver=0.524789945 executor=4.641814451175844",
 	"c10k/cell/both":                "labels=7a403dd330e0b87a partials=714 dropped=0 noise=167 merges=711 phases=[0.006150000000000001 0 8.732000000000184e-05 1.5962872905793157 1.509646375 0 0.09000000000000001] driver=1.605883695 executor=1.5962872905793157",
-	"r10k/range/parallel/none":      "labels=d6239cce576309ac partials=242 dropped=0 noise=454 merges=239 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.554956836307506 0.5208695000000001 0 0] driver=0.5453453400000001 executor=4.554956836307506",
-	"r10k/range/parallel/maxnb16":   "labels=5066bd84dcef56b0 partials=1007 dropped=0 noise=471 merges=1004 phases=[0.006150000000000001 0.014399999999999998 0.00392584 1.9697409358964553 2.1253910625 0 0] driver=2.1498669025 executor=1.9697409358964553",
-	"r10k/range/parallel/minlocal8": "labels=70bad27ffc3b78dd partials=164 dropped=0 noise=532 merges=161 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.5549512747368155 0.35724950000000005 0 0] driver=0.38172534 executor=4.5549512747368155",
-	"r10k/range/parallel/both":      "labels=c4032c166c14cad3 partials=898 dropped=0 noise=580 merges=895 phases=[0.006150000000000001 0.014399999999999998 0.00392584 1.9697291415310245 1.89675825 0 0] driver=1.92123409 executor=1.9697291415310245",
+	"r10k/range/parallel/none":      "labels=d6239cce576309ac partials=16 dropped=0 noise=380 merges=13 phases=[0.006150000000000001 0.01815 0.004045840000000002 4.549048856531398 0.039176375 0 0] driver=0.067522215 executor=4.549048856531398",
+	"r10k/range/parallel/maxnb16":   "labels=5066bd84dcef56b0 partials=30 dropped=0 noise=386 merges=27 phases=[0.006150000000000001 0.01815 0.004045840000000002 2.041822918692176 0.06683481250000001 0 0] driver=0.09518065250000002 executor=2.041822918692176",
+	"r10k/range/parallel/minlocal8": "labels=d6239cce576309ac partials=12 dropped=0 noise=384 merges=9 phases=[0.006150000000000001 0.01815 0.004045840000000002 4.54904780175075 0.030787000000000005 0 0] driver=0.059132840000000006 executor=4.54904780175075",
+	"r10k/range/parallel/both":      "labels=0e8a97e786f26a8f partials=15 dropped=0 noise=401 merges=12 phases=[0.006150000000000001 0.01815 0.004045840000000002 2.041819301869972 0.0353810625 0 0] driver=0.0637269025 executor=2.041819301869972",
 	"r10k/range/paper/none":         "labels=ba4eacfd4019725c partials=242 dropped=0 noise=454 merges=239 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.175945142556424 2.03964375 0 0] driver=2.0641195900000002 executor=5.175945142556424",
 	"r10k/range/paper/maxnb16":      "labels=b812edb9b6e4177b partials=1007 dropped=0 noise=471 merges=1004 phases=[0.006150000000000001 0.014399999999999998 0.00392584 4.968938367727569 8.454765 0 0] driver=8.47924084 executor=4.968938367727569",
 	"r10k/range/paper/minlocal8":    "labels=72673746612e72a9 partials=73 dropped=0 noise=627 merges=70 phases=[0.006150000000000001 0.014399999999999998 0.00392584 5.1759171767557355 0.6221025 0 0] driver=0.64657834 executor=5.1759171767557355",

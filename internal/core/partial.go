@@ -49,8 +49,10 @@ type PartialCluster struct {
 	// Seq numbers the cluster within its partition.
 	Seq int32
 	// Members are the owned points of the cluster ("regular
-	// elements"): every one lies in the partition's range (of the
-	// leaf order under SpatialPartitioning).
+	// elements"): every one lies in the partition's range. Under the
+	// exact pair that range is a run of the kd-tree's leaf order, and
+	// rangeStage maps members back to input ids before they leave the
+	// executor.
 	Members []int32
 	// Seeds are foreign points recorded as merge markers. Per the
 	// paper they are also elements of the final merged cluster

@@ -22,7 +22,10 @@ type Config struct {
 	// Merge configures the driver-side merge. The zero value is the
 	// exact pair: SeedExact partials merged by MergeParallel, labels
 	// byte-identical to sequential DBSCAN. MergePaper selects the
-	// paper's pair instead: SeedSingle partials and Algorithm 4.
+	// paper's pair instead: SeedSingle partials and Algorithm 4. The
+	// pair also fixes range mode's layout: the exact pair cuts runs of
+	// the driver kd-tree's leaf order (the paper's §VI future work),
+	// MergePaper the paper's input-index ranges.
 	Merge MergeOptions
 	// MaxNeighbors > 0 enables the pruned range search the paper uses
 	// for the 1m-point datasets.
@@ -30,18 +33,8 @@ type Config struct {
 	// MinLocalClusterSize > 1 makes executors drop partial clusters
 	// below this size before sending them (the paper's r1m filter).
 	MinLocalClusterSize int
-	// SpatialPartitioning makes range partitions runs of the driver
-	// kd-tree's leaf order instead of input index ranges, so executors
-	// receive spatially coherent blocks — the paper's §VI future work.
-	// The driver reorders the dataset by the tree's leaf order (no sort,
-	// no rebuild) and broadcasts the permutation; executors map their
-	// partial clusters back to input ids. Labels therefore refer to the
-	// input order, and under the exact pair they stay byte-identical to
-	// sequential DBSCAN. Range mode only: cell partitions are spatial
-	// already and ignore it.
-	SpatialPartitioning bool
 	// Partitioning selects how points reach executors: PartRange (the
-	// paper's index ranges over a full-dataset broadcast, the default)
+	// paper's ranges over a full-dataset broadcast, the default)
 	// or PartCell (grid cells with eps-halo replication over a
 	// shuffle). Cell mode always runs the exact pair, so its labels are
 	// pinned byte-identical to range mode and sequential DBSCAN; see
@@ -105,9 +98,9 @@ type Result struct {
 
 // broadcastPayload is what the driver ships to every executor: the
 // dataset, the kd-tree over it, the parameters and the partition table
-// (§IV-B lists exactly these). Under SpatialPartitioning DS and Tree
-// are in leaf order and Perm maps a leaf position to its input id;
-// otherwise Perm is nil.
+// (§IV-B lists exactly these). Under the exact pair DS and Tree are in
+// leaf order and Perm maps a leaf position to its input id; under
+// MergePaper they are in input order and Perm is nil.
 type broadcastPayload struct {
 	DS   *geom.Dataset
 	Tree *kdtree.Tree
@@ -122,6 +115,9 @@ type broadcastPayload struct {
 func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
+	}
+	if err := geom.CheckFiniteDataset(ds); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	n := ds.Len()
 	if cfg.Partitions <= 0 {

@@ -10,38 +10,38 @@ import (
 	"sparkdbscan/internal/spark"
 )
 
-// TestSpatialPartitioningReducesPartialClusters: leaf-order range
-// partitions cut the partial-cluster count at least in half against
-// input index ranges, and under the exact pair the labels stay
-// byte-identical to sequential DBSCAN's, in input order.
-func TestSpatialPartitioningReducesPartialClusters(t *testing.T) {
+// TestLeafOrderPartitionsReducePartialClusters: the exact pair's range
+// partitions, runs of the kd-tree's leaf order, leave at most half the
+// partial clusters of the paper pair's input index ranges, and their
+// labels stay byte-identical to sequential DBSCAN's, in input order.
+func TestLeafOrderPartitionsReducePartialClusters(t *testing.T) {
 	ds := testDataset(t, "r10k", 5000)
 	ref, _ := sequential(t, ds)
 	for _, parts := range []int{16, 64} {
-		run := func(spatial bool) *Result {
+		run := func(algo MergeAlgo) *Result {
 			sctx := spark.NewContext(spark.Config{Cores: 16, Seed: 3})
 			res, err := Run(sctx, ds, Config{
-				Params:              tableParams,
-				Partitions:          parts,
-				SpatialPartitioning: spatial,
+				Params:     tableParams,
+				Partitions: parts,
+				Merge:      MergeOptions{Algo: algo},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		plain, spatial := run(false), run(true)
-		if spatial.Global.NumPartialClusters*2 > plain.Global.NumPartialClusters {
-			t.Fatalf("parts=%d: spatial partitioning did not reduce partial clusters: %d vs %d",
-				parts, spatial.Global.NumPartialClusters, plain.Global.NumPartialClusters)
+		leaf, index := run(MergeParallel), run(MergePaper)
+		if leaf.Global.NumPartialClusters*2 > index.Global.NumPartialClusters {
+			t.Fatalf("parts=%d: leaf order did not halve partial clusters: %d vs %d on index ranges",
+				parts, leaf.Global.NumPartialClusters, index.Global.NumPartialClusters)
 		}
-		compareLabels(t, fmt.Sprintf("parts=%d/spatial", parts), ref.Labels, spatial.Global.Labels)
+		compareLabels(t, fmt.Sprintf("parts=%d", parts), ref.Labels, leaf.Global.Labels)
 	}
 }
 
-// FuzzRangePartitioning checks range mode's exact pair against
-// sequential DBSCAN over brute-force neighbourhoods, byte for byte, with
-// SpatialPartitioning on and off. grid holds the points' coordinates,
+// FuzzRangePartitioning checks range mode's exact pair, on its
+// leaf-order ranges, against sequential DBSCAN over brute-force
+// neighbourhoods, byte for byte. grid holds the points' coordinates,
 // dim bytes per point and at most 256 points, each byte taken mod 16
 // (so ASCII digits read as their value). An integer grid with integer
 // eps puts duplicates and pairs at exactly eps in most inputs.
@@ -54,7 +54,7 @@ func TestSpatialPartitioningReducesPartialClusters(t *testing.T) {
 // cores, which takes the lower label, minPts 1 and all-noise inputs,
 // and the float64 path at d = 33.
 func FuzzRangePartitioning(f *testing.F) {
-	f.Fuzz(func(t *testing.T, dimRaw, minPtsRaw, partsRaw, epsRaw uint8, spatial bool, grid []byte) {
+	f.Fuzz(func(t *testing.T, dimRaw, minPtsRaw, partsRaw, epsRaw uint8, grid []byte) {
 		dim := []int{1, 2, 3, 33}[dimRaw%4]
 		n := min(len(grid)/dim, 256)
 		if n == 0 {
@@ -71,11 +71,11 @@ func FuzzRangePartitioning(f *testing.F) {
 			t.Fatal(err)
 		}
 		sctx := spark.NewContext(spark.Config{Cores: parts, Seed: 1})
-		res, err := Run(sctx, ds, Config{Params: params, Partitions: parts, SpatialPartitioning: spatial})
+		res, err := Run(sctx, ds, Config{Params: params, Partitions: parts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareLabels(t, fmt.Sprintf("n=%d d=%d %+v parts=%d spatial=%v", n, dim, params, parts, spatial),
+		compareLabels(t, fmt.Sprintf("n=%d d=%d %+v parts=%d", n, dim, params, parts),
 			ref.Labels, res.Global.Labels)
 	})
 }

@@ -122,10 +122,11 @@ func (e *stageEnv) collect(tc *spark.TaskContext, w *simtime.Work, lr *LocalResu
 	e.stats.Add(tc, lr.Stats)
 }
 
-// rangeStage is the paper-faithful baseline: driver kd-tree over the
-// full dataset, full-payload broadcast, one LocalDBSCAN task per index
-// range. Under SpatialPartitioning the ranges index the tree's leaf
-// order instead of the input order.
+// rangeStage is the broadcast design of §IV-B: driver kd-tree over the
+// full dataset, full-payload broadcast, one LocalDBSCAN task per range.
+// MergePaper keeps the paper's input-index ranges. The exact pair, whose
+// labels do not depend on the layout, cuts runs of the tree's leaf
+// order (the paper's §VI future work), leaving fewer partial clusters.
 func rangeStage(env *stageEnv, ds *geom.Dataset) error {
 	sctx, cfg := env.sctx, env.cfg
 	n := ds.Len()
@@ -134,7 +135,7 @@ func rangeStage(env *stageEnv, ds *geom.Dataset) error {
 		return err
 	}
 
-	// Build the kd-tree in the driver. Spatial partitions swap to the
+	// Build the kd-tree in the driver. Leaf-order ranges swap to the
 	// leaf-ordered dataset and tree: one copy pass over the points,
 	// and perm, the tree's order, maps positions back to input ids.
 	var tree *kdtree.Tree
@@ -143,7 +144,7 @@ func rangeStage(env *stageEnv, ds *geom.Dataset) error {
 	err = sctx.RunInDriver("kdtree build", func(w *simtime.Work) error {
 		tree = kdtree.Build(ds)
 		w.TreeBuildOps += tree.BuildOps()
-		if cfg.SpatialPartitioning {
+		if cfg.Merge.Algo != MergePaper {
 			perm = tree.Order()
 			ds, tree = tree.LeafOrdered()
 			w.Elems += int64(n)

@@ -6,6 +6,7 @@ package dbscan
 
 import (
 	"fmt"
+	"math"
 
 	"sparkdbscan/internal/geom"
 	"sparkdbscan/internal/kdtree"
@@ -29,7 +30,11 @@ type Result struct {
 	Stats kdtree.SearchStats
 }
 
-// Params bundles the two DBSCAN parameters.
+// Params bundles the two DBSCAN parameters. Eps must be a positive
+// finite number: NaN compares false against every distance, so it would
+// make every point noise, and +Inf would make the whole dataset one
+// neighbourhood, one cluster whatever the data; neither is a radius,
+// so Validate rejects both. MinPts must be at least 1.
 type Params struct {
 	Eps    float64
 	MinPts int
@@ -37,8 +42,8 @@ type Params struct {
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
-	if p.Eps <= 0 {
-		return fmt.Errorf("dbscan: eps must be positive, got %g", p.Eps)
+	if !(p.Eps > 0) || math.IsInf(p.Eps, 1) {
+		return fmt.Errorf("dbscan: eps must be a positive finite number, got %g", p.Eps)
 	}
 	if p.MinPts < 1 {
 		return fmt.Errorf("dbscan: minPts must be >= 1, got %d", p.MinPts)
@@ -54,6 +59,9 @@ func (p Params) Validate() error {
 func Run(ds *geom.Dataset, idx kdtree.Index, p Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if err := geom.CheckFiniteDataset(ds); err != nil {
+		return nil, fmt.Errorf("dbscan: %w", err)
 	}
 	n := ds.Len()
 	res := &Result{

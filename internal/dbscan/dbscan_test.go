@@ -1,6 +1,8 @@
 package dbscan
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"sparkdbscan/internal/geom"
@@ -162,13 +164,24 @@ func TestEmptyDataset(t *testing.T) {
 	}
 }
 
+// TestParamValidation: eps must be a positive finite number, minPts at
+// least 1, and every coordinate finite; Run names the first bad point.
 func TestParamValidation(t *testing.T) {
 	ds := grid2([][2]float64{{0, 0}})
-	if _, err := Run(ds, kdtree.Build(ds), Params{Eps: 0, MinPts: 2}); err == nil {
-		t.Fatal("eps=0 accepted")
+	for _, p := range []Params{
+		{Eps: 0, MinPts: 2},
+		{Eps: math.NaN(), MinPts: 2},
+		{Eps: math.Inf(1), MinPts: 2},
+		{Eps: math.Inf(-1), MinPts: 2},
+		{Eps: 1, MinPts: 0},
+	} {
+		if _, err := Run(ds, kdtree.Build(ds), p); err == nil {
+			t.Errorf("%+v accepted", p)
+		}
 	}
-	if _, err := Run(ds, kdtree.Build(ds), Params{Eps: 1, MinPts: 0}); err == nil {
-		t.Fatal("minPts=0 accepted")
+	bad := grid2([][2]float64{{0, 0}, {0, 1}, {math.NaN(), 1}})
+	if _, err := Run(bad, kdtree.Build(bad), Params{Eps: 1, MinPts: 2}); err == nil || !strings.Contains(err.Error(), "point 2") {
+		t.Errorf("NaN coordinate: error %v, want one naming point 2", err)
 	}
 }
 

@@ -164,10 +164,8 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		}
 		ds.Coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
 	}
-	for i := int32(0); i < int32(n); i++ {
-		if err := CheckFinite(ds.At(i)); err != nil {
-			return nil, fmt.Errorf("geom: point %d: %w", i, err)
-		}
+	if err := CheckFiniteDataset(ds); err != nil {
+		return nil, fmt.Errorf("geom: %w", err)
 	}
 	if hasLabels {
 		ds.Label = make([]int32, n)
@@ -189,6 +187,18 @@ func CheckFinite(p []float64) error {
 	for j, v := range p {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("coordinate %d: %v is not a finite number", j, v)
+		}
+	}
+	return nil
+}
+
+// CheckFiniteDataset applies CheckFinite to every point of ds and names
+// the first bad one. Every engine that takes a whole dataset calls it
+// on entry.
+func CheckFiniteDataset(ds *Dataset) error {
+	for i := int32(0); i < int32(ds.Len()); i++ {
+		if err := CheckFinite(ds.At(i)); err != nil {
+			return fmt.Errorf("point %d: %w", i, err)
 		}
 	}
 	return nil

@@ -91,10 +91,8 @@ func validateBuild(ds *geom.Dataset, k int) error {
 	if k >= n {
 		return fmt.Errorf("knng: k=%d needs at least k+1 points, dataset has %d", k, n)
 	}
-	for i := int32(0); i < int32(n); i++ {
-		if err := geom.CheckFinite(ds.At(i)); err != nil {
-			return fmt.Errorf("knng: point %d: %w", i, err)
-		}
+	if err := geom.CheckFiniteDataset(ds); err != nil {
+		return fmt.Errorf("knng: %w", err)
 	}
 	return nil
 }

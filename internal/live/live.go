@@ -216,6 +216,9 @@ func NewModel(ds *geom.Dataset, labels []int32, tree *kdtree.Tree, p dbscan.Para
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if err := geom.CheckFiniteDataset(ds); err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
 	n := ds.Len()
 	if len(labels) != n {
 		return nil, fmt.Errorf("live: %d labels for %d points", len(labels), n)

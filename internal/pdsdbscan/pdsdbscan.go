@@ -84,6 +84,9 @@ func Run(ds *geom.Dataset, tree *kdtree.Tree, cfg Config) (*Result, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
+	if err := geom.CheckFiniteDataset(ds); err != nil {
+		return nil, fmt.Errorf("pdsdbscan: %w", err)
+	}
 	n := ds.Len()
 	if tree.Size() != n {
 		return nil, fmt.Errorf("pdsdbscan: tree over %d points, dataset has %d", tree.Size(), n)

@@ -1,7 +1,9 @@
 package pdsdbscan
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"sparkdbscan/internal/dbscan"
@@ -219,6 +221,12 @@ func TestEmptyAndValidation(t *testing.T) {
 	}
 	if _, err := Run(smallGeometry(), tree, Config{Params: dbscan.Params{Eps: 1, MinPts: 2}}); err == nil {
 		t.Fatal("tree over another dataset accepted")
+	}
+	bad := smallGeometry()
+	bad.At(3)[0] = math.Inf(1)
+	_, err = Run(bad, kdtree.Build(bad), Config{Params: dbscan.Params{Eps: 1, MinPts: 2}})
+	if err == nil || !strings.Contains(err.Error(), "point 3") {
+		t.Fatalf("infinite coordinate: error %v, want one naming point 3", err)
 	}
 }
 

@@ -59,25 +59,19 @@ type Config struct {
 	Partitions int
 	// PaperFidelity selects the paper's exact algorithm variants: one
 	// SEED per foreign partition per partial cluster (Algorithm 3) and
-	// the single-pass Algorithm 4 merge. The default (false) uses the
-	// exact variants — every foreign point reached becomes a SEED and
-	// the merge labels canonically through a union-find — whose labels
-	// equal sequential DBSCAN's byte for byte, at no extra query cost.
+	// the single-pass Algorithm 4 merge, over the paper's input-index
+	// ranges. The default (false) uses the exact variants — every
+	// foreign point reached becomes a SEED and the merge labels
+	// canonically through a union-find — whose labels equal sequential
+	// DBSCAN's byte for byte, at no extra query cost, over runs of the
+	// kd-tree's leaf order (the paper's future work), which cuts the
+	// partial-cluster count and with it the merge cost.
 	PaperFidelity bool
 	// MaxNeighbors > 0 enables pruned ("pruning branches") search.
 	MaxNeighbors int
 	// MinLocalClusterSize > 1 drops tiny partial clusters on the
 	// executors (the paper's large-dataset filter).
 	MinLocalClusterSize int
-	// SpatialPartitioning makes each executor's range a run of the
-	// kd-tree's leaf order instead of a run of input indices,
-	// implementing the paper's future-work suggestion of
-	// neighbourhood-aware partitioning. It slashes the partial-cluster
-	// count (and with it merge cost) at high core counts. Returned
-	// labels refer to the caller's point order and, without
-	// PaperFidelity, equal sequential DBSCAN's byte for byte. Range
-	// mode only: cell partitions are spatial already.
-	SpatialPartitioning bool
 	// RealTime switches timing from the calibrated virtual cluster to
 	// wall-clock goroutine execution (Cores then should not exceed the
 	// host CPU count).
@@ -176,7 +170,6 @@ func Cluster(ds *Dataset, cfg Config) (*Result, error) {
 		Merge:               core.MergeOptions{Algo: mergeAlgo},
 		MaxNeighbors:        cfg.MaxNeighbors,
 		MinLocalClusterSize: cfg.MinLocalClusterSize,
-		SpatialPartitioning: cfg.SpatialPartitioning,
 	})
 	if err != nil {
 		return nil, err

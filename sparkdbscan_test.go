@@ -206,27 +206,30 @@ func TestClusterMorePartitionsThanPoints(t *testing.T) {
 	}
 }
 
-func TestSpatialPartitioningFacade(t *testing.T) {
+// TestClusterLeafOrderFacade: the default pair's leaf-order ranges
+// leave fewer partial clusters than PaperFidelity's index ranges, and
+// its labels equal ClusterSequential's byte for byte, in input order.
+func TestClusterLeafOrderFacade(t *testing.T) {
 	ds := smallDataset(t)
 	eps, minPts := TableIParams()
-	plain, err := Cluster(ds, Config{Eps: eps, MinPts: minPts, Cores: 8})
+	seq, err := ClusterSequential(ds, eps, minPts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spatial, err := Cluster(ds, Config{Eps: eps, MinPts: minPts, Cores: 8, SpatialPartitioning: true})
+	leaf, err := Cluster(ds, Config{Eps: eps, MinPts: minPts, Cores: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spatial.NumClusters != plain.NumClusters || spatial.NumNoise != plain.NumNoise {
-		t.Fatalf("spatial changed structure: %d/%d vs %d/%d",
-			spatial.NumClusters, spatial.NumNoise, plain.NumClusters, plain.NumNoise)
+	paper, err := Cluster(ds, Config{Eps: eps, MinPts: minPts, Cores: 8, PaperFidelity: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if spatial.PartialClusters >= plain.PartialClusters {
-		t.Fatalf("spatial partials %d not below plain %d",
-			spatial.PartialClusters, plain.PartialClusters)
+	if leaf.PartialClusters >= paper.PartialClusters {
+		t.Fatalf("leaf-order partials %d not below index-range %d",
+			leaf.PartialClusters, paper.PartialClusters)
 	}
-	if !slices.Equal(spatial.Labels, plain.Labels) {
-		t.Fatal("spatial labels differ from the plain run's")
+	if !slices.Equal(leaf.Labels, seq.Labels) {
+		t.Fatal("default labels differ from sequential DBSCAN's")
 	}
 }
 
@@ -237,6 +240,14 @@ func TestInvalidParams(t *testing.T) {
 	}
 	if _, err := ClusterSequential(ds, 25, 0); err == nil {
 		t.Fatal("minPts=0 accepted")
+	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := Cluster(ds, Config{Eps: eps, MinPts: 5}); err == nil {
+			t.Errorf("Cluster accepted eps=%v", eps)
+		}
+		if _, err := ClusterSequential(ds, eps, 5); err == nil {
+			t.Errorf("ClusterSequential accepted eps=%v", eps)
+		}
 	}
 }
 
@@ -256,6 +267,44 @@ func TestClusterKNNRejectsNonFinite(t *testing.T) {
 				t.Errorf("%v with coordinate %v: result %v, error %v; want an error naming point 10", algo, bad, res != nil, err)
 			}
 		}
+	}
+}
+
+// TestEntryPointsRejectNonFinite: every other entry point that takes a
+// whole dataset refuses a NaN or infinite coordinate and names the
+// point, instead of clustering on unordered distances.
+func TestEntryPointsRejectNonFinite(t *testing.T) {
+	entries := []struct {
+		name string
+		run  func(ds *Dataset) error
+	}{
+		{"Cluster", func(ds *Dataset) error {
+			_, err := Cluster(ds, Config{Eps: 2, MinPts: 3, Cores: 4})
+			return err
+		}},
+		{"ClusterSequential", func(ds *Dataset) error {
+			_, err := ClusterSequential(ds, 2, 3)
+			return err
+		}},
+		{"NewLiveModel", func(ds *Dataset) error {
+			_, err := NewLiveModel(ds, &Result{Labels: make([]int32, ds.Len())}, 2, 3, LiveOptions{})
+			return err
+		}},
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				// 20 grid points, then (bad, 1).
+				ds := NewDataset(21, 2)
+				for i := range ds.Coords {
+					ds.Coords[i] = float64(i % 7)
+				}
+				ds.At(20)[0] = bad
+				if err := e.run(ds); err == nil || !strings.Contains(err.Error(), "point 20") {
+					t.Errorf("coordinate %v: error %v; want one naming point 20", bad, err)
+				}
+			}
+		})
 	}
 }
 
