@@ -230,6 +230,9 @@ func RunDBSCAN(args []string, stdout io.Writer) error {
 		mergeInfo = fmt.Sprintf("knn graph: %s, k=%d, %s edges (built in %s)",
 			*knnAlgo, *k, edges, buildTime.Round(time.Millisecond))
 	} else if *cores <= 0 {
+		if err := dbscan.Check(ds, params); err != nil {
+			return err
+		}
 		res, err := dbscan.Run(ds, kdtree.Build(ds), params)
 		if err != nil {
 			return err

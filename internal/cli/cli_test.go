@@ -107,6 +107,28 @@ func TestDBSCANErrors(t *testing.T) {
 	if err := RunDBSCAN([]string{"-in", "/nonexistent/file.txt"}, &out); err == nil {
 		t.Fatal("missing file accepted")
 	}
+	// The sequential path refuses bad parameters and non-finite
+	// coordinates, naming them.
+	dir := t.TempDir()
+	good, bad := filepath.Join(dir, "good.txt"), filepath.Join(dir, "bad.txt")
+	if err := os.WriteFile(good, []byte("0 0\n1 0\n0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte("0 0\nNaN 0\n0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-in", good, "-eps", "NaN", "-minpts", "2"}, "eps"},
+		{[]string{"-in", good, "-eps", "1", "-minpts", "0"}, "minPts"},
+		{[]string{"-in", bad, "-eps", "1", "-minpts", "2"}, "line 2"},
+	} {
+		if err := RunDBSCAN(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v; want one naming %s", c.args, err, c.want)
+		}
+	}
 }
 
 func TestBenchList(t *testing.T) {

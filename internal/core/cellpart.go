@@ -186,12 +186,14 @@ func cellStage(env *stageEnv, ds *geom.Dataset) error {
 	err = cellRDD.ForeachPartition(func(split int, _ []int32, tc *spark.TaskContext) error {
 		plan := bc.Value()
 		var w simtime.Work
+		tab := env.takeTable()
+		defer env.putTable(tab)
 		for ci := plan.Starts[split]; ci < plan.Starts[split+1]; ci++ {
 			cell := cells[ci]
 			nLocal := int64(len(cell.home) + len(cell.halo))
 			w.ShuffleBytes += pointBytes * nLocal // shuffle read leg
 			w.HashOps += nLocal                   // group records by cell
-			lr, err := cellLocalDBSCAN(ds, cell, int32(ci), plan.Opts)
+			lr, err := cellLocalDBSCAN(ds, cell, int32(ci), plan.Opts, tab)
 			if err != nil {
 				return err
 			}
@@ -322,7 +324,10 @@ func groupCells(bySplit [][]cellEmit) (cells []cellInput, emitted int) {
 // Halo points are never expanded — a home core within eps of a foreign
 // core records it as a Seed, and the driver's canonical merge unions
 // the two cells' clusters through it. Emitted indices are global.
-func cellLocalDBSCAN(ds *geom.Dataset, cell cellInput, rank int32, opts LocalOptions) (*LocalResult, error) {
+// Uncapped runs answer the home points in RadiusBlock blocks, taken in
+// the cell tree's leaf order, through tab.
+func cellLocalDBSCAN(ds *geom.Dataset, cell cellInput, rank int32, opts LocalOptions,
+	tab *neighborTable) (*LocalResult, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -346,7 +351,17 @@ func cellLocalDBSCAN(ds *geom.Dataset, cell cellInput, rank int32, opts LocalOpt
 	tree := kdtree.Build(local)
 	res.Work.TreeBuildOps += tree.BuildOps()
 
-	clusterRange(local, tree, 0, int32(nHome), Partitioner{}, opts, res)
+	var leaf []int32
+	if blockTree(tree, opts) != nil {
+		tab.leaf = tab.leaf[:0]
+		for _, p := range tree.Order() {
+			if p < int32(nHome) {
+				tab.leaf = append(tab.leaf, p)
+			}
+		}
+		leaf = tab.leaf
+	}
+	clusterRange(local, tree, 0, int32(nHome), Partitioner{}, opts, res, leaf, tab)
 	mapIDs(res.Clusters, ids)
 	return res, nil
 }

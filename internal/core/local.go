@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"sparkdbscan/internal/dbscan"
@@ -47,9 +48,20 @@ type LocalResult struct {
 // LocalDBSCAN runs Algorithm 2's executor closure for one partition:
 // cluster exactly the points in part.Range(split), querying idx (built
 // over the full dataset) for neighbourhoods, never expanding foreign
-// points, and placing SEEDs per opts.SeedMode (Algorithm 3).
+// points, and placing SEEDs per opts.SeedMode (Algorithm 3). The exact
+// pair on a *kdtree.Tree whose Order()[lo:hi] is a permutation of the
+// partition's range [lo, hi) — a run of a leaf-ordered tree — answers
+// the partition in RadiusBlock blocks (see clusterRange); every other
+// call queries once per point.
 func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int,
 	opts LocalOptions) (*LocalResult, error) {
+	return localDBSCAN(ds, idx, part, split, opts, new(neighborTable))
+}
+
+// localDBSCAN is LocalDBSCAN with the caller's neighbour table, which
+// it reuses for the block pass.
+func localDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int,
+	opts LocalOptions, tab *neighborTable) (*LocalResult, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -58,9 +70,65 @@ func LocalDBSCAN(ds *geom.Dataset, idx kdtree.Index, part Partitioner, split int
 	}
 	lo, hi := part.Range(split)
 	res := &LocalResult{Partition: split}
-	clusterRange(ds, idx, lo, hi, part, opts, res)
+	var leaf []int32
+	if tree := blockTree(idx, opts); tree != nil && int(hi) <= tree.Size() {
+		leaf = tree.Order()[lo:hi]
+		for _, p := range leaf {
+			if p < lo || p >= hi {
+				leaf = nil
+				break
+			}
+		}
+	}
+	clusterRange(ds, idx, lo, hi, part, opts, res, leaf, tab)
 	return res, nil
 }
+
+// blockTree returns idx as a *kdtree.Tree when the partition may be
+// answered from a RadiusBlock neighbour table: the exact pair's
+// SeedExact partials with no MaxNeighbors cap. The paper pair, capped
+// runs and other indexes keep one Radius or RadiusLimit per point.
+func blockTree(idx kdtree.Index, opts LocalOptions) *kdtree.Tree {
+	if opts.SeedMode != SeedExact || opts.MaxNeighbors > 0 {
+		return nil
+	}
+	tree, _ := idx.(*kdtree.Tree)
+	return tree
+}
+
+// neighborTable holds the eps-neighbourhoods of one partition's owned
+// points, answered kdtree.BlockSize at a time by RadiusBlock: owned
+// point lo+i's neighbours are ids[start[i]:end[i]], in leaf order. Its
+// buffers only grow, so an executor that reuses one table across its
+// partitions stops allocating once it has met the largest. leaf is
+// scratch for callers that filter a tree's order into owned points.
+type neighborTable struct {
+	blk        kdtree.Block
+	ids        []int32
+	start, end []int
+	leaf       []int32
+}
+
+// fill answers every point of leaf — the owned points [lo, lo+len(leaf))
+// of tree's dataset, in the tree's leaf order — and stores their lists.
+func (t *neighborTable) fill(tree *kdtree.Tree, leaf []int32, lo int32, eps float64, stats *kdtree.SearchStats) {
+	n := len(leaf)
+	t.ids = t.ids[:0]
+	t.start = slices.Grow(t.start[:0], n)[:n]
+	t.end = slices.Grow(t.end[:0], n)[:n]
+	for b := 0; b < n; b += kdtree.BlockSize {
+		pts := leaf[b:min(b+kdtree.BlockSize, n)]
+		tree.RadiusBlock(pts, eps, &t.blk, stats)
+		for k, p := range pts {
+			t.start[p-lo] = len(t.ids)
+			t.ids = append(t.ids, t.blk.Neighbors(k)...)
+			t.end[p-lo] = len(t.ids)
+		}
+	}
+}
+
+// of returns owned point lo+i's neighbours.
+func (t *neighborTable) of(i int32) []int32 { return t.ids[t.start[i]:t.end[i]] }
 
 // seenStamps is a per-point stamp array that SeedExact calls of
 // clusterRange pass on to each other through seenPool. base is the last
@@ -93,8 +161,20 @@ func takeSeenStamps(n int, clusters int32) *seenStamps {
 // metered work. Partial clusters carry res.Partition and hold indices
 // into ds. part is read only by SeedSingle, to place one SEED per
 // foreign partition.
+//
+// leaf, when non-nil, lists the owned points in idx's leaf order, and
+// idx is a *kdtree.Tree (see blockTree). clusterRange then answers them
+// kdtree.BlockSize at a time with RadiusBlock into tab before expanding
+// any cluster, and the expansion reads the stored lists instead of
+// querying once per point. Every owned point is queried exactly once
+// either way, and the lists hold the same sets, so the partial
+// clusters are the same sets; only their order within Members, Seeds
+// and Borders and the search stats differ. On leaf-order runs the
+// shared descent visits ~94% fewer nodes for ~27% more distances; on a
+// scattered subset (the paper's index ranges) its box prunes nothing,
+// which is why those keep per-point queries.
 func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partitioner,
-	opts LocalOptions, res *LocalResult) {
+	opts LocalOptions, res *LocalResult, leaf []int32, tab *neighborTable) {
 	local := hi - lo
 	if local == 0 {
 		return
@@ -164,14 +244,22 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 	// itself lives in queue, which copies the values, so requerying
 	// while the frontier is still draining is safe — see
 	// TestLocalDBSCANNeighborBufferReuse.
+	// The block pass's table lists are never overwritten, so the
+	// invariant holds for them trivially.
 	var neighbors []int32
 	w := &res.Work
 
-	query := func(q []float64) []int32 {
-		if opts.MaxNeighbors > 0 {
-			return idx.RadiusLimit(q, eps, opts.MaxNeighbors, neighbors[:0], &res.Stats)
+	if leaf != nil {
+		tab.fill(idx.(*kdtree.Tree), leaf, lo, eps, &res.Stats)
+	}
+	query := func(p int32) []int32 {
+		switch {
+		case leaf != nil:
+			return tab.of(p - lo)
+		case opts.MaxNeighbors > 0:
+			return idx.RadiusLimit(ds.At(p), eps, opts.MaxNeighbors, neighbors[:0], &res.Stats)
 		}
-		return idx.Radius(q, eps, neighbors[:0], &res.Stats)
+		return idx.Radius(ds.At(p), eps, neighbors[:0], &res.Stats)
 	}
 
 	// pc is the cluster being expanded and epoch its stamp. enqueue
@@ -217,7 +305,7 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 		}
 		visited[li] = true
 		w.HashOps++
-		neighbors = query(ds.At(i))
+		neighbors = query(i)
 		if len(neighbors) < minPts {
 			// Marked noise locally; a later local cluster may still
 			// adopt it as a border member.
@@ -247,7 +335,7 @@ func clusterRange(ds *geom.Dataset, idx kdtree.Index, lo, hi int32, part Partiti
 			if !visited[pl] {
 				visited[pl] = true
 				w.HashOps++
-				neighbors = query(ds.At(p))
+				neighbors = query(p)
 				if len(neighbors) >= minPts {
 					if coreLocal != nil {
 						coreLocal[pl] = true

@@ -214,6 +214,8 @@ func Run(sctx *spark.Context, ds *geom.Dataset, cfg Config) (*Result, error) {
 		noise: noiseAcc,
 		stats: statsAcc,
 		res:   res,
+		// Neither stage runs more than cfg.Partitions tasks.
+		tables: make(chan *neighborTable, cfg.Partitions),
 	}
 	if err := stage(env, ds); err != nil {
 		return nil, err

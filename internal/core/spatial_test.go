@@ -39,21 +39,24 @@ func TestLeafOrderPartitionsReducePartialClusters(t *testing.T) {
 	}
 }
 
-// FuzzRangePartitioning checks range mode's exact pair, on its
-// leaf-order ranges, against sequential DBSCAN over brute-force
-// neighbourhoods, byte for byte. grid holds the points' coordinates,
-// dim bytes per point and at most 256 points, each byte taken mod 16
-// (so ASCII digits read as their value). An integer grid with integer
-// eps puts duplicates and pairs at exactly eps in most inputs.
+// FuzzExactPartitioning checks the exact pair in both partitioning
+// modes — range mode on its leaf-order ranges and cell mode on a grid
+// with a small target per cell, so several cells and eps-halos form —
+// against sequential DBSCAN over brute-force neighbourhoods, byte for
+// byte. Both modes answer their owned points in RadiusBlock blocks.
+// grid holds the points' coordinates, dim bytes per point and at most
+// 256 points, each byte taken mod 16 (so ASCII digits read as their
+// value). An integer grid with integer eps puts duplicates and pairs
+// at exactly eps in most inputs.
 //
-// The committed seed corpus (testdata/fuzz/FuzzRangePartitioning)
+// The committed seed corpus (testdata/fuzz/FuzzExactPartitioning)
 // holds one case per exactness condition of Wang, Gu and Shun's
 // parallel DBSCAN (arXiv:1912.06255): a closed ball counting the point
 // itself and its duplicates toward minPts, core connectivity through
 // chains that cross partitions, a border within eps of two clusters'
 // cores, which takes the lower label, minPts 1 and all-noise inputs,
 // and the float64 path at d = 33.
-func FuzzRangePartitioning(f *testing.F) {
+func FuzzExactPartitioning(f *testing.F) {
 	f.Fuzz(func(t *testing.T, dimRaw, minPtsRaw, partsRaw, epsRaw uint8, grid []byte) {
 		dim := []int{1, 2, 3, 33}[dimRaw%4]
 		n := min(len(grid)/dim, 256)
@@ -70,12 +73,27 @@ func FuzzRangePartitioning(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sctx := spark.NewContext(spark.Config{Cores: parts, Seed: 1})
-		res, err := Run(sctx, ds, Config{Params: params, Partitions: parts})
-		if err != nil {
-			t.Fatal(err)
+		// A grid whose occupancy target cannot be met splits every axis
+		// at eps, and on integer coordinates nearly every point then
+		// lies on a cell wall: its halo reaches up to 3^dim cells. At
+		// d = 33 the target is n, one cell with no halo.
+		target := 2
+		if dim > 3 {
+			target = n
 		}
-		compareLabels(t, fmt.Sprintf("n=%d d=%d %+v parts=%d", n, dim, params, parts),
-			ref.Labels, res.Global.Labels)
+		for _, mode := range []PartitionMode{PartRange, PartCell} {
+			sctx := spark.NewContext(spark.Config{Cores: parts, Seed: 1})
+			res, err := Run(sctx, ds, Config{
+				Params:       params,
+				Partitions:   parts,
+				Partitioning: mode,
+				Cell:         CellOptions{TargetPointsPerCell: target},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareLabels(t, fmt.Sprintf("%s n=%d d=%d %+v parts=%d", mode, n, dim, params, parts),
+				ref.Labels, res.Global.Labels)
+		}
 	})
 }

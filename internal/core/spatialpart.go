@@ -102,6 +102,29 @@ type stageEnv struct {
 	noise *spark.Accumulator[int64]
 	stats *spark.Accumulator[kdtree.SearchStats]
 	res   *Result
+	// tables is the stage's free list of neighbour tables, with room
+	// for one per task.
+	tables chan *neighborTable
+}
+
+// takeTable lends a task a neighbour table: a free one, or a new one
+// when every table is out. Tasks return theirs with putTable, so a
+// stage makes no more tables than it runs tasks at once, and each
+// keeps its grown buffers for the next task.
+func (e *stageEnv) takeTable() *neighborTable {
+	select {
+	case t := <-e.tables:
+		return t
+	default:
+		return new(neighborTable)
+	}
+}
+
+func (e *stageEnv) putTable(t *neighborTable) {
+	select {
+	case e.tables <- t:
+	default:
+	}
 }
 
 func (e *stageEnv) driverSeconds() float64   { return e.sctx.Report().DriverSeconds }
@@ -187,7 +210,9 @@ func rangeStage(env *stageEnv, ds *geom.Dataset) error {
 		if len(in) != int(hi-lo) {
 			return fmt.Errorf("core: partition %d got %d points, expected %d", split, len(in), hi-lo)
 		}
-		lr, err := LocalDBSCAN(payload.DS, payload.Tree, payload.Part, split, payload.Opts)
+		tab := env.takeTable()
+		defer env.putTable(tab)
+		lr, err := localDBSCAN(payload.DS, payload.Tree, payload.Part, split, payload.Opts, tab)
 		if err != nil {
 			return err
 		}

@@ -51,17 +51,26 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// Check returns the error Run gives for p and ds before it reads its
+// index, so a caller can reject bad input before building one.
+func Check(ds *geom.Dataset, p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if err := geom.CheckFiniteDataset(ds); err != nil {
+		return fmt.Errorf("dbscan: %w", err)
+	}
+	return nil
+}
+
 // Run executes sequential DBSCAN over all points of ds using idx for
 // eps-neighbourhood queries. A point's own index appears in its
 // neighbourhood (distance 0), so it counts toward minPts, matching the
 // usual convention and the paper's reference implementation (Patwary et
 // al.).
 func Run(ds *geom.Dataset, idx kdtree.Index, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := Check(ds, p); err != nil {
 		return nil, err
-	}
-	if err := geom.CheckFiniteDataset(ds); err != nil {
-		return nil, fmt.Errorf("dbscan: %w", err)
 	}
 	n := ds.Len()
 	res := &Result{

@@ -166,6 +166,7 @@ func TestEmptyDataset(t *testing.T) {
 
 // TestParamValidation: eps must be a positive finite number, minPts at
 // least 1, and every coordinate finite; Run names the first bad point.
+// Check, which callers run before building an index, gives Run's error.
 func TestParamValidation(t *testing.T) {
 	ds := grid2([][2]float64{{0, 0}})
 	for _, p := range []Params{
@@ -175,13 +176,22 @@ func TestParamValidation(t *testing.T) {
 		{Eps: math.Inf(-1), MinPts: 2},
 		{Eps: 1, MinPts: 0},
 	} {
-		if _, err := Run(ds, kdtree.Build(ds), p); err == nil {
+		_, err := Run(ds, kdtree.Build(ds), p)
+		if err == nil {
 			t.Errorf("%+v accepted", p)
+		} else if cerr := Check(ds, p); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("%+v: Check gives %v, Run %v", p, cerr, err)
 		}
 	}
 	bad := grid2([][2]float64{{0, 0}, {0, 1}, {math.NaN(), 1}})
 	if _, err := Run(bad, kdtree.Build(bad), Params{Eps: 1, MinPts: 2}); err == nil || !strings.Contains(err.Error(), "point 2") {
 		t.Errorf("NaN coordinate: error %v, want one naming point 2", err)
+	}
+	if err := Check(bad, Params{Eps: 1, MinPts: 2}); err == nil || !strings.Contains(err.Error(), "point 2") {
+		t.Errorf("NaN coordinate: Check gives %v, want one naming point 2", err)
+	}
+	if err := Check(ds, Params{Eps: 1, MinPts: 1}); err != nil {
+		t.Errorf("valid input: Check gives %v", err)
 	}
 }
 

@@ -50,10 +50,17 @@ func (b *Block) Neighbors(k int) []int32 {
 // one Radius per point, with 94% fewer node visits, and takes ~40% less
 // time.
 //
-// Serve assignments keep per-query descents (MinKey): a serve batch is
-// scattered points whose bounding box spans the domain and would prune
-// nothing. stats may be nil; when non-nil it receives the block's work,
-// with the shared descent's node visits counted once.
+// Callers: pdsdbscan (Run's passes and Census, over the whole leaf
+// order) and core's exact-pair executors, which answer a range
+// partition (a run of a leaf-ordered tree's order) or a cell's home
+// points (its tree's order, filtered) in blocks before expanding.
+// Per-query descents stay where a block would not pay: the paper's
+// SeedSingle pair on input-index ranges and serve assignments (MinKey)
+// query scattered points, whose bounding box spans the domain and
+// prunes nothing, and a capped query (RadiusLimit) stops at its cap.
+//
+// stats may be nil; when non-nil it receives the block's work, with the
+// shared descent's node visits counted once.
 func (t *Tree) RadiusBlock(pts []int32, eps float64, b *Block, stats *SearchStats) {
 	if len(pts) > BlockSize {
 		panic("kdtree: RadiusBlock given more than BlockSize points")

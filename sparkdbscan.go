@@ -190,10 +190,14 @@ func Cluster(ds *Dataset, cfg Config) (*Result, error) {
 }
 
 // ClusterSequential runs the reference single-threaded DBSCAN
-// (Algorithm 1) over a kd-tree.
+// (Algorithm 1) over a kd-tree. It rejects bad parameters and
+// non-finite points before building the tree.
 func ClusterSequential(ds *Dataset, eps float64, minPts int) (*Result, error) {
-	tree := kdtree.Build(ds)
-	res, err := dbscan.Run(ds, tree, dbscan.Params{Eps: eps, MinPts: minPts})
+	params := dbscan.Params{Eps: eps, MinPts: minPts}
+	if err := dbscan.Check(ds, params); err != nil {
+		return nil, err
+	}
+	res, err := dbscan.Run(ds, kdtree.Build(ds), params)
 	if err != nil {
 		return nil, err
 	}

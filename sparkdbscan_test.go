@@ -272,37 +272,47 @@ func TestClusterKNNRejectsNonFinite(t *testing.T) {
 
 // TestEntryPointsRejectNonFinite: every other entry point that takes a
 // whole dataset refuses a NaN or infinite coordinate and names the
-// point, instead of clustering on unordered distances.
+// point, instead of clustering on unordered distances. Each also
+// refuses a NaN eps and minPts 0.
 func TestEntryPointsRejectNonFinite(t *testing.T) {
 	entries := []struct {
 		name string
-		run  func(ds *Dataset) error
+		run  func(ds *Dataset, eps float64, minPts int) error
 	}{
-		{"Cluster", func(ds *Dataset) error {
-			_, err := Cluster(ds, Config{Eps: 2, MinPts: 3, Cores: 4})
+		{"Cluster", func(ds *Dataset, eps float64, minPts int) error {
+			_, err := Cluster(ds, Config{Eps: eps, MinPts: minPts, Cores: 4})
 			return err
 		}},
-		{"ClusterSequential", func(ds *Dataset) error {
-			_, err := ClusterSequential(ds, 2, 3)
+		{"ClusterSequential", func(ds *Dataset, eps float64, minPts int) error {
+			_, err := ClusterSequential(ds, eps, minPts)
 			return err
 		}},
-		{"NewLiveModel", func(ds *Dataset) error {
-			_, err := NewLiveModel(ds, &Result{Labels: make([]int32, ds.Len())}, 2, 3, LiveOptions{})
+		{"NewLiveModel", func(ds *Dataset, eps float64, minPts int) error {
+			_, err := NewLiveModel(ds, &Result{Labels: make([]int32, ds.Len())}, eps, minPts, LiveOptions{})
 			return err
 		}},
+	}
+	// 20 grid points, then (x, 1).
+	grid := func(x float64) *Dataset {
+		ds := NewDataset(21, 2)
+		for i := range ds.Coords {
+			ds.Coords[i] = float64(i % 7)
+		}
+		ds.At(20)[0] = x
+		return ds
 	}
 	for _, e := range entries {
 		t.Run(e.name, func(t *testing.T) {
 			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-				// 20 grid points, then (bad, 1).
-				ds := NewDataset(21, 2)
-				for i := range ds.Coords {
-					ds.Coords[i] = float64(i % 7)
-				}
-				ds.At(20)[0] = bad
-				if err := e.run(ds); err == nil || !strings.Contains(err.Error(), "point 20") {
+				if err := e.run(grid(bad), 2, 3); err == nil || !strings.Contains(err.Error(), "point 20") {
 					t.Errorf("coordinate %v: error %v; want one naming point 20", bad, err)
 				}
+			}
+			if err := e.run(grid(3), math.NaN(), 3); err == nil || !strings.Contains(err.Error(), "eps") {
+				t.Errorf("eps NaN: error %v; want one naming eps", err)
+			}
+			if err := e.run(grid(3), 2, 0); err == nil || !strings.Contains(err.Error(), "minPts") {
+				t.Errorf("minPts 0: error %v; want one naming minPts", err)
 			}
 		})
 	}
